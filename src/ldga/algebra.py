@@ -34,9 +34,14 @@ _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class Ring:
-    """Common interface: elements are plain hashable Python values."""
+    """Common interface: elements are plain hashable Python values.
+
+    Integers become ring elements only through ``from_int``.
+    """
 
     name = "ring"
+    zero: object
+    one: object
 
     def add(self, a, b):
         raise NotImplementedError
@@ -53,24 +58,8 @@ class Ring:
     def from_int(self, n: int):
         raise NotImplementedError
 
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
     def is_zero(self, a) -> bool:
         return a == self.zero
-
-    def coerce(self, value):
-        """Accept ints (and ring elements) as scalars."""
-        if isinstance(value, bool):
-            raise CoefficientError("booleans are not ring scalars")
-        if isinstance(value, int):
-            return self.from_int(value)
-        return value
 
     def __repr__(self):
         return self.name
@@ -78,6 +67,8 @@ class Ring:
 
 class IntegerRing(Ring):
     name = "Z"
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -141,6 +132,8 @@ def _int_negative_power(value: int, e: int) -> int:
 
 class LaurentRing(Ring):
     name = "Z[t]"
+    zero = Laurent(())
+    one = Laurent(((0, 1),))
 
     def add(self, a: Laurent, b: Laurent):
         d = a.as_dict()
@@ -174,8 +167,13 @@ class FiniteField(Ring):
     """GF(p^s) with elements encoded as integers 0..q-1 (base-p digit vectors).
 
     Supported orders: p in {2,3,5,7,11,13} with s = 1, plus 4, 8, 16 and 9
-    through the fixed irreducibles above.  Tables are built once per order.
+    through the fixed irreducibles above.  Addition, negation,
+    multiplication and inversion are lookups in tables built when the field
+    is constructed; obtain fields through the cached :func:`GF`.
     """
+
+    zero = 0
+    one = 1
 
     def __init__(self, q: int):
         p, s = _prime_power(q)
@@ -187,16 +185,24 @@ class FiniteField(Ring):
         self.p = p
         self.s = s
         self.name = f"F{q}"
-        self._mul = _field_mul_table(q)
+        self.add_table = tuple(
+            tuple(_digit_add(a, b, p, s) for b in range(q)) for a in range(q)
+        )
+        self.neg_table = tuple(_digit_neg(a, p, s) for a in range(q))
+        self.mul_table = _field_mul_table(p, s)
+        self.inv_table = (None,) + tuple(row.index(1) for row in self.mul_table[1:])
 
     def add(self, a, b):
-        return _digit_add(a, b, self.p, self.s)
+        return self.add_table[a][b]
 
     def neg(self, a):
-        return _digit_neg(a, self.p, self.s)
+        return self.neg_table[a]
 
     def mul(self, a, b):
-        return self._mul[a][b]
+        return self.mul_table[a][b]
+
+    def is_zero(self, a) -> bool:
+        return a == 0
 
     def from_int(self, n):
         return n % self.p
@@ -204,8 +210,7 @@ class FiniteField(Ring):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverting 0 in a finite field")
-        row = self._mul[a]
-        return row.index(1)
+        return self.inv_table[a]
 
     def elements(self) -> range:
         return range(self.q)
@@ -267,17 +272,15 @@ def _digit_neg(a: int, p: int, s: int) -> int:
     return _undigits([(-x) % p for x in _digits(a, p, s)], p)
 
 
-@lru_cache(maxsize=None)
-def _field_mul_table(q: int) -> tuple[tuple[int, ...], ...]:
-    p, s = _prime_power(q)
+def _field_mul_table(p: int, s: int) -> tuple[tuple[int, ...], ...]:
     if s == 1:
         return tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
     irz = _IRREDUCIBLES[(p, s)]
     table = []
-    for a in range(q):
+    for a in range(p**s):
         da = _digits(a, p, s)
         row = []
-        for b in range(q):
+        for b in range(p**s):
             db = _digits(b, p, s)
             prod = [0] * (2 * s - 1)
             for i, x in enumerate(da):
@@ -318,13 +321,12 @@ def same_ring(r1: Ring, r2: Ring) -> bool:
 Word = tuple[str, ...]  # ordered generator names; () is the unit
 
 
-def word_key(w: Word):
-    return w
-
-
 @dataclass(frozen=True)
 class Element:
-    """Normal-form sum of words: mapping word -> nonzero coefficient."""
+    """Normal-form sum of words: mapping word -> nonzero coefficient.
+
+    Coefficients are elements of ``ring`` and are stored as given.
+    """
 
     ring: Ring
     terms: tuple[tuple[Word, object], ...]
@@ -333,7 +335,6 @@ class Element:
     def build(ring: Ring, data: Mapping[Word, object]) -> "Element":
         clean = {}
         for w, c in data.items():
-            c = ring.coerce(c)
             if not ring.is_zero(c):
                 clean[tuple(w)] = c
         return Element(ring, tuple(sorted(clean.items(), key=lambda kv: kv[0])))
@@ -343,12 +344,12 @@ class Element:
         return Element(ring, ())
 
     @staticmethod
-    def unit(ring: Ring, coeff=1) -> "Element":
-        return Element.build(ring, {(): coeff})
+    def unit(ring: Ring, coeff=None) -> "Element":
+        return Element.build(ring, {(): ring.one if coeff is None else coeff})
 
     @staticmethod
-    def generator(ring: Ring, name: str, coeff=1) -> "Element":
-        return Element.build(ring, {(name,): coeff})
+    def generator(ring: Ring, name: str, coeff=None) -> "Element":
+        return Element.build(ring, {(name,): ring.one if coeff is None else coeff})
 
     def as_dict(self) -> dict[Word, object]:
         return dict(self.terms)
@@ -380,8 +381,9 @@ class Element:
     def neg(self) -> "Element":
         return Element(self.ring, tuple((w, self.ring.neg(c)) for w, c in self.terms))
 
-    def scale(self, scalar) -> "Element":
-        scalar = self.ring.coerce(scalar)
+    def scale(self, n: int) -> "Element":
+        """The integer multiple n * self."""
+        scalar = self.ring.from_int(n)
         return Element.build(
             self.ring, {w: self.ring.mul(scalar, c) for w, c in self.terms}
         )
@@ -420,10 +422,6 @@ def multiply(x: Element, y: Element) -> Element:
             else:
                 d[w] = acc
     return Element.build(ring, d)
-
-
-def add(x: Element, y: Element) -> Element:
-    return x.add(y)
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +554,8 @@ def reduce_scalar(ring_from: Ring, ring_to: Ring, value):
             return value.eval_int(-1)
         return ring_to.from_int(value.eval_int(-1))
     if isinstance(ring_from, FiniteField) and isinstance(ring_to, FiniteField):
-        if ring_from.q == 2 and ring_to.p == 2:
-            return value  # 0, 1 encode the prime subfield
         if ring_from.q == ring_to.p:
-            return value % ring_to.p
+            return value  # the codes 0..p-1 encode the prime subfield
     raise CoefficientError(f"no coefficient map {ring_from} -> {ring_to}")
 
 

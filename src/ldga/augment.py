@@ -21,6 +21,7 @@ from .algebra import (
     GF,
     Generator,
     change_coefficients,
+    multiply,
     validate,
 )
 from .linhom import LinearizedComplex
@@ -242,7 +243,7 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
         for word, coeff in el.terms:
             prod = Element.unit(ring, coeff)
             for name in word:
-                prod = _el_mul(prod, subs[name])
+                prod = multiply(prod, subs[name])
             acc = acc.add(prod)
         diff[g.name] = acc
     out = DGA(ring, fdga.generators, diff)
@@ -253,12 +254,6 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
         if out.diff_of(g.name).constant_term() != ring.zero:
             raise AugmentationError("conjugation left a constant term")
     return out
-
-
-def _el_mul(x: Element, y: Element) -> Element:
-    from .algebra import multiply
-
-    return multiply(x, y)
 
 
 def linear_part(dga: DGA) -> LinearizedComplex:

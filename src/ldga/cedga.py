@@ -119,20 +119,9 @@ class DGAValidationError(ValueError):
     """A syntactically fine DGA that violates degree purity or d^2 = 0."""
 
 
-_COEFF_NAMES = {
-    "Z": ZZ,
-    "Z[t]": ZT,
-    "F2": GF(2),
-    "F3": GF(3),
-    "F4": GF(4),
-    "F5": GF(5),
-    "F7": GF(7),
-    "F8": GF(8),
-    "F9": GF(9),
-    "F11": GF(11),
-    "F13": GF(13),
-    "F16": GF(16),
-}
+_COEFF_NAMES = {"Z": ZZ, "Z[t]": ZT, "Z[t,t-1]": ZT}
+# field orders by name; GF(q) builds its tables on first use, not at import
+_FIELD_NAMES = {f"F{q}": q for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)}
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\^-?\d+|\d+|[+\-*=\[\],])")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -173,10 +162,10 @@ def load_dsl(text: str) -> DGA:
             spec = "".join(t for _, t in toks[1:])
             # allow Z [ t ] to arrive as separate tokens
             spec = spec.replace(" ", "")
-            if spec == "Z[t]" or spec == "Z[t,t-1]":
-                ring = ZT
-            elif spec in _COEFF_NAMES:
+            if spec in _COEFF_NAMES:
                 ring = _COEFF_NAMES[spec]
+            elif spec in _FIELD_NAMES:
+                ring = GF(_FIELD_NAMES[spec])
             else:
                 raise DSLError(lineno, toks[0][0], f"unknown coefficient ring {spec!r}")
         elif head == "gen":
@@ -261,12 +250,12 @@ def _parse_poly(
     for sign, factors in zip(signs, terms):
         if not factors:
             raise DSLError(toks[0][0] if toks else 1, 1, f"empty term in d {where}")
-        coeff = ring.coerce(sign)
+        coeff = ring.from_int(sign)
         word: list[str] = []
         pending_power = False
         for line, col, tok in factors:
             if tok.isdigit():
-                coeff = ring.mul(coeff, ring.coerce(int(tok)))
+                coeff = ring.mul(coeff, ring.from_int(int(tok)))
             elif tok == "t" or tok.startswith("^"):
                 if ring is not ZT:
                     raise DSLError(line, col, "t requires coeff Z[t]")

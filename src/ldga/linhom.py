@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .algebra import FiniteField, IntegerRing, Ring, same_ring
+from .algebra import GF, FiniteField, IntegerRing, Ring, same_ring
 
 Matrix = list[list[int]]
 
@@ -28,7 +28,8 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix, gf: FiniteField | None = None) -> Matrix:
+    """Product of integer matrices, or of GF(q) matrices when a field is given."""
     if not a or not b:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
     n, k, m = len(a), len(b), len(b[0])
@@ -39,8 +40,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             if x:
                 row_b = b[s]
                 row = out[i]
-                for j in range(m):
-                    row[j] += x * row_b[j]
+                if gf is None:
+                    for j in range(m):
+                        row[j] += x * row_b[j]
+                else:
+                    for j in range(m):
+                        row[j] = gf.add(row[j], gf.mul(x, row_b[j]))
     return out
 
 
@@ -91,9 +96,12 @@ class SmithForm:
 def smith_normal_form(a: Matrix) -> SmithForm:
     """Diagonalize an integer matrix: U*A*V = D with U, V unimodular.
 
-    Pivot = globally minimal nonzero absolute value; euclidean remainders
-    strictly shrink the pivot, which gives termination and the divisibility
-    chain d1 | d2 | ... in one pass.
+    Pivot = globally minimal nonzero absolute value (the scan stops at 1).
+    Each step reduces the whole pivot column, then the whole pivot row, by
+    euclidean division; a nonzero remainder is strictly smaller than the
+    pivot and forces a rescan, which gives termination.  A pivot is final
+    once its row and column are clear and it divides the rest of the
+    submatrix, which gives the divisibility chain d1 | d2 | ... in one pass.
     """
     rows, cols = mat_shape(a)
     d = [row[:] for row in a]
@@ -124,40 +132,44 @@ def smith_normal_form(a: Matrix) -> SmithForm:
     limit = min(rows, cols)
     while t < limit:
         pivot = None
-        best = None
+        best = 0
         for i in range(t, rows):
+            row = d[i]
             for j in range(t, cols):
-                x = abs(d[i][j])
-                if x and (best is None or x < best):
+                x = abs(row[j])
+                if x and (not best or x < best):
                     best, pivot = x, (i, j)
+                    if x == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
 
-        col_entry = next((i for i in range(t + 1, rows) if d[i][t]), None)
-        if col_entry is not None:
-            q = d[col_entry][t] // d[t][t]
-            add_row(t, col_entry, -q)
-            if d[col_entry][t]:
-                swap_rows(t, col_entry)
-            continue
-        row_entry = next((j for j in range(t + 1, cols) if d[t][j]), None)
-        if row_entry is not None:
-            q = d[t][row_entry] // d[t][t]
-            add_col(t, row_entry, -q)
-            if d[t][row_entry]:
-                swap_cols(t, row_entry)
+        p = d[t][t]
+        remainder = False
+        for i in range(t + 1, rows):
+            if d[i][t]:
+                add_row(t, i, -(d[i][t] // p))
+                remainder = remainder or d[i][t] != 0
+        for j in range(t + 1, cols):
+            if d[t][j]:
+                add_col(t, j, -(d[t][j] // p))
+                remainder = remainder or d[t][j] != 0
+        if remainder:
             continue
 
-        bad_row = None
-        for i in range(t + 1, rows):
-            if any(d[i][j] % d[t][t] for j in range(t + 1, cols)):
-                bad_row = i
-                break
-        if bad_row is not None:
-            add_row(bad_row, t, 1)
-            continue
+        if best != 1:
+            bad_row = next(
+                (i for i in range(t + 1, rows)
+                 if any(d[i][j] % p for j in range(t + 1, cols))),
+                None,
+            )
+            if bad_row is not None:
+                add_row(bad_row, t, 1)
+                continue
         t += 1
 
     for k in range(limit):
@@ -179,24 +191,36 @@ def is_unimodular(m: Matrix) -> bool:
 # ---------------------------------------------------------------------------
 
 def field_rank(ring: FiniteField, a: Matrix) -> int:
+    """Rank over GF(q): XOR elimination on bitset rows for q = 2, else
+    row reduction to echelon form through the field's tables."""
+    if ring.q == 2:
+        pivots: dict[int, int] = {}  # lowest set bit -> reduced row
+        for row in a:
+            bits = sum(1 << j for j, x in enumerate(row) if x)
+            while bits:
+                low = bits & -bits
+                pivot = pivots.get(low)
+                if pivot is None:
+                    pivots[low] = bits
+                    break
+                bits ^= pivot
+        return len(pivots)
+    add, neg, mul, inv = ring.add_table, ring.neg_table, ring.mul_table, ring.inv_table
     rows, cols = mat_shape(a)
     m = [row[:] for row in a]
     rank = 0
     for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if m[i][col]:
-                pivot = i
-                break
+        pivot = next((i for i in range(rank, rows) if m[i][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = ring.inv(m[rank][col])
-        m[rank] = [ring.mul(inv, x) for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(m[i], m[rank])]
+        scale = mul[inv[m[rank][col]]]
+        prow = [scale[x] for x in m[rank]]
+        for i in range(rank + 1, rows):
+            f = m[i][col]
+            if f:
+                minus_f = mul[neg[f]]
+                m[i] = [add[x][minus_f[y]] for x, y in zip(m[i], prow)]
         rank += 1
         if rank == rows:
             break
@@ -245,12 +269,8 @@ class LinearizedComplex:
         for d in self.degrees():
             m1 = self.matrix(d)       # C_d -> C_{d-1}
             m2 = self.matrix(d + 1)   # C_{d+1} -> C_d
-            prod = mat_mul(m1, m2)
-            if isinstance(self.ring, FiniteField):
-                bad = any(self.ring.from_int(x) != 0 for row in prod for x in row)
-            else:
-                bad = any(x != 0 for row in prod for x in row)
-            if bad:
+            gf = self.ring if isinstance(self.ring, FiniteField) else None
+            if any(x for row in mat_mul(m1, m2, gf) for x in row):
                 raise ValueError(f"differential does not square to zero at degree {d}")
 
     def shift(self, m: int) -> "LinearizedComplex":
@@ -459,7 +479,7 @@ def poincare(h: GradedModule) -> PoincarePolynomial:
 
 def reduce_complex_mod_p(cx: LinearizedComplex, q: int) -> LinearizedComplex:
     """Reduce an integral complex into GF(q) entrywise."""
-    ring = FiniteField(q)
+    ring = GF(q)
     if not isinstance(cx.ring, IntegerRing):
         raise ValueError("expected an integral complex")
     mats = {

@@ -1,0 +1,65 @@
+"""CLI reports must match the committed goldens outside ``timing_ms``.
+
+Regenerate (only when an answer is meant to change) with
+``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from ldga.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden"
+
+CASES = {
+    "dga_trefoil.dga": ["dga", "--builtin", "trefoil"],
+    "augs_trefoil_f16.json": ["augs", "--builtin", "trefoil", "--field", "16"],
+    "linpoly_m821_f2_all.json": [
+        "linpoly", "--grid", "fixtures/m821.json", "--field", "2", "--all-augs",
+    ],
+    "spin_twist5_s3_integral.json": [
+        "spin", "--builtin", "twist:5", "--spin", "3", "--integral",
+    ],
+    "certify_classA.json": ["certify", "classA"],
+    "certify_classB_n9_s3_f24.json": [
+        "certify", "classB", "--n", "9", "--spin", "3", "--fields", "2,4",
+    ],
+}
+
+
+def render(argv: list[str]) -> str:
+    """Run the CLI from the repository root; JSON reports lose ``timing_ms``."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(REPO)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code == 0, f"{argv} exited {code}"
+    text = out.getvalue()
+    if argv[0] == "dga":
+        return text
+    report = json.loads(text)
+    report.pop("timing_ms", None)
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    assert render(CASES[name]) == (GOLDEN / name).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / name).write_text(render(argv))
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
