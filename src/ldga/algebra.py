@@ -9,7 +9,7 @@ normal form so that equality is a plain syntactic comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 
@@ -453,12 +453,10 @@ class DGA:
         clean = {k: v for k, v in dict(self.differential).items() if not v.is_zero}
         object.__setattr__(self, "differential", clean)
 
-    @property
+    @cached_property
     def degrees(self) -> dict[str, int]:
+        """Name -> degree, built once per DGA (callers must not mutate it)."""
         return {g.name: g.degree for g in self.generators}
-
-    def generator_names(self) -> list[str]:
-        return [g.name for g in self.generators]
 
     def generators_of_degree(self, d: int) -> list[str]:
         return [g.name for g in self.generators if g.degree == d]
@@ -474,9 +472,6 @@ class DGA:
             return sum(degs[g] for g in w)
         except KeyError as exc:
             raise KeyError(f"unknown generator {exc.args[0]!r} in word {w}") from exc
-
-    def element(self, data: Mapping[Word, object]) -> Element:
-        return Element.build(self.ring, data)
 
 
 def apply_differential(dga: DGA, x: Element) -> Element:

@@ -4,6 +4,8 @@ An augmentation assigns field values to the degree-0 generators (t, when
 present, is pinned to -1) so that eps(d g) = 0 for every generator.  The
 enumerator backtracks over generators ordered by equation membership with
 unit propagation; plain exhaustive search is kept alongside as the oracle.
+Variety point counts of polynomial systems go through the same backtracking
+solver.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from .algebra import (
     Element,
     FiniteField,
     GF,
-    Generator,
     change_coefficients,
     multiply,
     validate,
 )
-from .linhom import LinearizedComplex
+from .linhom import GradedModule, LinearizedComplex, as_cohomological, homology_field
 
 
 class AugmentationError(ValueError):
@@ -284,12 +285,14 @@ def linear_part(dga: DGA) -> LinearizedComplex:
     return LinearizedComplex(ring, bases, mats)
 
 
+def linearized_cohomology(dga: DGA, eps: Augmentation) -> GradedModule:
+    """Linearized cohomology of the DGA at eps over eps's field."""
+    return as_cohomological(homology_field(linear_part(conjugate(dga, eps))))
+
+
 # ---------------------------------------------------------------------------
 # Polynomial systems and variety point counts
 # ---------------------------------------------------------------------------
-
-ENUMERATION_CAP = 6  # max variables for exhaustive variety counting
-
 
 @dataclass(frozen=True)
 class PolySystem:
@@ -304,6 +307,8 @@ class PolySystem:
 
     def __post_init__(self):
         declared = set(self.variables)
+        if len(declared) != len(self.variables):
+            raise AugmentationError(f"variable declared twice in {self.variables}")
         for eq in self.equations:
             for _, powers in eq:
                 for var, _ in powers:
@@ -360,30 +365,20 @@ def _parse_equation(text: str):
 
 
 def variety_points(system: PolySystem, q: int) -> int:
-    """Exact number of GF(q) solutions by exhaustive enumeration."""
-    if len(system.variables) > ENUMERATION_CAP:
-        raise AugmentationError(
-            f"{len(system.variables)} variables exceeds the enumeration cap "
-            f"of {ENUMERATION_CAP}"
-        )
+    """Exact number of GF(q) solutions, counted by the augmentation solver.
+
+    Each term becomes a (word, coefficient) pair: x^k is the letter x
+    repeated k times and the integer coefficient enters through from_int.
+    """
     ring = GF(q)
-    count = 0
-    for combo in itertools.product(ring.elements(), repeat=len(system.variables)):
-        assign = dict(zip(system.variables, combo))
-        ok = True
-        for eq in system.equations:
-            total = ring.zero
-            for coeff, powers in eq:
-                prod = ring.from_int(coeff)
-                for var, power in powers:
-                    prod = ring.mul(prod, ring.pow(assign[var], power))
-                total = ring.add(total, prod)
-            if total != ring.zero:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    equations = [
+        [
+            (tuple(var for var, power in powers for _ in range(power)), ring.from_int(coeff))
+            for coeff, powers in eq
+        ]
+        for eq in system.equations
+    ]
+    return len(_backtrack(ring, list(system.variables), equations))
 
 
 def roots_of_unity_count(k: int, q: int) -> int:

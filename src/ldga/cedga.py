@@ -14,7 +14,6 @@ LDGA_DISK_BUDGET environment variable (default 500000 steps per crossing).
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from ._diskcore import (
@@ -45,6 +44,7 @@ from .diagram import (
 )
 
 __all__ = [
+    "BuiltinError",
     "DEFAULT_DISK_BUDGET",
     "DiskBudgetExceeded",
     "DiskSearchError",
@@ -63,14 +63,9 @@ __all__ = [
 ]
 
 
-def build_dga(
-    diagram: ProjectionDiagram,
-    jobs: int = 1,
-    budget: int | None = None,
-) -> DGA:
+def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
     """Enumerate disks and assemble the F2 DGA of a resolved diagram."""
     degrees = {c.name: c.degree for c in diagram.crossings}
-    names = [c.name for c in diagram.crossings]
     ring = GF(2)
 
     def diff_for(name: str) -> Element:
@@ -86,17 +81,10 @@ def build_dga(
             counts[w] = counts.get(w, 0) ^ 1
         return Element.build(ring, {w: c for w, c in counts.items() if c})
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(diff_for, names))
-        diffs = dict(zip(names, results))
-    else:
-        diffs = {name: diff_for(name) for name in names}
-
     dga = DGA(
         ring,
         tuple(Generator(c.name, c.degree) for c in diagram.crossings),
-        diffs,
+        {c.name: diff_for(c.name) for c in diagram.crossings},
     )
     report = validate(dga)
     if not report.ok:
@@ -117,6 +105,10 @@ class DSLError(ValueError):
 
 class DGAValidationError(ValueError):
     """A syntactically fine DGA that violates degree purity or d^2 = 0."""
+
+
+class BuiltinError(ValueError):
+    """An unknown builtin name or a family parameter out of range."""
 
 
 _COEFF_NAMES = {"Z": ZZ, "Z[t]": ZT, "Z[t,t-1]": ZT}
@@ -287,7 +279,12 @@ def _parse_poly(
 
 
 def dump_dsl(dga: DGA) -> str:
-    """Canonical text form; load_dsl(dump_dsl(d)) reproduces d exactly."""
+    """Canonical text form; load_dsl(dump_dsl(d)) reproduces d exactly.
+
+    The DSL writes coefficients as integers, so over GF(4/8/16/9) only the
+    prime subfield (codes 0..p-1) is expressible; anything else raises
+    ValueError rather than dumping text that loads as a different DGA.
+    """
     ring = dga.ring
     if ring is ZZ:
         coeff = "Z"
@@ -308,6 +305,11 @@ def dump_dsl(dga: DGA) -> str:
                 for exp, coefficient in c.terms:
                     parts.append(_dsl_term(coefficient, exp, word))
             else:
+                if ring is not ZZ and c >= ring.p:
+                    raise ValueError(
+                        f"d({g.name}) has coefficient code {c} outside "
+                        f"the prime subfield of {ring}; the DSL cannot write it"
+                    )
                 parts.append(_dsl_term(int(c), None, word))
         rhs = parts[0]
         for p in parts[1:]:
@@ -340,7 +342,7 @@ def twist_linearized(n: int) -> DGA:
     -c_{i-1} + c_i (i even).
     """
     if n % 2 == 0 or n <= 3:
-        raise ValueError(f"twist family needs odd n > 3, got {n}")
+        raise BuiltinError(f"twist family needs odd n > 3, got {n}")
     gens = [Generator("a", 0), Generator("b", 0)]
     gens += [Generator(f"c{i}", 0) for i in range(1, n + 1)]
     gens += [Generator(f"e{i}", 1) for i in range(0, n + 1)]
@@ -388,4 +390,4 @@ def builtin(name: str):
         return trefoil_projection()
     if name == "unknot_dsl":
         return unknot_dsl_dga()
-    raise ValueError(f"unknown builtin {name!r}")
+    raise BuiltinError(f"unknown builtin {name!r}")

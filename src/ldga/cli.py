@@ -18,11 +18,12 @@ import time
 from pathlib import Path
 
 from . import __version__, augment, cedga, diagram, linhom, obstruct, spin
-from .algebra import ZZ, validate
+from .algebra import ZZ, CoefficientError, validate
 from .augment import AugmentationError
-from .cedga import DGAValidationError, DSLError, DiskBudgetExceeded
+from .cedga import BuiltinError, DGAValidationError, DSLError, DiskBudgetExceeded
 from .diagram import DiagramError
 from .obstruct import ObstructionStageError
+from .spin import SpinError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -75,23 +76,20 @@ def _load_dga(args, inputs: dict):
     if len(sources) != 1:
         raise CliError("exactly one of --grid/--dsl/--builtin is required", EXIT_PARSE)
     src = sources[0]
-    if src == "grid":
-        inputs["grid"] = _digest(args.grid)
-        grid = diagram.parse_grid(Path(args.grid).read_text())
-        front = diagram.grid_to_front(grid)
-        proj = diagram.resolve(front)
-        return cedga.build_dga(proj, jobs=args.jobs, budget=args.budget), front
     if src == "dsl":
         inputs["dsl"] = _digest(args.dsl)
         return cedga.load_dsl(Path(args.dsl).read_text()), None
-    inputs["builtin"] = args.builtin
-    obj = cedga.builtin(args.builtin)
+    if src == "grid":
+        inputs["grid"] = _digest(args.grid)
+        obj = diagram.parse_grid(Path(args.grid).read_text())
+    else:
+        inputs["builtin"] = args.builtin
+        obj = cedga.builtin(args.builtin)
     if isinstance(obj, diagram.GridDiagram):
         front = diagram.grid_to_front(obj)
-        proj = diagram.resolve(front)
-        return cedga.build_dga(proj, jobs=args.jobs, budget=args.budget), front
+        return cedga.build_dga(diagram.resolve(front), budget=args.budget), front
     if isinstance(obj, diagram.ProjectionDiagram):
-        return cedga.build_dga(obj, jobs=args.jobs, budget=args.budget), None
+        return cedga.build_dga(obj, budget=args.budget), None
     return obj, None
 
 
@@ -156,10 +154,7 @@ def cmd_linpoly(args) -> int:
     polys = []
     details = []
     for eps in augs if args.all_augs else augs[:1]:
-        conj = augment.conjugate(dga, eps)
-        cx = augment.linear_part(conj)
-        h = linhom.homology_field(cx)
-        p = linhom.poincare(linhom.as_cohomological(h))
+        p = linhom.poincare(augment.linearized_cohomology(dga, eps))
         polys.append(str(p))
         details.append({"augmentation": dict(eps.values), "polynomial": str(p)})
     result = {"polynomials": sorted(polys), "per_augmentation": details}
@@ -187,21 +182,16 @@ def cmd_spin(args) -> int:
     if args.integral:
         if not isinstance(dga.ring, type(ZZ)):
             raise CliError("--integral needs an integral DGA", EXIT_VALIDATE)
-        current = cx
         n_leg = 1
-        h = linhom.homology_integral(current)
+        h = linhom.homology_integral(cx)
         stages.append({"stage": "start", "module": obstruct.module_to_jsonable(h)})
-        for m in schedule:
-            bound = spin.stable_bound_complex(current)
-            if m <= bound:
-                raise ObstructionStageError("spin", f"sphere dim {m} within bound {bound}")
-            current = spin.spin_complex_stable(current, m)
-            n_leg += m
-            h = linhom.homology_integral(current)
+        for st in spin.iterate_schedule(cx, schedule):
+            n_leg += st.sphere_dim
+            h = linhom.homology_integral(st.complex)
             stages.append(
                 {
                     "stage": "spin",
-                    "sphere_dim": m,
+                    "sphere_dim": st.sphere_dim,
                     "legendrian_dimension": n_leg,
                     "module": obstruct.module_to_jsonable(h),
                 }
@@ -209,30 +199,23 @@ def cmd_spin(args) -> int:
         result = {"module": obstruct.module_to_jsonable(h)}
         summary = h.describe()
     else:
+        # complex-level stages (m >= 2) first, then circles through Kunneth
+        circles = schedule.index(1) if 1 in schedule else len(schedule)
+        if any(m != 1 for m in schedule[circles:]):
+            raise ObstructionStageError("spin", "complex-level spinning after a Kunneth stage")
         q = args.field or 2
         fcx = linhom.reduce_complex_mod_p(cx, q) if dga.ring is ZZ else cx
         h = linhom.homology_field(fcx)
         p = linhom.poincare(linhom.as_cohomological(h))
         stages.append({"stage": "start", "polynomial": str(p)})
-        current = fcx
-        for m in schedule:
-            if m == 1:
-                h = spin.kunneth_s1(h)
-                p = linhom.poincare(linhom.as_cohomological(h) if h.variance != linhom.COHOMOLOGICAL else h)
-                stages.append({"stage": "kunneth_s1", "polynomial": str(p)})
-                current = None
-            else:
-                if current is None:
-                    raise ObstructionStageError(
-                        "spin", "complex-level spinning after a Kunneth stage"
-                    )
-                bound = spin.stable_bound_complex(current)
-                if m <= bound:
-                    raise ObstructionStageError("spin", f"sphere dim {m} within bound {bound}")
-                current = spin.spin_complex_stable(current, m)
-                h = linhom.homology_field(current)
-                p = linhom.poincare(linhom.as_cohomological(h))
-                stages.append({"stage": "spin", "sphere_dim": m, "polynomial": str(p)})
+        for st in spin.iterate_schedule(fcx, schedule[:circles]):
+            h = linhom.homology_field(st.complex)
+            p = linhom.poincare(linhom.as_cohomological(h))
+            stages.append({"stage": "spin", "sphere_dim": st.sphere_dim, "polynomial": str(p)})
+        for _ in schedule[circles:]:
+            h = spin.kunneth_s1(h)
+            p = linhom.poincare(linhom.as_cohomological(h))
+            stages.append({"stage": "kunneth_s1", "polynomial": str(p)})
         result = {"polynomial": str(p)}
         summary = f"P = {p}"
     rep = _report("spin", inputs, result, stages=stages, started=started)
@@ -320,8 +303,6 @@ def cmd_certify(args) -> int:
         "classA-spun": "classA_spun",
         "classB": "classB_twist",
     }
-    if args.case not in case_map:
-        raise CliError(f"unknown case {args.case!r}", EXIT_PARSE)
     inputs: dict = {
         "case": args.case,
         "n": args.n,
@@ -339,7 +320,6 @@ def cmd_certify(args) -> int:
         fields=tuple(_parse_fields(args.fields)),
         grid=grid,
         budget=args.budget,
-        jobs=args.jobs,
     )
     rep = _report(
         "certify",
@@ -355,13 +335,11 @@ def cmd_certify(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_source_args(p, jobs=True):
+def _add_source_args(p):
     p.add_argument("--grid", help="grid diagram JSON file")
     p.add_argument("--dsl", help="DGA DSL file")
     p.add_argument("--builtin", help="builtin id: twist:N, m821_grid, unknot, trefoil, unknot_dsl")
     p.add_argument("--budget", type=int, default=None, help="disk search step budget")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for enumeration")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fields", default="2,4")
     p.add_argument("--grid", default=None, help="override the grid fixture")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
     return parser
@@ -431,13 +408,16 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (BuiltinError, CoefficientError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (DSLError, DiagramError, AugmentationError, json.JSONDecodeError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DGAValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATE
-    except (ObstructionStageError, DiskBudgetExceeded) as exc:
+    except (ObstructionStageError, SpinError, DiskBudgetExceeded) as exc:
         print(f"stage error: {exc}", file=sys.stderr)
         return EXIT_STAGE
 

@@ -412,9 +412,6 @@ class ProjectionDiagram:
                 return c.degree
         raise KeyError(f"no crossing named {name!r}")
 
-    def crossing_map(self) -> dict[str, Crossing]:
-        return {c.name: c for c in self.crossings}
-
     def euler_writhe_check(self) -> bool:
         """Sum of (-1)^deg over crossings equals tb (cusp crossings count +1)."""
         total = sum((-1) ** c.degree for c in self.crossings)

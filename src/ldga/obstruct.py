@@ -24,7 +24,6 @@ from typing import Sequence
 from . import augment, cedga, diagram, linhom, spin
 from .algebra import validate
 from .augment import (
-    Augmentation,
     dimension_estimate,
     parse_polysystem,
     torus_point_count,
@@ -256,20 +255,7 @@ class Certification:
 TARGET_M821_POLY = PoincarePolynomial.from_dims({-1: 1, 0: 4, 1: 2})
 
 
-def _poly_set_for_dga(dga, q: int):
-    """All (augmentation, cohomology module, polynomial) triples over GF(q)."""
-    augs = augment.enumerate_augmentations(dga, q)
-    out = []
-    for eps in augs:
-        conj = augment.conjugate(dga, eps)
-        cx = augment.linear_part(conj)
-        h = linhom.homology_field(cx)
-        hc = linhom.as_cohomological(h)
-        out.append((eps, hc, linhom.poincare(hc)))
-    return out
-
-
-def class_a_homology(grid: diagram.GridDiagram, budget=None, jobs: int = 1):
+def class_a_homology(grid: diagram.GridDiagram, budget=None):
     """Grid -> front -> projection -> DGA -> distinguished polynomial module.
 
     Returns (evidence, cohomological module) for the augmentation whose
@@ -300,7 +286,7 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None, jobs: int = 1):
             "degrees": sorted(c.degree for c in proj.crossings),
         }
     )
-    dga = cedga.build_dga(proj, jobs=jobs, budget=budget)
+    dga = cedga.build_dga(proj, budget=budget)
     evidence.append(
         {
             "stage": "dga",
@@ -308,7 +294,10 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None, jobs: int = 1):
             "differential_terms": sum(len(e.terms) for e in dga.differential.values()),
         }
     )
-    triples = _poly_set_for_dga(dga, 2)
+    triples = []
+    for eps in augment.enumerate_augmentations(dga, 2):
+        h = augment.linearized_cohomology(dga, eps)
+        triples.append((eps, h, linhom.poincare(h)))
     if not triples:
         raise ObstructionStageError("augment", "no graded augmentations over F2")
     polys = sorted(str(p) for _, _, p in triples)
@@ -337,17 +326,16 @@ def certify_nongeometric(
     fields: Sequence[int] = (2, 4),
     grid: diagram.GridDiagram | None = None,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> Certification:
     """Run a full paper-scale pipeline; every intermediate lands in evidence."""
     if case == "classA_m821":
-        return _certify_class_a(schedule, grid, budget, jobs, case)
+        return _certify_class_a(schedule, grid, budget, case)
     if case == "classA_spun":
         if not schedule:
             schedule = (1,)
         if any(m != 1 for m in schedule):
             raise ObstructionStageError("schedule", "classA_spun spins circles only")
-        return _certify_class_a(schedule, grid, budget, jobs, case)
+        return _certify_class_a(schedule, grid, budget, case)
     if case == "classB_twist":
         if n is None:
             raise ObstructionStageError("input", "classB_twist needs n")
@@ -355,10 +343,10 @@ def certify_nongeometric(
     raise ObstructionStageError("input", f"unknown case {case!r}")
 
 
-def _certify_class_a(schedule, grid, budget, jobs, case) -> Certification:
+def _certify_class_a(schedule, grid, budget, case) -> Certification:
     grid = grid or cedga.m821_grid()
     evidence = [{"stage": "grid", "size": grid.size}]
-    ev2, h = class_a_homology(grid, budget=budget, jobs=jobs)
+    ev2, h = class_a_homology(grid, budget=budget)
     evidence.extend(ev2)
     n_leg = 1
     for m in schedule:
@@ -400,22 +388,20 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
     poly = linhom.poincare(linhom.as_cohomological(h_f2))
     evidence.append({"stage": "homology_f2", "polynomial": str(poly)})
 
-    spun_cx = cx
+    try:
+        stages = spin.iterate_schedule(cx, schedule)
+    except spin.SpinError as exc:
+        raise ObstructionStageError("spin", str(exc)) from exc
+    spun_cx = stages[-1].complex if stages else cx
     n_leg = 1
-    for idx, m in enumerate(schedule):
-        bound = spin.stable_bound_complex(spun_cx)
-        if m <= bound:
-            raise ObstructionStageError(
-                "spin", f"stage {idx}: sphere dimension {m} within bound {bound}"
-            )
-        spun_cx = spin.spin_complex_stable(spun_cx, m)
-        n_leg += m
-        poly = spin.spun_polynomial(poly, m)
+    for st in stages:
+        n_leg += st.sphere_dim
+        poly = spin.spun_polynomial(poly, st.sphere_dim)
         evidence.append(
             {
                 "stage": "spin",
-                "sphere_dim": m,
-                "bound": bound,
+                "sphere_dim": st.sphere_dim,
+                "bound": st.bound,
                 "legendrian_dimension": n_leg,
                 "polynomial_f2": str(poly),
             }

@@ -14,12 +14,7 @@ from typing import Sequence
 
 from .algebra import DGA
 from .augment import Augmentation
-from .linhom import (
-    COHOMOLOGICAL,
-    GradedModule,
-    LinearizedComplex,
-    PoincarePolynomial,
-)
+from .linhom import GradedModule, LinearizedComplex, PoincarePolynomial
 
 
 class SpinError(ValueError):
@@ -124,30 +119,18 @@ class SpinStage:
     sphere_dim: int
     bound: int
     complex: LinearizedComplex
-    chords: SpunChordSet | None
 
 
-def iterate_schedule(
-    dga: DGA,
-    cx: LinearizedComplex,
-    schedule: Sequence[int],
-) -> list[SpinStage]:
-    """Apply stable spinning stage by stage, recomputing the bound each time.
-
-    The chord-set stage data is tracked for the first stage only (chord names
-    stop being meaningful once complexes are block-summed).
-    """
+def iterate_schedule(cx: LinearizedComplex, schedule: Sequence[int]) -> list[SpinStage]:
+    """Apply stable spinning stage by stage, recomputing the bound each time."""
     stages: list[SpinStage] = []
     current = cx
-    first = True
     for idx, m in enumerate(schedule):
         bound = stable_bound_complex(current)
         if m <= bound:
             raise SpinError(
                 f"schedule stage {idx} (sphere dim {m}) violates the stable bound {bound}"
             )
-        chords = spin_chords(dga, m) if first else None
         current = spin_complex_stable(current, m)
-        stages.append(SpinStage(m, bound, current, chords))
-        first = False
+        stages.append(SpinStage(m, bound, current))
     return stages

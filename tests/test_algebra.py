@@ -165,6 +165,16 @@ def test_d_squared_vanishes_on_valid_dga():
         assert dd.is_zero
 
 
+def test_degrees_built_once_per_dga():
+    dga = toy_dga()
+    assert dga.degrees is dga.degrees
+    assert dga.degrees == {g.name: g.degree for g in dga.generators}
+    # the cached map is not a field: equality and repr ignore it
+    fresh = toy_dga()
+    assert dga == fresh and repr(dga) == repr(fresh)
+    assert "degrees" not in repr(dga)
+
+
 def test_unknown_generator_rejected():
     dga = toy_dga()
     with pytest.raises(KeyError):

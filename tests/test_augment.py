@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from ldga.algebra import DGA, Element, GF, Generator, ZZ
@@ -168,10 +171,56 @@ def test_polysystem_rejects_undeclared_variables():
         parse_polysystem("var a; eq a*b;")
 
 
-def test_variety_enumeration_cap():
-    big = PolySystem(tuple(f"x{i}" for i in range(9)), ())
-    with pytest.raises(AugmentationError, match="cap"):
-        variety_points(big, 2)
+def test_polysystem_rejects_repeated_declarations():
+    with pytest.raises(AugmentationError, match="declared twice"):
+        parse_polysystem("var a a b; eq a*b + 1;")
+
+
+def exhaustive_points(system: PolySystem, q: int) -> int:
+    """Reference count: evaluate every point of GF(q)^n."""
+    f = GF(q)
+    count = 0
+    for combo in itertools.product(f.elements(), repeat=len(system.variables)):
+        point = dict(zip(system.variables, combo))
+        ok = True
+        for eq in system.equations:
+            total = f.zero
+            for coeff, powers in eq:
+                term = f.from_int(coeff)
+                for var, power in powers:
+                    term = f.mul(term, f.pow(point[var], power))
+                total = f.add(total, term)
+            ok = ok and total == f.zero
+        count += ok
+    return count
+
+
+def random_system(rng: random.Random) -> PolySystem:
+    names = ("x", "y", "z")[: rng.randint(1, 3)]
+    equations = []
+    for _ in range(rng.randint(0, 3)):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            used = rng.sample(names, rng.randint(0, len(names)))
+            powers = tuple(sorted((v, rng.randint(1, 3)) for v in used))
+            terms.append((rng.randint(-3, 3), powers))
+        equations.append(tuple(terms))
+    return PolySystem(names, tuple(equations))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_variety_points_match_exhaustive_count(q):
+    rng = random.Random(q)
+    for _ in range(150):
+        system = random_system(rng)
+        assert variety_points(system, q) == exhaustive_points(system, q), system
+
+
+def test_variety_points_have_no_variable_cap():
+    # the exhaustive scan stopped at six variables
+    assert variety_points(PolySystem(tuple(f"x{i}" for i in range(10)), ()), 2) == 1024
+    names = " ".join(f"x{i}" for i in range(9))
+    assert variety_points(parse_polysystem(f"var {names}; eq x0*x1 + 1;"), 2) == 2**7
 
 
 @pytest.mark.parametrize("k", range(1, 13))

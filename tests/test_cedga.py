@@ -1,6 +1,7 @@
 import pytest
 
 from ldga.algebra import Element, ZT, ZZ, validate
+from ldga.augment import conjugate, enumerate_augmentations
 from ldga.cedga import (
     DGAValidationError,
     DiskBudgetExceeded,
@@ -62,11 +63,6 @@ def test_index_identity_on_all_disks():
     for c in proj.crossings:
         for word in boundary_words(proj, c.name):
             assert degrees[c.name] - sum(degrees[b] for b in word) == 1
-
-
-def test_jobs_do_not_change_result():
-    proj = resolve(grid_to_front(m821_grid()))
-    assert build_dga(proj, jobs=1) == build_dga(proj, jobs=3)
 
 
 def test_budget_exhaustion_is_loud():
@@ -155,6 +151,24 @@ def test_dump_roundtrip_builtins():
 # ---------------------------------------------------------------------------
 # builtins
 # ---------------------------------------------------------------------------
+
+def test_dump_roundtrip_needs_prime_subfield_coefficients():
+    # over F4 the DSL can only write 0 and 1: conjugating by an augmentation
+    # with values in {0, 1} keeps every coefficient there, any other value
+    # does not, and dump_dsl must refuse rather than write a different DGA
+    dga = build_dga(trefoil_projection())
+    augs = enumerate_augmentations(dga, 4)
+    assert len(augs) == 17
+    prime = [eps for eps in augs if {v for _, v in eps.values} <= {1}]
+    assert len(prime) == 5
+    for eps in augs:
+        conj = conjugate(dga, eps)
+        if eps in prime:
+            assert load_dsl(dump_dsl(conj)) == conj
+        else:
+            with pytest.raises(ValueError, match="prime subfield"):
+                dump_dsl(conj)
+
 
 def test_twist_generator_counts():
     dga = twist_linearized(5)

@@ -186,6 +186,18 @@ def test_certify_stage_error_exit_4(capsys):
     assert "stage error" in err
 
 
+@pytest.mark.parametrize(
+    "spec, mode",
+    [("2", "--integral"), ("3,2", "--field=2"), ("1,3", "--field=2")],
+)
+def test_spin_stage_error_exit_4(capsys, spec, mode):
+    # a stable-bound violation, or complex-level spinning after a circle
+    code, _, err = run(capsys, "spin", "--builtin", "twist:7", "--spin", spec, mode)
+    assert code == 4
+    assert err.startswith("stage error: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -202,16 +214,27 @@ def test_reports_deterministic_modulo_timing(capsys):
     assert strip_timing(r1) == strip_timing(r2)
 
 
-def test_jobs_flag_does_not_change_report(capsys):
-    a, _ = run_json(
-        capsys, "linpoly", "--grid", str(FIXTURES / "m821.json"),
-        "--field", "2", "--all-augs", "--jobs", "1",
-    )
-    b, _ = run_json(
-        capsys, "linpoly", "--grid", str(FIXTURES / "m821.json"),
-        "--field", "2", "--all-augs", "--jobs", "4",
-    )
-    assert strip_timing(a) == strip_timing(b)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["augs", "--builtin", "trefoil", "--field", "3"],
+        ["augs", "--builtin", "trefoil", "--field", "6"],
+        ["augs", "--builtin", "nosuch"],
+        ["certify", "classB", "--n", "4"],
+    ],
+)
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_jobs_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["linpoly", "--builtin", "trefoil", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):

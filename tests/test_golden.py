@@ -31,6 +31,16 @@ CASES = {
     "certify_classB_n9_s3_f24.json": [
         "certify", "classB", "--n", "9", "--spin", "3", "--fields", "2,4",
     ],
+    "spin_twist5_s31_f2.json": [
+        "spin", "--builtin", "twist:5", "--spin", "3,1", "--field", "2",
+    ],
+    "spin_m821_s1_f2.json": [
+        "spin", "--grid", "fixtures/m821.json", "--spin", "1", "--field", "2",
+    ],
+    "certify_classA_spun.json": ["certify", "classA-spun"],
+    "augvar_twist_variety.json": [
+        "augvar", "--system", "fixtures/twist_variety.sys", "--fields", "2,4,8,16",
+    ],
 }
 
 

@@ -230,6 +230,12 @@ def test_certify_rejects_bad_case():
         certify_nongeometric("classA_spun", schedule=[3])
 
 
+def test_certify_spin_bound_violation_names_the_stage():
+    with pytest.raises(ObstructionStageError) as exc:
+        certify_nongeometric("classB_twist", n=5, schedule=[2])
+    assert exc.value.stage == "spin"
+
+
 def test_twist_variety_counts():
     assert {q: variety_points(TWIST_VARIETY, q) for q in (2, 4, 8, 16)} == {
         2: 1, 4: 3, 8: 7, 16: 15

@@ -221,27 +221,23 @@ def test_transported_augmentation_kills_spun_differential():
 # ---------------------------------------------------------------------------
 
 def test_iterate_single_stage():
-    dga = twist_linearized(5)
-    stages = iterate_schedule(dga, twist_complex(5), [3])
+    stages = iterate_schedule(twist_complex(5), [3])
     assert len(stages) == 1
     h = homology_integral(stages[0].complex)
     assert h.entries == {0: (2, ()), 1: (1, ()), 3: (2, ()), 4: (1, ())}
 
 
 def test_iterate_recomputes_bound():
-    dga = twist_linearized(5)
-    stages = iterate_schedule(dga, twist_complex(5), [3, 8])
+    stages = iterate_schedule(twist_complex(5), [3, 8])
     assert stages[1].bound == 5
     degrees = sorted(stages[1].complex.bases)
     assert degrees == [0, 1, 3, 4, 8, 9, 11, 12]
 
 
 def test_iterate_empty_schedule():
-    dga = twist_linearized(5)
-    assert iterate_schedule(dga, twist_complex(5), []) == []
+    assert iterate_schedule(twist_complex(5), []) == []
 
 
 def test_iterate_rejects_bad_stage():
-    dga = twist_linearized(5)
     with pytest.raises(SpinError, match="stage 1"):
-        iterate_schedule(dga, twist_complex(5), [3, 5])
+        iterate_schedule(twist_complex(5), [3, 5])

@@ -42,7 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ldga.augment import conjugate, enumerate_augmentations, linear_part
+from ldga.augment import enumerate_augmentations, linearized_cohomology
 from ldga.cedga import build_dga
 from ldga.diagram import (
     CROSS,
@@ -52,7 +52,7 @@ from ldga.diagram import (
     grid_to_front,
     resolve,
 )
-from ldga.linhom import as_cohomological, homology_field, poincare
+from ldga.linhom import poincare
 
 TARGET_ALEXANDER = (1, -4, 5, -4, 1)
 TARGET_POLY = {-1: 1, 0: 4, 1: 2}
@@ -554,11 +554,10 @@ def polynomial_multiset(grid: GridDiagram):
     front = grid_to_front(grid)
     proj = resolve(front)
     dga = build_dga(proj)
-    polys = []
-    for eps in enumerate_augmentations(dga, 2):
-        cx = linear_part(conjugate(dga, eps))
-        polys.append(poincare(as_cohomological(homology_field(cx))).as_dict())
-    return polys
+    return [
+        poincare(linearized_cohomology(dga, eps)).as_dict()
+        for eps in enumerate_augmentations(dga, 2)
+    ]
 
 
 def anneal(grid: GridDiagram, reference, rng: random.Random, max_steps=30000, max_size=16):
