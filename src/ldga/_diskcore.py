@@ -26,7 +26,6 @@ checked against the index identity deg(a) - sum deg(b_i) = 1 by the caller.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .diagram import BIRTH, CAP, DiagramError, ProjectionDiagram
@@ -40,13 +39,6 @@ class DiskBudgetExceeded(RuntimeError):
 
 class DiskSearchError(RuntimeError):
     """Internal inconsistency while enumerating disks (convention tripwire)."""
-
-
-def _disk_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("LDGA_DISK_BUDGET")
-    return int(env) if env else DEFAULT_DISK_BUDGET
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,7 @@ class _Search:
         if self.anchor is None:
             raise KeyError(f"no crossing named {crossing!r}")
         self.crossing = crossing
-        self.budget = _disk_budget(budget)
+        self.budget = DEFAULT_DISK_BUDGET if budget is None else budget
         self.found: list[tuple[str, ...]] = []
 
     # -- union-find over sheet lineages ------------------------------------
@@ -107,7 +99,7 @@ class _Search:
         if self.budget < 0:
             raise DiskBudgetExceeded(
                 f"disk search for {self.crossing!r} exceeded its step budget; "
-                f"raise LDGA_DISK_BUDGET to search further"
+                f"raise --budget to search further"
             )
         if idx == len(self.events):
             if state or not ctx["pos"]:

@@ -340,6 +340,19 @@ class Element:
         return Element(ring, tuple(sorted(clean.items(), key=lambda kv: kv[0])))
 
     @staticmethod
+    def sum(ring: Ring, pairs: Iterable[tuple[Word, object]]) -> "Element":
+        """Normal form of a sum of (word, coefficient) pairs.
+
+        The one place where like words merge: equal words are summed with
+        ``ring.add``, then ``build`` drops zeros and sorts.
+        """
+        acc: dict[Word, object] = {}
+        add = ring.add
+        for w, c in pairs:
+            acc[w] = add(acc[w], c) if w in acc else c
+        return Element.build(ring, acc)
+
+    @staticmethod
     def zero(ring: Ring) -> "Element":
         return Element(ring, ())
 
@@ -369,24 +382,10 @@ class Element:
 
     def add(self, other: "Element") -> "Element":
         _check_rings(self, other)
-        d = self.as_dict()
-        for w, c in other.terms:
-            acc = self.ring.add(d.get(w, self.ring.zero), c)
-            if self.ring.is_zero(acc):
-                d.pop(w, None)
-            else:
-                d[w] = acc
-        return Element.build(self.ring, d)
+        return Element.sum(self.ring, self.terms + other.terms)
 
     def neg(self) -> "Element":
         return Element(self.ring, tuple((w, self.ring.neg(c)) for w, c in self.terms))
-
-    def scale(self, n: int) -> "Element":
-        """The integer multiple n * self."""
-        scalar = self.ring.from_int(n)
-        return Element.build(
-            self.ring, {w: self.ring.mul(scalar, c) for w, c in self.terms}
-        )
 
     def __str__(self):
         if not self.terms:
@@ -411,17 +410,11 @@ def _check_rings(x: Element, y: Element):
 def multiply(x: Element, y: Element) -> Element:
     """Noncommutative product, unit = empty word."""
     _check_rings(x, y)
-    ring = x.ring
-    d: dict[Word, object] = {}
-    for w1, c1 in x.terms:
-        for w2, c2 in y.terms:
-            w = w1 + w2
-            acc = ring.add(d.get(w, ring.zero), ring.mul(c1, c2))
-            if ring.is_zero(acc):
-                d.pop(w, None)
-            else:
-                d[w] = acc
-    return Element.build(ring, d)
+    mul = x.ring.mul
+    return Element.sum(
+        x.ring,
+        ((w1 + w2, mul(c1, c2)) for w1, c1 in x.terms for w2, c2 in y.terms),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +471,7 @@ def apply_differential(dga: DGA, x: Element) -> Element:
     """Extend the generator differential to x by linearity and Leibniz."""
     ring = dga.ring
     degs = dga.degrees
-    out: dict[Word, object] = {}
+    pairs: list[tuple[Word, object]] = []
     for w, c in x.terms:
         for g in w:
             if g not in degs:
@@ -489,17 +482,12 @@ def apply_differential(dga: DGA, x: Element) -> Element:
             if not dg.is_zero:
                 sign = -1 if prefix_deg % 2 else 1
                 for wg, cg in dg.terms:
-                    word = w[:i] + wg + w[i + 1 :]
                     coeff = ring.mul(c, cg)
                     if sign < 0:
                         coeff = ring.neg(coeff)
-                    acc = ring.add(out.get(word, ring.zero), coeff)
-                    if ring.is_zero(acc):
-                        out.pop(word, None)
-                    else:
-                        out[word] = acc
+                    pairs.append((w[:i] + wg + w[i + 1 :], coeff))
             prefix_deg += degs[g]
-    return Element.build(ring, out)
+    return Element.sum(ring, pairs)
 
 
 @dataclass
@@ -556,20 +544,10 @@ def reduce_scalar(ring_from: Ring, ring_to: Ring, value):
 
 def change_coefficients(dga: DGA, ring_to: Ring) -> DGA:
     """Push a DGA into another coefficient ring (t specializes to -1)."""
-    diff = {}
-    for name, el in dga.differential.items():
-        diff[name] = Element.build(
-            ring_to,
-            _merge_words(
-                ((w, reduce_scalar(dga.ring, ring_to, c)) for w, c in el.terms),
-                ring_to,
-            ),
+    diff = {
+        name: Element.sum(
+            ring_to, ((w, reduce_scalar(dga.ring, ring_to, c)) for w, c in el.terms)
         )
+        for name, el in dga.differential.items()
+    }
     return DGA(ring_to, dga.generators, diff)
-
-
-def _merge_words(pairs, ring: Ring) -> dict[Word, object]:
-    out: dict[Word, object] = {}
-    for w, c in pairs:
-        out[w] = ring.add(out.get(w, ring.zero), c)
-    return out

@@ -22,7 +22,6 @@ from .algebra import (
     FiniteField,
     GF,
     change_coefficients,
-    multiply,
     validate,
 )
 from .linhom import GradedModule, LinearizedComplex, as_cohomological, homology_field
@@ -57,19 +56,7 @@ class Augmentation:
 
     def evaluate(self, dga: DGA, el: Element) -> int:
         """Apply the augmentation to an element of a field DGA."""
-        ring = self.field
-        degs = dga.degrees
-        total = ring.zero
-        vals = self.as_dict()
-        for word, coeff in el.terms:
-            prod = coeff
-            for g in word:
-                if degs[g] != 0:
-                    prod = ring.zero
-                    break
-                prod = ring.mul(prod, vals.get(g, ring.zero))
-            total = ring.add(total, prod)
-        return total
+        return _eval_terms(self.field, _augmentation_terms(dga, el), self.as_dict())
 
     def is_valid(self, dga: DGA) -> bool:
         return all(
@@ -98,7 +85,7 @@ def enumerate_augmentations(dga: DGA, q: int, oracle: bool = False) -> list[Augm
     for g in fdga.generators:
         el = fdga.diff_of(g.name)
         terms = _augmentation_terms(fdga, el)
-        if terms is not None:
+        if terms:
             equations.append(terms)
     t_val = ring.from_int(-1) if dga.ring.name == "Z[t]" else None
 
@@ -118,24 +105,19 @@ def enumerate_augmentations(dga: DGA, q: int, oracle: bool = False) -> list[Augm
     return out
 
 
-def _augmentation_terms(dga: DGA, el: Element):
-    """Reduce eps(el) to monomials in degree-0 generators, or None if 0 = 0."""
+def _augmentation_terms(dga: DGA, el: Element) -> list:
+    """The terms of el that eps can see: monomials in degree-0 generators."""
     degs = dga.degrees
-    terms = []
-    for word, coeff in el.terms:
-        if all(degs[g] == 0 for g in word):
-            terms.append((word, coeff))
-    if not terms:
-        return None
-    return terms
+    return [(word, coeff) for word, coeff in el.terms if all(degs[g] == 0 for g in word)]
 
 
 def _eval_terms(ring: FiniteField, terms, assign: dict[str, int]) -> int:
+    """Sum of the terms at the assignment; unassigned letters are 0."""
     total = ring.zero
     for word, coeff in terms:
         prod = coeff
         for g in word:
-            prod = ring.mul(prod, assign[g])
+            prod = ring.mul(prod, assign.get(g, ring.zero))
             if prod == 0:
                 break
         total = ring.add(total, prod)
@@ -232,21 +214,22 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     if not eps.is_valid(fdga):
         raise AugmentationError("augmentation does not satisfy eps after d = 0")
     ring = eps.field
-    vals = eps.as_dict()
-    subs = {}
-    for g in fdga.generators:
-        v = vals.get(g.name, ring.zero) if g.degree == 0 else ring.zero
-        subs[g.name] = Element.build(ring, {(g.name,): ring.one, (): v})
+    degs = fdga.degrees
+    shift = {name: v for name, v in eps.values if degs.get(name) == 0}
     diff = {}
     for g in fdga.generators:
-        el = fdga.diff_of(g.name)
-        acc = Element.zero(ring)
-        for word, coeff in el.terms:
-            prod = Element.unit(ring, coeff)
+        pairs = []
+        for word, coeff in fdga.diff_of(g.name).terms:
+            # expand the product of (letter + eps(letter)) over the word
+            expanded = [((), coeff)]
             for name in word:
-                prod = multiply(prod, subs[name])
-            acc = acc.add(prod)
-        diff[g.name] = acc
+                v = shift.get(name)
+                kept = [(w + (name,), c) for w, c in expanded]
+                if v is not None:
+                    kept += [(w, ring.mul(c, v)) for w, c in expanded]
+                expanded = kept
+            pairs += expanded
+        diff[g.name] = Element.sum(ring, pairs)
     out = DGA(ring, fdga.generators, diff)
     report = validate(out)
     if not report.ok:

@@ -7,8 +7,8 @@ diagram).  Every disk found is checked against the index identity
 deg(a) - sum deg(b_i) = 1, and every assembled DGA must pass validation
 (degree purity and d^2 = 0) before it is returned.
 
-The disk budget caps the number of search steps; set it through the
-LDGA_DISK_BUDGET environment variable (default 500000 steps per crossing).
+The disk budget caps the number of search steps per crossing (default
+500000); set it with ``build_dga(..., budget=)`` or the CLI's ``--budget``.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
 
     def diff_for(name: str) -> Element:
         words = boundary_words(diagram, name, budget=budget)
-        counts: dict[tuple[str, ...], int] = {}
         for w in words:
             got = degrees[name] - sum(degrees[b] for b in w)
             if got != 1:
@@ -78,8 +77,8 @@ def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
                     f"disk at {name!r} with word {w} violates the index identity: "
                     f"deg difference {got} != 1"
                 )
-            counts[w] = counts.get(w, 0) ^ 1
-        return Element.build(ring, {w: c for w, c in counts.items() if c})
+        # disks are counted mod 2: words found twice cancel
+        return Element.sum(ring, ((w, ring.one) for w in words))
 
     dga = DGA(
         ring,
@@ -238,7 +237,7 @@ def _parse_poly(
             expect_factor = False
         else:
             raise DSLError(line, col, f"missing operator before {tok!r} in d {where}")
-    result: dict[tuple[str, ...], object] = {}
+    pairs = []
     for sign, factors in zip(signs, terms):
         if not factors:
             raise DSLError(toks[0][0] if toks else 1, 1, f"empty term in d {where}")
@@ -268,14 +267,8 @@ def _parse_poly(
                 pending_power = False
         if pending_power:
             coeff = ring.mul(coeff, ZT.t)
-        key = tuple(word)
-        prev = result.get(key, ring.zero)
-        total = ring.add(prev, coeff)
-        if ring.is_zero(total):
-            result.pop(key, None)
-        else:
-            result[key] = total
-    return Element.build(ring, result)
+        pairs.append((tuple(word), coeff))
+    return Element.sum(ring, pairs)
 
 
 def dump_dsl(dga: DGA) -> str:

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__, augment, cedga, diagram, linhom, obstruct, spin
-from .algebra import ZZ, CoefficientError, validate
+from .algebra import GF, ZZ, CoefficientError, validate
 from .augment import AugmentationError
 from .cedga import BuiltinError, DGAValidationError, DSLError, DiskBudgetExceeded
 from .diagram import DiagramError
@@ -103,6 +103,28 @@ def _parse_fields(spec: str) -> list[int]:
     return fields
 
 
+_COUNT_PAIR = re.compile(r"\s*(\d+)\s*:\s*(\d+)\s*")
+
+
+def _parse_counts(spec: str) -> dict[int, int]:
+    """`q:c,...` with q a supported field order and c a point count >= 0."""
+    counts = {}
+    for pair in spec.split(","):
+        m = _COUNT_PAIR.fullmatch(pair)
+        if not m:
+            raise CliError(
+                f"bad --counts pair {pair!r}: want q:c with a field order q and c >= 0",
+                EXIT_PARSE,
+            )
+        q, c = int(m[1]), int(m[2])
+        try:
+            GF(q)
+        except CoefficientError as exc:
+            raise CliError(f"bad --counts pair {pair!r}: {exc}", EXIT_PARSE)
+        counts[q] = c
+    return counts
+
+
 def _parse_schedule(spec: str) -> list[int]:
     if not spec:
         return []
@@ -135,7 +157,7 @@ def cmd_augs(args) -> int:
     started = time.monotonic()
     inputs: dict = {"field": args.field}
     dga, _ = _load_dga(args, inputs)
-    augs = augment.enumerate_augmentations(dga, args.field, oracle=args.oracle)
+    augs = augment.enumerate_augmentations(dga, args.field)
     result = {
         "count": len(augs),
         "augmentations": [dict(a.values) for a in augs],
@@ -268,6 +290,7 @@ def cmd_obstruct(args) -> int:
     started = time.monotonic()
     inputs: dict = {"poly": args.poly, "dim": args.dim, "tb": args.tb, "counts": args.counts}
     poly = parse_poly_text(args.poly)
+    counts = _parse_counts(args.counts) if args.counts else None
     h = linhom.GradedModule(
         "F2", linhom.COHOMOLOGICAL, {d: (c, ()) for d, c in poly.as_dict().items()}
     )
@@ -282,11 +305,7 @@ def cmd_obstruct(args) -> int:
         if args.tb is not None and args.dim == 1:
             verdict = obstruct.euler_tb_check(result, args.tb)
             stages.append({"stage": "euler_tb", "verdict": verdict.to_jsonable()})
-        if args.counts and not verdict.obstructed:
-            counts = {}
-            for pair in args.counts.split(","):
-                q, c = pair.split(":")
-                counts[int(q)] = int(c)
+        if counts and not verdict.obstructed:
             profile = obstruct.FillingProfile(
                 "Z", args.dim, {1: (result.rank(1), result.torsion(1))}
             )
@@ -355,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augs", help="enumerate graded augmentations")
     _add_source_args(p)
     p.add_argument("--field", type=int, default=2)
-    p.add_argument("--oracle", action="store_true", help="use the exhaustive oracle")
     p.add_argument("--out")
     p.set_defaults(func=cmd_augs)
 

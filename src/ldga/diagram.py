@@ -200,9 +200,6 @@ class FrontDiagram:
 
         down = up = 0
         for upper, lower in self.cusp_pairs:
-            if direction[upper] != direction[lower]:
-                # consistent walk: one arc enters the cusp, the other leaves
-                pass
             if direction[upper] == direction[lower]:
                 raise DiagramError("orientation walk failed at a cusp")
         for ev in self.events:
@@ -405,12 +402,6 @@ class ProjectionDiagram:
     crossings: tuple[Crossing, ...]
     tb: int
     rotation: int
-
-    def degree(self, name: str) -> int:
-        for c in self.crossings:
-            if c.name == name:
-                return c.degree
-        raise KeyError(f"no crossing named {name!r}")
 
     def euler_writhe_check(self) -> bool:
         """Sum of (-1)^deg over crossings equals tb (cusp crossings count +1)."""

@@ -126,6 +126,47 @@ def test_normal_form_idempotent(x):
     assert Element.build(x.ring, x.as_dict()) == x
 
 
+RINGS = [ZZ, ZT] + [GF(q) for q in SUPPORTED_ORDERS]
+
+
+def coefficients(ring):
+    if ring is ZZ:
+        return st.integers(-3, 3)
+    if ring is ZT:
+        return laurents
+    return st.sampled_from(list(ring.elements()))
+
+
+def plain_sum(ring, pairs):
+    acc = {}
+    for w, c in pairs:
+        acc[w] = ring.add(acc.get(w, ring.zero), c)
+    nonzero = [(w, c) for w, c in acc.items() if not ring.is_zero(c)]
+    return tuple(sorted(nonzero, key=lambda t: t[0]))
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_sum_matches_plain_dict_accumulation(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    pairs = data.draw(st.lists(st.tuples(words, coefficients(ring)), max_size=12))
+    # repeat some pairs and add the negatives of others, so words cancel
+    if pairs:
+        pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=4))
+        cancel = data.draw(st.lists(st.sampled_from(pairs), max_size=4))
+        pairs += [(w, ring.neg(c)) for w, c in cancel]
+    pairs = data.draw(st.permutations(pairs))
+    assert Element.sum(ring, pairs).terms == plain_sum(ring, pairs)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_sum_cancels_opposite_pairs(ring):
+    c = ring.one
+    assert Element.sum(ring, [(("a",), c), (("a",), ring.neg(c))]).is_zero
+    if ring == GF(2):
+        assert Element.sum(ring, [(("a", "b"), c)] * 2).is_zero
+
+
 # ---------------------------------------------------------------------------
 # differentials
 # ---------------------------------------------------------------------------

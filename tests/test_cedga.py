@@ -67,7 +67,7 @@ def test_index_identity_on_all_disks():
 
 def test_budget_exhaustion_is_loud():
     proj = resolve(grid_to_front(m821_grid()))
-    with pytest.raises(DiskBudgetExceeded, match="LDGA_DISK_BUDGET"):
+    with pytest.raises(DiskBudgetExceeded, match="--budget"):
         build_dga(proj, budget=5)
 
 

@@ -221,6 +221,12 @@ def test_reports_deterministic_modulo_timing(capsys):
         ["augs", "--builtin", "trefoil", "--field", "6"],
         ["augs", "--builtin", "nosuch"],
         ["certify", "classB", "--n", "4"],
+        ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:x"],
+        ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2"],
+        ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "0:1"],
+        ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "6:1"],
+        ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:-1"],
+        ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:1,"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -235,6 +241,13 @@ def test_jobs_flag_is_gone(capsys):
         main(["linpoly", "--builtin", "trefoil", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_oracle_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["augs", "--builtin", "trefoil", "--oracle"])
+    assert exc.value.code == 2
+    assert "--oracle" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):

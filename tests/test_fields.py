@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldga.algebra import Element, GF
+from ldga.algebra import DGA, Element, GF, change_coefficients, multiply
 from ldga.augment import conjugate, enumerate_augmentations, linear_part
 from ldga.cedga import build_dga, load_dsl, m821_grid, trefoil_projection, twist_linearized
 from ldga.cli import main
@@ -92,6 +92,40 @@ def test_m821_conjugation_over_extension_fields(m821_dga, q):
             binary += 1
             assert poly == f2_polys[eps.values]
     assert binary == len(f2_polys) == 16
+
+
+def conjugate_by_substitution(dga, eps):
+    """Reference conjugation: substitute g -> g + eps(g) and multiply letter by letter."""
+    ring = eps.field
+    fdga = change_coefficients(dga, ring)
+    subs = {
+        g.name: Element.build(
+            ring, {(g.name,): ring.one, (): eps.value(g.name) if g.degree == 0 else ring.zero}
+        )
+        for g in fdga.generators
+    }
+    diff = {}
+    for g in fdga.generators:
+        acc = Element.zero(ring)
+        for word, coeff in fdga.diff_of(g.name).terms:
+            prod = Element.unit(ring, coeff)
+            for name in word:
+                prod = multiply(prod, subs[name])
+            acc = acc.add(prod)
+        diff[g.name] = acc
+    return DGA(ring, fdga.generators, diff)
+
+
+@pytest.mark.parametrize(
+    "knot, q",
+    [("trefoil", 2), ("trefoil", 4), ("trefoil", 8), ("trefoil", 16), ("m821", 2), ("m821", 4)],
+)
+def test_conjugate_matches_substitution(m821_dga, knot, q):
+    dga = m821_dga if knot == "m821" else build_dga(trefoil_projection())
+    augs = enumerate_augmentations(dga, q)
+    assert augs
+    for eps in augs:
+        assert conjugate(dga, eps) == conjugate_by_substitution(dga, eps)
 
 
 def test_cli_linpoly_m821_over_f4(capsys):

@@ -41,6 +41,11 @@ CASES = {
     "augvar_twist_variety.json": [
         "augvar", "--system", "fixtures/twist_variety.sys", "--fields", "2,4,8,16",
     ],
+    "linpoly_m821_f4_all.json": [
+        "linpoly", "--grid", "fixtures/m821.json", "--field", "4", "--all-augs",
+    ],
+    "dga_unknot_dsl.dga": ["dga", "--builtin", "unknot_dsl"],
+    "dga_toy.dga": ["dga", "--dsl", "fixtures/toy.dga"],
 }
 
 
