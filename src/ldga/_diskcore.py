@@ -22,11 +22,27 @@ union-find and such merges are rejected; at the end the lineage forest
 must be a single tree.  The boundary word is read off by traversing arc
 joints counterclockwise from the positive corner.  Every produced disk is
 checked against the index identity deg(a) - sum deg(b_i) = 1 by the caller.
+
+Each branch of the depth-first sweep carries a search context, a dict:
+
+  * ``joints`` maps a boundary arc to ``(letter, next arc)``, where the
+    letter is the crossing of a negative corner, ``None`` where the arc
+    turns at a cusp or cap, or ``"POS"`` at the positive corner;
+  * ``uf`` is the lineage union-find, mapping a lineage to its parent;
+  * ``next`` is the first unused id; arcs and lineages draw from it;
+  * ``start`` is the arc leaving the positive corner, and ``pos`` says
+    whether that corner is placed yet.
+
+Sibling branches share their parent's context, so a branch that changes
+it first copies it with ``_Search._fork``, which also hands out fresh ids.
+Every lineage enters ``uf`` when its sheet opens (a finger or a split at
+a left cusp, or the east positive corner), so ``_find`` never meets an
+unregistered lineage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import BIRTH, CAP, DiagramError, ProjectionDiagram
 
@@ -41,8 +57,7 @@ class DiskSearchError(RuntimeError):
     """Internal inconsistency while enumerating disks (convention tripwire)."""
 
 
-@dataclass(frozen=True)
-class _Interval:
+class _Interval(NamedTuple):
     bottom: int
     top: int
     bottom_arc: int
@@ -70,7 +85,7 @@ class _Search:
         self.budget = DEFAULT_DISK_BUDGET if budget is None else budget
         self.found: list[tuple[str, ...]] = []
 
-    # -- union-find over sheet lineages ------------------------------------
+    # -- the search context -------------------------------------------------
 
     @staticmethod
     def _find(uf: dict, x: int) -> int:
@@ -78,14 +93,26 @@ class _Search:
             x = uf[x]
         return x
 
-    def _union(self, uf: dict, a: int, b: int) -> dict | None:
-        """Returns a new union-find, or None when a and b are already joined."""
-        ra, rb = self._find(uf, a), self._find(uf, b)
-        if ra == rb:
-            return None
-        out = dict(uf)
-        out[ra] = rb
-        return out
+    @staticmethod
+    def _fork(ctx: dict, fresh: int = 0) -> tuple[dict, range]:
+        """A copy of ctx to mutate on one branch, and `fresh` new ids."""
+        out = ctx.copy()
+        out["joints"] = ctx["joints"].copy()
+        out["uf"] = ctx["uf"].copy()
+        first = ctx["next"]
+        out["next"] = first + fresh
+        return out, range(first, first + fresh)
+
+    def _open_cusp(self, ctx: dict, parent: int | None = None):
+        """Fork ctx for a sheet opening at a cusp: (ctx, top arc, bottom arc, lineage).
+
+        The new lineage is its own root, or joins `parent`'s tree when the
+        sheet splits off an interval covering the cusp.
+        """
+        out, (t_arc, b_arc, lin) = self._fork(ctx, 3)
+        out["joints"][t_arc] = (None, b_arc)
+        out["uf"][lin] = lin if parent is None else self._find(out["uf"], parent)
+        return out, t_arc, b_arc, lin
 
     # -- the sweep ----------------------------------------------------------
 
@@ -140,18 +167,7 @@ class _Search:
             # pass: the cusp point sits in the disk's interior
             variants.append(([*base, shift(iv)], ctx))
             # split: the boundary rounds the cusp from inside
-            ctx2 = dict(ctx)
-            ctx2["joints"] = dict(ctx["joints"])
-            ctx2["uf"] = dict(ctx["uf"])
-            t_lo = ctx2["next"]
-            b_hi = t_lo + 1
-            lin = t_lo + 2
-            ctx2["next"] = t_lo + 3
-            ctx2["joints"][t_lo] = (None, b_hi)
-            ctx2["uf"].setdefault(iv.lineage, iv.lineage)
-            ctx2["uf"][lin] = lin
-            # a fresh lineage can never be pre-connected to its parent
-            ctx2["uf"] = self._union(ctx2["uf"], lin, iv.lineage)
+            ctx2, t_lo, b_hi, lin = self._open_cusp(ctx, iv.lineage)
             lower = _Interval(iv.bottom, i, iv.bottom_arc, t_lo, iv.lineage)
             upper = _Interval(i + 1, iv.top + 2, b_hi, iv.top_arc, lin)
             variants.append(([*base, lower, upper], ctx2))
@@ -161,17 +177,8 @@ class _Search:
         for cur, cur_ctx in variants:
             self._next(idx, cur, cur_ctx)
             # optionally open a finger hugging the new cusp
-            ctx3 = dict(cur_ctx)
-            ctx3["joints"] = dict(cur_ctx["joints"])
-            ctx3["uf"] = dict(cur_ctx["uf"])
-            t_arc = ctx3["next"]
-            b_arc = t_arc + 1
-            lin = t_arc + 2
-            ctx3["next"] = t_arc + 3
-            ctx3["joints"][t_arc] = (None, b_arc)
-            ctx3["uf"][lin] = lin
-            finger = _Interval(i, i + 1, b_arc, t_arc, lin)
-            self._next(idx, [*cur, finger], ctx3)
+            ctx3, t_arc, b_arc, lin = self._open_cusp(cur_ctx)
+            self._next(idx, [*cur, _Interval(i, i + 1, b_arc, t_arc, lin)], ctx3)
 
     def _do_cap(self, idx, i, state, ctx):
         tops = []
@@ -189,32 +196,20 @@ class _Search:
                 return  # boundary would round the cap from outside
             else:
                 rest.append(iv)
-        if len(tops) != len(bottoms) or len(tops) > 1:
+        if len(tops) != len(bottoms) or len(tops) > 1 or len(exact) > 1:
             return
-        ctx2 = ctx
         new_state = []
-        if exact:
-            if len(exact) > 1:
-                return
-            iv = exact[0]
-            ctx2 = dict(ctx2)
-            ctx2["joints"] = dict(ctx2["joints"])
-            ctx2["joints"][iv.bottom_arc] = (None, iv.top_arc)
-            if iv.lineage not in ctx2["uf"]:
-                ctx2["uf"] = dict(ctx2["uf"])
-                ctx2["uf"][iv.lineage] = iv.lineage
-        if tops:
-            lower, upper = tops[0], bottoms[0]
-            ctx2 = dict(ctx2)
-            ctx2["joints"] = dict(ctx2["joints"])
-            ctx2["uf"] = dict(ctx2["uf"])
-            for lin in (lower.lineage, upper.lineage):
-                ctx2["uf"].setdefault(lin, lin)
-            joined = self._union(ctx2["uf"], lower.lineage, upper.lineage)
-            if joined is None:
+        if exact or tops:
+            ctx, _ = self._fork(ctx)
+        for iv in exact:
+            ctx["joints"][iv.bottom_arc] = (None, iv.top_arc)
+        for lower, upper in zip(tops, bottoms):
+            root = self._find(ctx["uf"], lower.lineage)
+            other = self._find(ctx["uf"], upper.lineage)
+            if root == other:
                 return  # merging sheets already connected: annulus, not a disk
-            ctx2["uf"] = joined
-            ctx2["joints"][upper.bottom_arc] = (None, lower.top_arc)
+            ctx["uf"][root] = other
+            ctx["joints"][upper.bottom_arc] = (None, lower.top_arc)
             new_state.append(
                 _Interval(lower.bottom, upper.top - 2, lower.bottom_arc, upper.top_arc,
                           lower.lineage)
@@ -226,9 +221,11 @@ class _Search:
             return _Interval(b, t, iv.bottom_arc, iv.top_arc, iv.lineage)
 
         new_state.extend(shift(iv) for iv in rest)
-        self._next(idx, new_state, ctx2)
+        self._next(idx, new_state, ctx)
 
     def _do_cross(self, idx, i, name, state, ctx):
+        # an option is "positive_death", "corner_s", "corner_n", or the new
+        # (bottom, top) of an interval whose endpoint passes the crossing
         is_anchor = idx == self.anchor
         choosers = []
         fixed = []
@@ -240,72 +237,47 @@ class _Search:
                 else:
                     return  # the gap interval pinches; no other transition
             elif t == i and b < i:
-                choosers.append((iv, ("pass_top_up", "corner_s")))
+                choosers.append((iv, ((b, i + 1), "corner_s")))
             elif b == i + 1 and t > i + 1:
-                choosers.append((iv, ("pass_bottom_down", "corner_n")))
+                choosers.append((iv, ((i, t), "corner_n")))
             elif t == i + 1 and b < i:
-                choosers.append((iv, ("pass_top_down",)))
+                choosers.append((iv, ((b, i),)))
             elif b == i and t > i + 1:
-                choosers.append((iv, ("pass_bottom_up",)))
+                choosers.append((iv, ((i + 1, t),)))
             else:
                 fixed.append(iv)
 
-        def expand(k: int, acc: list[_Interval], ctx_now: dict, pos_used: bool):
+        def expand(k: int, acc: list[_Interval], ctx_now: dict):
             if k == len(choosers):
-                if is_anchor and self.anchor_side == "E" and not ctx_now["pos"] and not pos_used:
+                if is_anchor and self.anchor_side == "E" and not ctx_now["pos"]:
                     # the positive corner must open exactly here
-                    ctx2 = dict(ctx_now)
-                    ctx2["joints"] = dict(ctx_now["joints"])
-                    ctx2["uf"] = dict(ctx_now["uf"])
-                    b_arc = ctx2["next"]
-                    t_arc = b_arc + 1
-                    lin = b_arc + 2
-                    ctx2["next"] = b_arc + 3
-                    ctx2["joints"][t_arc] = ("POS", None)
-                    ctx2["start"] = b_arc
-                    ctx2["uf"][lin] = lin
-                    ctx2["pos"] = True
-                    new_iv = _Interval(i, i + 1, b_arc, t_arc, lin)
-                    self._next(idx, [*acc, new_iv], ctx2)
-                    return
+                    ctx_now, (b_arc, t_arc, lin) = self._fork(ctx_now, 3)
+                    ctx_now["joints"][t_arc] = ("POS", None)
+                    ctx_now["uf"][lin] = lin
+                    ctx_now.update(start=b_arc, pos=True)
+                    acc = [*acc, _Interval(i, i + 1, b_arc, t_arc, lin)]
                 self._next(idx, acc, ctx_now)
                 return
             iv, options = choosers[k]
             for opt in options:
                 if opt == "positive_death":
-                    ctx2 = dict(ctx_now)
-                    ctx2["joints"] = dict(ctx_now["joints"])
+                    ctx2, _ = self._fork(ctx_now)
                     ctx2["joints"][iv.bottom_arc] = ("POS", None)
-                    ctx2["start"] = iv.top_arc
-                    ctx2["pos"] = True
-                    if iv.lineage not in ctx2["uf"]:
-                        ctx2["uf"] = dict(ctx2["uf"])
-                        ctx2["uf"][iv.lineage] = iv.lineage
-                    expand(k + 1, acc, ctx2, True)
-                elif opt == "pass_top_up":
-                    expand(k + 1, [*acc, _Interval(iv.bottom, i + 1, iv.bottom_arc, iv.top_arc, iv.lineage)], ctx_now, pos_used)
-                elif opt == "pass_top_down":
-                    expand(k + 1, [*acc, _Interval(iv.bottom, i, iv.bottom_arc, iv.top_arc, iv.lineage)], ctx_now, pos_used)
-                elif opt == "pass_bottom_down":
-                    expand(k + 1, [*acc, _Interval(i, iv.top, iv.bottom_arc, iv.top_arc, iv.lineage)], ctx_now, pos_used)
-                elif opt == "pass_bottom_up":
-                    expand(k + 1, [*acc, _Interval(i + 1, iv.top, iv.bottom_arc, iv.top_arc, iv.lineage)], ctx_now, pos_used)
+                    ctx2.update(start=iv.top_arc, pos=True)
+                    expand(k + 1, acc, ctx2)
                 elif opt == "corner_s":
-                    ctx2 = dict(ctx_now)
-                    ctx2["joints"] = dict(ctx_now["joints"])
-                    t_e = ctx2["next"]
-                    ctx2["next"] = t_e + 1
+                    ctx2, (t_e,) = self._fork(ctx_now, 1)
                     ctx2["joints"][t_e] = (name, iv.top_arc)
-                    expand(k + 1, [*acc, _Interval(iv.bottom, i, iv.bottom_arc, t_e, iv.lineage)], ctx2, pos_used)
+                    expand(k + 1, [*acc, _Interval(iv.bottom, i, iv.bottom_arc, t_e, iv.lineage)], ctx2)
                 elif opt == "corner_n":
-                    ctx2 = dict(ctx_now)
-                    ctx2["joints"] = dict(ctx_now["joints"])
-                    b_e = ctx2["next"]
-                    ctx2["next"] = b_e + 1
+                    ctx2, (b_e,) = self._fork(ctx_now, 1)
                     ctx2["joints"][iv.bottom_arc] = (name, b_e)
-                    expand(k + 1, [*acc, _Interval(i + 1, iv.top, b_e, iv.top_arc, iv.lineage)], ctx2, pos_used)
+                    expand(k + 1, [*acc, _Interval(i + 1, iv.top, b_e, iv.top_arc, iv.lineage)], ctx2)
+                else:
+                    b, t = opt
+                    expand(k + 1, [*acc, _Interval(b, t, iv.bottom_arc, iv.top_arc, iv.lineage)], ctx_now)
 
-        expand(0, fixed, ctx, False)
+        expand(0, fixed, ctx)
 
     def _next(self, idx, state_list, ctx):
         state = tuple(sorted(state_list, key=lambda iv: (iv.bottom, iv.top)))

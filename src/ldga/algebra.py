@@ -451,6 +451,11 @@ class DGA:
         """Name -> degree, built once per DGA (callers must not mutate it)."""
         return {g.name: g.degree for g in self.generators}
 
+    @cached_property
+    def field_copies(self) -> dict[int, DGA]:
+        """q -> this DGA over GF(q), filled by ``augment`` on first use."""
+        return {}
+
     def generators_of_degree(self, d: int) -> list[str]:
         return [g.name for g in self.generators if g.degree == d]
 

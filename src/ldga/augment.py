@@ -66,10 +66,12 @@ class Augmentation:
 
 
 def _field_dga(dga: DGA, q: int) -> DGA:
-    ring = GF(q)
+    """The DGA over GF(q), pushed once per (DGA, q) and kept on the DGA."""
     if isinstance(dga.ring, FiniteField) and dga.ring.q == q:
         return dga
-    return change_coefficients(dga, ring)
+    if q not in dga.field_copies:
+        dga.field_copies[q] = change_coefficients(dga, GF(q))
+    return dga.field_copies[q]
 
 
 def enumerate_augmentations(dga: DGA, q: int, oracle: bool = False) -> list[Augmentation]:

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__, augment, cedga, diagram, linhom, obstruct, spin
-from .algebra import GF, ZZ, CoefficientError, validate
+from .algebra import GF, ZZ, CoefficientError, FiniteField, change_coefficients, validate
 from .augment import AugmentationError
 from .cedga import BuiltinError, DGAValidationError, DSLError, DiskBudgetExceeded
 from .diagram import DiagramError
@@ -190,11 +190,18 @@ def cmd_spin(args) -> int:
     dga, _ = _load_dga(args, inputs)
     schedule = _parse_schedule(args.spin)
     stages = []
+    if args.integral:
+        if dga.ring is not ZZ:
+            raise CliError("--integral needs an integral DGA", EXIT_VALIDATE)
+    else:
+        q = args.field or (dga.ring.q if isinstance(dga.ring, FiniteField) else 2)
+        dga = change_coefficients(dga, GF(q))
     try:
         cx = augment.linear_part(dga)
     except AugmentationError:
+        if args.integral:
+            raise CliError("--integral needs a DGA without constant terms", EXIT_VALIDATE)
         # diagram DGAs carry constant terms; linearize at the first augmentation
-        q = 2 if args.integral or not args.field else args.field
         augs = augment.enumerate_augmentations(dga, q)
         if not augs:
             raise ObstructionStageError("spin", "no augmentations to linearize at")
@@ -202,8 +209,6 @@ def cmd_spin(args) -> int:
         cx = augment.linear_part(dga)
         stages.append({"stage": "conjugate", "augmentation": dict(augs[0].values)})
     if args.integral:
-        if not isinstance(dga.ring, type(ZZ)):
-            raise CliError("--integral needs an integral DGA", EXIT_VALIDATE)
         n_leg = 1
         h = linhom.homology_integral(cx)
         stages.append({"stage": "start", "module": obstruct.module_to_jsonable(h)})
@@ -225,12 +230,10 @@ def cmd_spin(args) -> int:
         circles = schedule.index(1) if 1 in schedule else len(schedule)
         if any(m != 1 for m in schedule[circles:]):
             raise ObstructionStageError("spin", "complex-level spinning after a Kunneth stage")
-        q = args.field or 2
-        fcx = linhom.reduce_complex_mod_p(cx, q) if dga.ring is ZZ else cx
-        h = linhom.homology_field(fcx)
+        h = linhom.homology_field(cx)
         p = linhom.poincare(linhom.as_cohomological(h))
         stages.append({"stage": "start", "polynomial": str(p)})
-        for st in spin.iterate_schedule(fcx, schedule[:circles]):
+        for st in spin.iterate_schedule(cx, schedule[:circles]):
             h = linhom.homology_field(st.complex)
             p = linhom.poincare(linhom.as_cohomological(h))
             stages.append({"stage": "spin", "sphere_dim": st.sphere_dim, "polynomial": str(p)})
@@ -388,7 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--spin", default="", help="comma list of sphere dimensions")
     p.add_argument("--integral", action="store_true")
-    p.add_argument("--field", type=int, default=None)
+    p.add_argument(
+        "--field", type=int, default=None,
+        help="homology over GF(q) with this q (default: the DGA's own field, else 2); "
+             "ignored with --integral",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_spin)
 

@@ -259,9 +259,6 @@ class FrontDiagram:
     def tb(self) -> int:
         return self.writhe - self.n_right_cusps
 
-    def crossings(self) -> list[FrontEvent]:
-        return [ev for ev in self.events if ev.kind == CROSS]
-
     def reversed_orientation_invariants(self) -> tuple[int, int]:
         """(tb, r) for the opposite orientation."""
         return self.tb, -self.rotation_number

@@ -280,15 +280,15 @@ class LinearizedComplex:
             {d + m: [row[:] for row in mat] for d, mat in self.matrices.items()},
         )
 
-    def block_sum(self, other: "LinearizedComplex", tag: str = "N") -> "LinearizedComplex":
-        """Direct sum; other's basis names are suffixed to stay unique."""
+    def block_sum(self, other: "LinearizedComplex") -> "LinearizedComplex":
+        """Direct sum; other's basis names get the suffix ^N to stay unique."""
         if not same_ring(self.ring, other.ring):
             raise ValueError("block sum needs a common coefficient ring")
         bases: dict[int, tuple[str, ...]] = {}
         mats: dict[int, Matrix] = {}
         for d in sorted(set(self.bases) | set(other.bases)):
             bases[d] = tuple(self.bases.get(d, ())) + tuple(
-                f"{name}^{tag}" for name in other.bases.get(d, ())
+                f"{name}^N" for name in other.bases.get(d, ())
             )
         for d in sorted(set(self.matrices) | set(other.matrices) | set(bases)):
             r1, c1 = len(self.bases.get(d - 1, ())), len(self.bases.get(d, ()))

@@ -328,13 +328,13 @@ def certify_nongeometric(
     budget: int | None = None,
 ) -> Certification:
     """Run a full paper-scale pipeline; every intermediate lands in evidence."""
-    if case == "classA_m821":
-        return _certify_class_a(schedule, grid, budget, case)
-    if case == "classA_spun":
-        if not schedule:
+    if case in ("classA_m821", "classA_spun"):
+        if case == "classA_spun" and not schedule:
             schedule = (1,)
         if any(m != 1 for m in schedule):
-            raise ObstructionStageError("schedule", "classA_spun spins circles only")
+            raise ObstructionStageError(
+                "schedule", "class A spins circles only (the S^1 Kunneth route)"
+            )
         return _certify_class_a(schedule, grid, budget, case)
     if case == "classB_twist":
         if n is None:
@@ -349,9 +349,7 @@ def _certify_class_a(schedule, grid, budget, case) -> Certification:
     ev2, h = class_a_homology(grid, budget=budget)
     evidence.extend(ev2)
     n_leg = 1
-    for m in schedule:
-        if m != 1:
-            raise ObstructionStageError("spin", "class A uses the S^1 Kunneth route")
+    for _ in schedule:
         h = spin.kunneth_s1(h)
         n_leg += 1
         evidence.append(

@@ -78,7 +78,7 @@ def spin_complex_stable(cx: LinearizedComplex, m: int) -> LinearizedComplex:
             f"sphere dimension {m} is not in the stable range (needs > {bound}); "
             f"use the S^1 Kunneth route for small spheres"
         )
-    return cx.block_sum(cx.shift(m), tag="N")
+    return cx.block_sum(cx.shift(m))
 
 
 def kunneth_s1(h: GradedModule) -> GradedModule:

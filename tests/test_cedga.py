@@ -71,6 +71,23 @@ def test_budget_exhaustion_is_loud():
         build_dga(proj, budget=5)
 
 
+@pytest.mark.parametrize("name, steps", [("m821", 1618), ("torus2_7", 3733)])
+def test_largest_crossing_step_count_pinned(name, steps):
+    # the budget caps steps per crossing, so S = the largest crossing's count
+    # is the least budget that builds the DGA
+    from ldga.diagram import CROSS, FrontDiagram, LCUSP, RCUSP
+
+    if name == "m821":
+        proj = resolve(grid_to_front(m821_grid()))
+    else:
+        proj = resolve(FrontDiagram(
+            [(LCUSP, 0), (LCUSP, 2)] + [(CROSS, 1)] * 7 + [(RCUSP, 2), (RCUSP, 0)]
+        ))
+    build_dga(proj, budget=steps)
+    with pytest.raises(DiskBudgetExceeded):
+        build_dga(proj, budget=steps - 1)
+
+
 def test_crossing_relabeling_matches_after_rename():
     from ldga.diagram import FrontDiagram, LCUSP, RCUSP, CROSS
 

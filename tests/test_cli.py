@@ -120,6 +120,20 @@ def test_spin_field_kunneth(capsys):
     assert spun == expect
 
 
+def test_spin_field_follows_the_dga(capsys):
+    # Z[t] without constant terms specializes t -> -1 into F2: d a = b is acyclic
+    zt = str(FIXTURES / "zt_linear.dga")
+    report, _ = run_json(capsys, "spin", "--dsl", zt)
+    assert report["result"] == {"polynomial": "0"}
+    code, _, err = run(capsys, "spin", "--dsl", zt, "--integral")
+    assert code == 3
+    report, _ = run_json(capsys, "spin", "--dsl", str(FIXTURES / "f3.dga"))
+    assert report["result"] == {"polynomial": "1"}
+    # an F2 diagram DGA extends to F4
+    report, _ = run_json(capsys, "spin", "--builtin", "trefoil", "--field", "4")
+    assert report["result"] == {"polynomial": "2 + t"}
+
+
 def test_augvar_counts(capsys):
     report, _ = run_json(
         capsys, "augvar", "--system", str(FIXTURES / "twist_variety.sys"),
@@ -186,6 +200,13 @@ def test_certify_stage_error_exit_4(capsys):
     assert "stage error" in err
 
 
+@pytest.mark.parametrize("case", ["classA", "classA-spun"])
+def test_certify_class_a_sphere_spin_exit_4(capsys, case):
+    code, _, err = run(capsys, "certify", case, "--spin", "3")
+    assert code == 4
+    assert err.startswith("stage error: [schedule]")
+
+
 @pytest.mark.parametrize(
     "spec, mode",
     [("2", "--integral"), ("3,2", "--field=2"), ("1,3", "--field=2")],
@@ -227,6 +248,7 @@ def test_reports_deterministic_modulo_timing(capsys):
         ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "6:1"],
         ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:-1"],
         ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:1,"],
+        ["spin", "--dsl", str(FIXTURES / "f3.dga"), "--field", "5"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

@@ -128,6 +128,24 @@ def test_conjugate_matches_substitution(m821_dga, knot, q):
         assert conjugate(dga, eps) == conjugate_by_substitution(dga, eps)
 
 
+def test_field_copy_is_made_once_per_dga_and_field(monkeypatch):
+    import ldga.augment
+
+    calls = []
+
+    def counting(dga, ring):
+        calls.append(ring.q)
+        return change_coefficients(dga, ring)
+
+    monkeypatch.setattr(ldga.augment, "change_coefficients", counting)
+    dga = build_dga(resolve(grid_to_front(m821_grid())))
+    augs = enumerate_augmentations(dga, 4)
+    for eps in augs:
+        conjugate(dga, eps)
+    assert len(augs) == 120
+    assert calls == [4]
+
+
 def test_cli_linpoly_m821_over_f4(capsys):
     code = main(["linpoly", "--grid", "fixtures/m821.json", "--field", "4", "--all-augs"])
     assert code == 0, capsys.readouterr().err

@@ -1,5 +1,8 @@
 """CLI reports must match the committed goldens outside ``timing_ms``.
 
+The ``dump_dsl`` text of the max-tb (2,N) torus DGAs is pinned too, so any
+change to the disk search that alters a differential shows here.
+
 Regenerate (only when an answer is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
 """
@@ -13,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from ldga.cedga import build_dga, dump_dsl
 from ldga.cli import main
+from ldga.diagram import CROSS, FrontDiagram, LCUSP, RCUSP, resolve
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -46,7 +51,17 @@ CASES = {
     ],
     "dga_unknot_dsl.dga": ["dga", "--builtin", "unknot_dsl"],
     "dga_toy.dga": ["dga", "--dsl", "fixtures/toy.dga"],
+    "dga_unknot.dga": ["dga", "--builtin", "unknot"],
+    "dga_m821.dga": ["dga", "--grid", "fixtures/m821.json"],
 }
+
+TORUS_CASES = {f"dsl_torus2_{n}.dga": n for n in (3, 5, 7, 9)}
+
+
+def torus2_dsl(n: int) -> str:
+    """``dump_dsl`` of the max-tb (2,n) torus front's DGA."""
+    events = [(LCUSP, 0), (LCUSP, 2)] + [(CROSS, 1)] * n + [(RCUSP, 2), (RCUSP, 0)]
+    return dump_dsl(build_dga(resolve(FrontDiagram(events))))
 
 
 def render(argv: list[str]) -> str:
@@ -73,8 +88,16 @@ def test_report_matches_golden(name):
     assert render(CASES[name]) == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("name", sorted(TORUS_CASES))
+def test_torus_dga_matches_golden(name):
+    assert torus2_dsl(TORUS_CASES[name]) == (GOLDEN / name).read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         (GOLDEN / name).write_text(render(argv))
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
+    for name, n in TORUS_CASES.items():
+        (GOLDEN / name).write_text(torus2_dsl(n))
         print(f"wrote {GOLDEN / name}", file=sys.stderr)

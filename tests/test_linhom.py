@@ -147,7 +147,7 @@ def test_field_rank_rank_nullity():
 
 def test_block_sum_and_shift():
     cx = linear_part(twist_linearized(5))
-    spun = cx.block_sum(cx.shift(3), tag="N")
+    spun = cx.block_sum(cx.shift(3))
     h = homology_integral(spun)
     assert h.entries == {0: (2, ()), 1: (1, ()), 3: (2, ()), 4: (1, ())}
 

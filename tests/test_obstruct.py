@@ -230,6 +230,19 @@ def test_certify_rejects_bad_case():
         certify_nongeometric("classA_spun", schedule=[3])
 
 
+@pytest.mark.parametrize("case", ["classA_m821", "classA_spun"])
+def test_class_a_schedule_is_checked_before_any_stage(monkeypatch, case):
+    import ldga.obstruct
+
+    def no_stage(*args, **kwargs):
+        pytest.fail("a pipeline stage ran before the schedule check")
+
+    monkeypatch.setattr(ldga.obstruct, "class_a_homology", no_stage)
+    with pytest.raises(ObstructionStageError) as exc:
+        certify_nongeometric(case, schedule=[1, 3])
+    assert exc.value.stage == "schedule"
+
+
 def test_certify_spin_bound_violation_names_the_stage():
     with pytest.raises(ObstructionStageError) as exc:
         certify_nongeometric("classB_twist", n=5, schedule=[2])
