@@ -495,6 +495,11 @@ def apply_differential(dga: DGA, x: Element) -> Element:
     return Element.sum(ring, pairs)
 
 
+class DGAValidationError(ValueError):
+    """A DGA that violates degree purity or d^2 = 0, or an internal check on
+    a computed DGA or augmentation that failed."""
+
+
 @dataclass
 class ValidationReport:
     violations: list[str]

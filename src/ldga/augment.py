@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .algebra import (
     DGA,
+    DGAValidationError,
     Element,
     FiniteField,
     GF,
@@ -103,7 +104,7 @@ def enumerate_augmentations(dga: DGA, q: int, oracle: bool = False) -> list[Augm
     out = [Augmentation.build(ring, s, t_val) for s in sols]
     for aug in out:
         if not aug.is_valid(fdga):
-            raise AugmentationError("solver produced an invalid augmentation")
+            raise DGAValidationError("solver produced an invalid augmentation")
     return out
 
 
@@ -235,10 +236,10 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     out = DGA(ring, fdga.generators, diff)
     report = validate(out)
     if not report.ok:
-        raise AugmentationError(f"conjugated DGA failed validation: {report}")
+        raise DGAValidationError(f"conjugated DGA failed validation: {report}")
     for g in out.generators:
         if out.diff_of(g.name).constant_term() != ring.zero:
-            raise AugmentationError("conjugation left a constant term")
+            raise DGAValidationError("conjugation left a constant term")
     return out
 
 

@@ -24,6 +24,7 @@ from ._diskcore import (
 )
 from .algebra import (
     DGA,
+    DGAValidationError,
     Element,
     GF,
     Generator,
@@ -100,10 +101,6 @@ class DSLError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
-
-
-class DGAValidationError(ValueError):
-    """A syntactically fine DGA that violates degree purity or d^2 = 0."""
 
 
 class BuiltinError(ValueError):

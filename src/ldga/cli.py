@@ -18,9 +18,17 @@ import time
 from pathlib import Path
 
 from . import __version__, augment, cedga, diagram, linhom, obstruct, spin
-from .algebra import GF, ZZ, CoefficientError, FiniteField, change_coefficients, validate
+from .algebra import (
+    GF,
+    ZZ,
+    CoefficientError,
+    DGAValidationError,
+    FiniteField,
+    change_coefficients,
+    validate,
+)
 from .augment import AugmentationError
-from .cedga import BuiltinError, DGAValidationError, DSLError, DiskBudgetExceeded
+from .cedga import BuiltinError, DSLError, DiskBudgetExceeded
 from .diagram import DiagramError
 from .obstruct import ObstructionStageError
 from .spin import SpinError
@@ -186,7 +194,7 @@ def cmd_linpoly(args) -> int:
 
 def cmd_spin(args) -> int:
     started = time.monotonic()
-    inputs: dict = {"spin": args.spin, "integral": args.integral, "field": args.field}
+    inputs: dict = {"spin": args.spin, "integral": args.integral, "field": None}
     dga, _ = _load_dga(args, inputs)
     schedule = _parse_schedule(args.spin)
     stages = []
@@ -195,6 +203,7 @@ def cmd_spin(args) -> int:
             raise CliError("--integral needs an integral DGA", EXIT_VALIDATE)
     else:
         q = args.field or (dga.ring.q if isinstance(dga.ring, FiniteField) else 2)
+        inputs["field"] = q
         dga = change_coefficients(dga, GF(q))
     try:
         cx = augment.linear_part(dga)
@@ -208,41 +217,28 @@ def cmd_spin(args) -> int:
         dga = augment.conjugate(dga, augs[0])
         cx = augment.linear_part(dga)
         stages.append({"stage": "conjugate", "augmentation": dict(augs[0].values)})
-    if args.integral:
-        n_leg = 1
-        h = linhom.homology_integral(cx)
-        stages.append({"stage": "start", "module": obstruct.module_to_jsonable(h)})
-        for st in spin.iterate_schedule(cx, schedule):
-            n_leg += st.sphere_dim
-            h = linhom.homology_integral(st.complex)
-            stages.append(
-                {
-                    "stage": "spin",
-                    "sphere_dim": st.sphere_dim,
-                    "legendrian_dimension": n_leg,
-                    "module": obstruct.module_to_jsonable(h),
-                }
-            )
-        result = {"module": obstruct.module_to_jsonable(h)}
-        summary = h.describe()
-    else:
-        # complex-level stages (m >= 2) first, then circles through Kunneth
-        circles = schedule.index(1) if 1 in schedule else len(schedule)
-        if any(m != 1 for m in schedule[circles:]):
-            raise ObstructionStageError("spin", "complex-level spinning after a Kunneth stage")
-        h = linhom.homology_field(cx)
-        p = linhom.poincare(linhom.as_cohomological(h))
-        stages.append({"stage": "start", "polynomial": str(p)})
-        for st in spin.iterate_schedule(cx, schedule[:circles]):
-            h = linhom.homology_field(st.complex)
-            p = linhom.poincare(linhom.as_cohomological(h))
-            stages.append({"stage": "spin", "sphere_dim": st.sphere_dim, "polynomial": str(p)})
-        for _ in schedule[circles:]:
-            h = spin.kunneth_s1(h)
-            p = linhom.poincare(linhom.as_cohomological(h))
-            stages.append({"stage": "kunneth_s1", "polynomial": str(p)})
-        result = {"polynomial": str(p)}
-        summary = f"P = {p}"
+
+    def measure(c):
+        """Each stage's homology: a module over Z, a polynomial over a field."""
+        if args.integral:
+            h = linhom.homology_integral(c)
+            return {"module": obstruct.module_to_jsonable(h)}, h.describe()
+        p = linhom.poincare(linhom.as_cohomological(linhom.homology_field(c)))
+        return {"polynomial": str(p)}, f"P = {p}"
+
+    result, summary = measure(cx)
+    stages.append({"stage": "start", **result})
+    n_leg = 1
+    for st in spin.iterate_schedule(cx, schedule):
+        n_leg += st.sphere_dim
+        result, summary = measure(st.complex)
+        if st.sphere_dim == 1:  # a circle is named after the S^1 Kunneth splitting
+            stages.append({"stage": "kunneth_s1", **result})
+            continue
+        entry = {"stage": "spin", "sphere_dim": st.sphere_dim, **result}
+        if args.integral:
+            entry["legendrian_dimension"] = n_leg
+        stages.append(entry)
     rep = _report("spin", inputs, result, stages=stages, started=started)
     return _emit(args, rep, summary)
 
@@ -297,22 +293,17 @@ def cmd_obstruct(args) -> int:
     h = linhom.GradedModule(
         "F2", linhom.COHOMOLOGICAL, {d: (c, ()) for d, c in poly.as_dict().items()}
     )
-    stages = []
-    result = obstruct.seidel_profile(h, args.dim)
-    if isinstance(result, obstruct.ObstructionVerdict):
-        verdict = result
-        stages.append({"stage": "seidel", "verdict": verdict.to_jsonable()})
-    else:
-        stages.append({"stage": "seidel", "profile": result.to_jsonable()})
-        verdict = obstruct.ObstructionVerdict(obstruct.FEASIBLE)
+    stages: list[dict] = []
+    verdict, profile = obstruct.seidel_stage(h, args.dim, stages)
+    if profile is not None:
         if args.tb is not None and args.dim == 1:
-            verdict = obstruct.euler_tb_check(result, args.tb)
+            verdict = obstruct.euler_tb_check(profile, args.tb)
             stages.append({"stage": "euler_tb", "verdict": verdict.to_jsonable()})
         if counts and not verdict.obstructed:
-            profile = obstruct.FillingProfile(
-                "Z", args.dim, {1: (result.rank(1), result.torsion(1))}
+            integral = obstruct.FillingProfile(
+                "Z", args.dim, {1: (profile.rank(1), profile.torsion(1))}
             )
-            verdict = obstruct.aug_injectivity_test(profile, counts)
+            verdict = obstruct.aug_injectivity_test(integral, counts)
             stages.append({"stage": "aug_injectivity", "verdict": verdict.to_jsonable()})
     rep = _report("obstruct", inputs, {"verdict": verdict.to_jsonable()}, stages=stages, started=started)
     return _emit(args, rep, f"{verdict.status}: {verdict.codes()}")

@@ -156,6 +156,20 @@ def seidel_profile(h: GradedModule, n: int):
     return FillingProfile(h.ring_tag, n, entries)
 
 
+def seidel_stage(h: GradedModule, n: int, evidence: list[dict]):
+    """Run `seidel_profile` and record it as a "seidel" stage in evidence.
+
+    Returns (verdict, profile): the obstruction verdict and no profile, or a
+    feasible verdict and the filling profile that later tests consume.
+    """
+    result = seidel_profile(h, n)
+    if isinstance(result, ObstructionVerdict):
+        evidence.append({"stage": "seidel", "verdict": result.to_jsonable()})
+        return result, None
+    evidence.append({"stage": "seidel", "profile": result.to_jsonable()})
+    return ObstructionVerdict(FEASIBLE), result
+
+
 def euler_tb_check(profile: FillingProfile, tb: int) -> ObstructionVerdict:
     """Surface filling bookkeeping: chi(L) = 1 - b_1 must equal -tb."""
     if profile.dimension != 1:
@@ -256,11 +270,11 @@ TARGET_M821_POLY = PoincarePolynomial.from_dims({-1: 1, 0: 4, 1: 2})
 
 
 def class_a_homology(grid: diagram.GridDiagram, budget=None):
-    """Grid -> front -> projection -> DGA -> distinguished polynomial module.
+    """Grid -> front -> projection -> DGA -> distinguished linearized complex.
 
-    Returns (evidence, cohomological module) for the augmentation whose
-    Poincare polynomial has a negative-degree class; fails loudly if the
-    fixture does not produce it.
+    Returns (evidence, F2 complex) for the augmentation whose Poincare
+    polynomial has a negative-degree class; fails loudly if the fixture does
+    not produce it.
     """
     evidence = []
     front = diagram.grid_to_front(grid)
@@ -294,21 +308,21 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
             "differential_terms": sum(len(e.terms) for e in dga.differential.values()),
         }
     )
-    triples = []
-    for eps in augment.enumerate_augmentations(dga, 2):
-        h = augment.linearized_cohomology(dga, eps)
-        triples.append((eps, h, linhom.poincare(h)))
-    if not triples:
+    pairs = [
+        (eps, linhom.poincare(augment.linearized_cohomology(dga, eps)))
+        for eps in augment.enumerate_augmentations(dga, 2)
+    ]
+    if not pairs:
         raise ObstructionStageError("augment", "no graded augmentations over F2")
-    polys = sorted(str(p) for _, _, p in triples)
-    evidence.append({"stage": "augment", "count": len(triples), "polynomials": polys})
-    chosen = [(eps, h) for eps, h, p in triples if p.as_dict() == TARGET_M821_POLY.as_dict()]
+    polys = sorted(str(p) for _, p in pairs)
+    evidence.append({"stage": "augment", "count": len(pairs), "polynomials": polys})
+    chosen = [eps for eps, p in pairs if p.as_dict() == TARGET_M821_POLY.as_dict()]
     if not chosen:
         raise ObstructionStageError(
             "augment",
             f"no augmentation with polynomial {TARGET_M821_POLY}; got {polys}",
         )
-    eps, h = chosen[0]
+    eps = chosen[0]
     evidence.append(
         {
             "stage": "distinguished_augmentation",
@@ -316,7 +330,7 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
             "polynomial": str(TARGET_M821_POLY),
         }
     )
-    return evidence, h
+    return evidence, augment.linear_part(augment.conjugate(dga, eps))
 
 
 def certify_nongeometric(
@@ -333,7 +347,7 @@ def certify_nongeometric(
             schedule = (1,)
         if any(m != 1 for m in schedule):
             raise ObstructionStageError(
-                "schedule", "class A spins circles only (the S^1 Kunneth route)"
+                "schedule", "class A spins circles only"
             )
         return _certify_class_a(schedule, grid, budget, case)
     if case == "classB_twist":
@@ -346,12 +360,13 @@ def certify_nongeometric(
 def _certify_class_a(schedule, grid, budget, case) -> Certification:
     grid = grid or cedga.m821_grid()
     evidence = [{"stage": "grid", "size": grid.size}]
-    ev2, h = class_a_homology(grid, budget=budget)
+    ev2, cx = class_a_homology(grid, budget=budget)
     evidence.extend(ev2)
+    h = linhom.as_cohomological(linhom.homology_field(cx))
     n_leg = 1
-    for _ in schedule:
-        h = spin.kunneth_s1(h)
-        n_leg += 1
+    for st in spin.iterate_schedule(cx, schedule):
+        h = linhom.as_cohomological(linhom.homology_field(st.complex))
+        n_leg += st.sphere_dim
         evidence.append(
             {
                 "stage": "kunneth_s1",
@@ -359,13 +374,7 @@ def _certify_class_a(schedule, grid, budget, case) -> Certification:
                 "module": module_to_jsonable(h),
             }
         )
-    result = seidel_profile(h, n_leg)
-    if isinstance(result, FillingProfile):
-        verdict = ObstructionVerdict(FEASIBLE)
-        evidence.append({"stage": "seidel", "profile": result.to_jsonable()})
-    else:
-        verdict = result
-        evidence.append({"stage": "seidel", "verdict": verdict.to_jsonable()})
+    verdict, _ = seidel_stage(h, n_leg, evidence)
     return Certification(case, verdict, evidence)
 
 
@@ -394,7 +403,7 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
     n_leg = 1
     for st in stages:
         n_leg += st.sphere_dim
-        poly = spin.spun_polynomial(poly, st.sphere_dim)
+        poly = poly.multiply_one_plus_tm(st.sphere_dim)
         evidence.append(
             {
                 "stage": "spin",
@@ -410,12 +419,9 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
         {"stage": "spun_homology_integral", "module": module_to_jsonable(h_spun_coh)}
     )
 
-    result = seidel_profile(h_spun_coh, n_leg)
-    if isinstance(result, ObstructionVerdict):
-        evidence.append({"stage": "seidel", "verdict": result.to_jsonable()})
-        return Certification(case, result, evidence)
-    profile = result
-    evidence.append({"stage": "seidel", "profile": profile.to_jsonable()})
+    verdict, profile = seidel_stage(h_spun_coh, n_leg, evidence)
+    if profile is None:
+        return Certification(case, verdict, evidence)
     if n_leg == 1:
         tb = len(dga.generators_of_degree(0)) - len(dga.generators_of_degree(1))
         evidence.append(

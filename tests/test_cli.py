@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from ldga import augment
+from ldga.algebra import ValidationReport
 from ldga.cli import main, parse_poly_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -134,6 +136,21 @@ def test_spin_field_follows_the_dga(capsys):
     assert report["result"] == {"polynomial": "2 + t"}
 
 
+@pytest.mark.parametrize(
+    "source, field",
+    [
+        (["--dsl", str(FIXTURES / "f3.dga")], 3),
+        (["--dsl", str(FIXTURES / "zt_linear.dga")], 2),
+        (["--builtin", "twist:5"], 2),
+        (["--builtin", "trefoil", "--field", "4"], 4),
+        (["--builtin", "twist:5", "--integral", "--field", "3"], None),
+    ],
+)
+def test_spin_reports_the_field_it_used(capsys, source, field):
+    report, _ = run_json(capsys, "spin", *source)
+    assert report["inputs"]["field"] == field
+
+
 def test_augvar_counts(capsys):
     report, _ = run_json(
         capsys, "augvar", "--system", str(FIXTURES / "twist_variety.sys"),
@@ -255,6 +272,38 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_bad_polysystem_exits_2(tmp_path, capsys):
+    system = tmp_path / "bad.sys"
+    system.write_text("var a; eq a*b + 1;")
+    code, _, err = run(capsys, "augvar", "--system", str(system))
+    assert code == 2
+    assert err.startswith("parse error: ") and "undeclared" in err
+
+
+def _fail_validation(dga):
+    return ValidationReport(["planted"])
+
+
+def _zero_solutions(ring, unknowns, equations):
+    return [{u: 0 for u in unknowns}]
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("validate", _fail_validation, "conjugated DGA failed validation"),
+        ("_backtrack", _zero_solutions, "solver produced an invalid augmentation"),
+    ],
+)
+def test_internal_tripwires_exit_3(capsys, monkeypatch, name, fake, message):
+    # a violated internal check is a validation failure, not bad input
+    monkeypatch.setattr(augment, name, fake)
+    code, _, err = run(capsys, "linpoly", "--builtin", "trefoil")
+    assert code == 3
+    assert err.startswith("validation error: ") and message in err
     assert "Traceback" not in err
 
 

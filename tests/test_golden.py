@@ -53,6 +53,16 @@ CASES = {
     "dga_toy.dga": ["dga", "--dsl", "fixtures/toy.dga"],
     "dga_unknot.dga": ["dga", "--builtin", "unknot"],
     "dga_m821.dga": ["dga", "--grid", "fixtures/m821.json"],
+    "spin_twist7_s311_f2.json": [
+        "spin", "--builtin", "twist:7", "--spin", "3,1,1", "--field", "2",
+    ],
+    "spin_twist5_s38_integral.json": [
+        "spin", "--builtin", "twist:5", "--spin", "3,8", "--integral",
+    ],
+    "certify_classA_spun_s11.json": ["certify", "classA-spun", "--spin", "1,1"],
+    "certify_classB_n5_s38_f24.json": [
+        "certify", "classB", "--n", "5", "--spin", "3,8", "--fields", "2,4",
+    ],
 }
 
 TORUS_CASES = {f"dsl_torus2_{n}.dga": n for n in (3, 5, 7, 9)}

@@ -1,7 +1,7 @@
 import pytest
 
-from ldga.algebra import DGA, Element, GF, Generator, ZZ
-from ldga.augment import Augmentation, enumerate_augmentations, linear_part
+from ldga.algebra import DGA, Element, Generator, ZZ
+from ldga.augment import conjugate, enumerate_augmentations, linear_part
 from ldga.cedga import build_dga, m821_grid, twist_linearized
 from ldga.diagram import grid_to_front, resolve
 from ldga.linhom import (
@@ -18,12 +18,8 @@ from ldga.spin import (
     SpinError,
     iterate_schedule,
     kunneth_s1,
-    spin_chords,
     spin_complex_stable,
-    spun_polynomial,
-    stable_bound,
     stable_bound_complex,
-    transport_augmentation,
 )
 
 
@@ -32,40 +28,44 @@ def twist_complex(n=5):
 
 
 # ---------------------------------------------------------------------------
-# stability bound and chord sets
+# stability bound and spun bases
 # ---------------------------------------------------------------------------
 
 def test_stable_bound_twist():
-    assert stable_bound(twist_linearized(5)) == 2
+    assert stable_bound_complex(twist_complex(5)) == 2
 
 
 def test_stable_bound_single_generator():
-    dga = DGA(ZZ, (Generator("e", 1),), {})
-    assert stable_bound(dga) == 1
+    cx = LinearizedComplex(ZZ, {1: ("e",)}, {})
+    assert stable_bound_complex(cx) == 1
 
 
 def test_stable_bound_degree_spread():
-    dga = DGA(ZZ, tuple(Generator(f"g{d}", d) for d in (-1, 0, 1, 2)), {})
-    assert stable_bound(dga) == 4
+    cx = LinearizedComplex(ZZ, {d: (f"g{d}",) for d in (-1, 0, 1, 2)}, {})
+    assert stable_bound_complex(cx) == 4
 
 
 def test_stable_bound_empty():
     with pytest.raises(SpinError):
-        stable_bound(DGA(ZZ, (), {}))
+        stable_bound_complex(LinearizedComplex(ZZ, {}, {}))
 
 
 def test_spin_chords_twist():
-    chords = spin_chords(twist_linearized(5), 3)
-    assert chords.count() == 26
-    assert chords.degrees() == [0, 1, 3, 4]
-    assert len(chords.chords_of_degree(0)) == 7
-    assert len(chords.chords_of_degree(3)) == 7
+    # every chord gets a copy shifted up by m
+    spun = spin_complex_stable(twist_complex(5), 3)
+    assert sum(spun.dim(d) for d in spun.degrees()) == 26
+    assert spun.degrees() == [0, 1, 3, 4]
+    assert spun.dim(0) == 7
+    assert spun.dim(3) == 7
 
 
 def test_spin_chords_small_sphere_allowed():
-    chords = spin_chords(twist_linearized(5), 1)
-    assert chords.degrees() == [0, 1, 2]
-    assert chords.count() == 26
+    # a circle is allowed over a field, below the stable bound
+    cx = reduce_complex_mod_p(twist_complex(5), 2)
+    (stage,) = iterate_schedule(cx, [1])
+    assert stage.bound is None
+    assert stage.complex.degrees() == [0, 1, 2]
+    assert sum(stage.complex.dim(d) for d in stage.complex.degrees()) == 26
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +80,8 @@ def test_spin_complex_stable_twist(m):
 
 
 def test_spin_complex_rejects_small_sphere():
-    with pytest.raises(SpinError, match="stable range"):
-        spin_complex_stable(twist_complex(5), 2)
+    with pytest.raises(SpinError, match="violates the stable bound 2"):
+        iterate_schedule(twist_complex(5), [2])
 
 
 def test_spin_zero_complex():
@@ -109,7 +109,7 @@ def test_spun_polynomial_identity(m):
     p = poincare(as_cohomological(homology_field(cx)))
     spun = spin_complex_stable(cx, m)
     p_spun = poincare(as_cohomological(homology_field(spun)))
-    assert p_spun.as_dict() == spun_polynomial(p, m).as_dict()
+    assert p_spun.as_dict() == p.multiply_one_plus_tm(m).as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +129,6 @@ def test_kunneth_zero_module():
 
 
 def test_kunneth_polynomial_identity():
-    from ldga.augment import conjugate
-
     dga = build_dga(resolve(grid_to_front(m821_grid())))
     eps = enumerate_augmentations(dga, 2)[0]
     h = homology_field(linear_part(conjugate(dga, eps)))
@@ -145,8 +143,22 @@ def test_kunneth_rejects_integral():
         kunneth_s1(h)
 
 
+@pytest.mark.parametrize("q", [2, 4])
+def test_circle_stage_matches_kunneth_on_m821(q):
+    # the complex-level circle C + C[1] against the homology-level oracle
+    dga = build_dga(resolve(grid_to_front(m821_grid())))
+    augs = enumerate_augmentations(dga, q)
+    assert augs
+    for eps in augs:
+        cx = linear_part(conjugate(dga, eps))
+        h = homology_field(cx)
+        for st in iterate_schedule(cx, [1, 1, 1]):
+            h = kunneth_s1(h)
+            assert homology_field(st.complex) == h
+
+
 # ---------------------------------------------------------------------------
-# augmentation transport
+# augmentations of the stable spun DGA
 # ---------------------------------------------------------------------------
 
 def spun_stable_dga(dga: DGA, m: int) -> DGA:
@@ -164,56 +176,12 @@ def spun_stable_dga(dga: DGA, m: int) -> DGA:
     return DGA(dga.ring, tuple(gens), diff)
 
 
-def test_transport_twist_augmentation():
-    dga = twist_linearized(5)
-    eps = enumerate_augmentations(dga, 2)[-1]
-    chords = spin_chords(dga, 3)
-    moved = transport_augmentation(eps, chords, dga)
-    for name, value in eps.values:
-        assert moved.value(f"{name}^S") == value
-    assert all(k.endswith("^S") for k, _ in moved.values)
-
-
-def test_transport_zero_augmentation():
-    dga = twist_linearized(5)
-    zero = Augmentation.build(GF(2), {})
-    moved = transport_augmentation(zero, spin_chords(dga, 3), dga)
-    assert moved.values == ()
-
-
-def test_transport_requires_big_sphere():
-    dga = twist_linearized(5)
-    eps = enumerate_augmentations(dga, 2)[0]
-    with pytest.raises(SpinError):
-        transport_augmentation(eps, spin_chords(dga, 1), dga)
-
-
-def test_transport_rejects_negative_degrees():
-    dga = DGA(ZZ, (Generator("x", -1), Generator("y", 0)), {})
-    eps = Augmentation.build(GF(2), {})
-    with pytest.raises(SpinError, match="non-negative"):
-        transport_augmentation(eps, spin_chords(dga, 3), dga)
-
-
 def test_spun_augmentation_count_is_preserved():
     # the graded augmentations of the stable spun DGA biject with the source's
     dga = twist_linearized(5)
     spun = spun_stable_dga(dga, 3)
     assert len(enumerate_augmentations(spun, 2)) == len(enumerate_augmentations(dga, 2))
     assert len(enumerate_augmentations(spun, 4)) == len(enumerate_augmentations(dga, 4))
-    chords = spin_chords(dga, 3)
-    assert len(chords.chords_of_degree(0)) == len(dga.generators_of_degree(0))
-
-
-def test_transported_augmentation_kills_spun_differential():
-    dga = twist_linearized(5)
-    spun = spun_stable_dga(dga, 3)
-    for eps in enumerate_augmentations(dga, 2):
-        moved = transport_augmentation(eps, spin_chords(dga, 3), dga)
-        from ldga.algebra import change_coefficients
-
-        spun2 = change_coefficients(spun, GF(2))
-        assert moved.is_valid(spun2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +209,16 @@ def test_iterate_empty_schedule():
 def test_iterate_rejects_bad_stage():
     with pytest.raises(SpinError, match="stage 1"):
         iterate_schedule(twist_complex(5), [3, 5])
+
+
+def test_iterate_circles_need_a_field():
+    # over Z a circle is an unstable sphere like any other
+    with pytest.raises(SpinError, match="stage 0 .* violates the stable bound"):
+        iterate_schedule(twist_complex(5), [1])
+
+
+@pytest.mark.parametrize("schedule", [[1, 3], [3, 1, 8]])
+def test_iterate_rejects_complex_level_after_circle(schedule):
+    cx = reduce_complex_mod_p(twist_complex(5), 2)
+    with pytest.raises(SpinError, match="after a Kunneth stage"):
+        iterate_schedule(cx, schedule)
