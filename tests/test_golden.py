@@ -63,6 +63,10 @@ CASES = {
     "certify_classB_n5_s38_f24.json": [
         "certify", "classB", "--n", "5", "--spin", "3,8", "--fields", "2,4",
     ],
+    "obstruct_2pt_d1_tb1_counts.json": [
+        "obstruct", "--poly", "2 + t", "--dim", "1", "--tb", "1", "--counts", "2:1,4:3",
+    ],
+    "spin_f3dsl_s1.json": ["spin", "--dsl", "fixtures/f3.dga", "--spin", "1"],
 }
 
 TORUS_CASES = {f"dsl_torus2_{n}.dga": n for n in (3, 5, 7, 9)}
