@@ -25,7 +25,7 @@ from .algebra import (
     change_coefficients,
     validate,
 )
-from .linhom import GradedModule, LinearizedComplex, as_cohomological, homology_field
+from .linhom import LinearizedComplex
 
 
 class AugmentationError(ValueError):
@@ -271,9 +271,9 @@ def linear_part(dga: DGA) -> LinearizedComplex:
     return LinearizedComplex(ring, bases, mats)
 
 
-def linearized_cohomology(dga: DGA, eps: Augmentation) -> GradedModule:
-    """Linearized cohomology of the DGA at eps over eps's field."""
-    return as_cohomological(homology_field(linear_part(conjugate(dga, eps))))
+def linearized_complex(dga: DGA, eps: Augmentation) -> LinearizedComplex:
+    """Linearized complex of the DGA at eps over eps's field."""
+    return linear_part(conjugate(dga, eps))
 
 
 # ---------------------------------------------------------------------------

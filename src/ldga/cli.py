@@ -50,23 +50,21 @@ def _digest(path: str) -> dict:
     return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _report(command: str, inputs: dict, result: dict, stages=None, started=None) -> dict:
-    out = {
+def _write_report(
+    args, started: float, inputs: dict, stages: list, result: dict, summary: str
+) -> int:
+    """Wrap a subcommand's output in the `ldga-report/1` envelope and write it."""
+    report = {
         "schema": "ldga-report/1",
         "tool": {"name": "ldga", "version": __version__},
-        "command": command,
+        "command": args.subcommand,
         "inputs": inputs,
-        "stages": stages or [],
+        "stages": stages,
         "result": result,
+        "timing_ms": {"total": round((time.monotonic() - started) * 1000, 3)},
     }
-    if started is not None:
-        out["timing_ms"] = {"total": round((time.monotonic() - started) * 1000, 3)}
-    return out
-
-
-def _emit(args, report: dict, summary: str) -> int:
     text = json.dumps(report, sort_keys=True, indent=2)
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
@@ -86,7 +84,7 @@ def _load_dga(args, inputs: dict):
     src = sources[0]
     if src == "dsl":
         inputs["dsl"] = _digest(args.dsl)
-        return cedga.load_dsl(Path(args.dsl).read_text()), None
+        return cedga.load_dsl(Path(args.dsl).read_text())
     if src == "grid":
         inputs["grid"] = _digest(args.grid)
         obj = diagram.parse_grid(Path(args.grid).read_text())
@@ -94,11 +92,10 @@ def _load_dga(args, inputs: dict):
         inputs["builtin"] = args.builtin
         obj = cedga.builtin(args.builtin)
     if isinstance(obj, diagram.GridDiagram):
-        front = diagram.grid_to_front(obj)
-        return cedga.build_dga(diagram.resolve(front), budget=args.budget), front
+        obj = diagram.resolve(diagram.grid_to_front(obj))
     if isinstance(obj, diagram.ProjectionDiagram):
-        return cedga.build_dga(obj, budget=args.budget), None
-    return obj, None
+        return cedga.build_dga(obj, budget=args.budget)
+    return obj
 
 
 def _parse_fields(spec: str) -> list[int]:
@@ -108,6 +105,11 @@ def _parse_fields(spec: str) -> list[int]:
         raise CliError(f"bad field list {spec!r}", EXIT_PARSE)
     if not fields:
         raise CliError("empty field list", EXIT_PARSE)
+    for q in fields:
+        try:
+            GF(q)
+        except CoefficientError as exc:
+            raise CliError(f"bad field list {spec!r}: {exc}", EXIT_PARSE)
     return fields
 
 
@@ -137,18 +139,20 @@ def _parse_schedule(spec: str) -> list[int]:
     if not spec:
         return []
     try:
-        return [int(x) for x in spec.split(",") if x]
+        schedule = [int(x) for x in spec.split(",") if x]
     except ValueError:
         raise CliError(f"bad spin schedule {spec!r}", EXIT_PARSE)
+    if any(m < 1 for m in schedule):
+        raise CliError(f"bad spin schedule {spec!r}: sphere dimensions start at 1", EXIT_PARSE)
+    return schedule
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each JSON one returns (inputs, stages, result, summary)
 # ---------------------------------------------------------------------------
 
 def cmd_dga(args) -> int:
-    inputs: dict = {}
-    dga, _front = _load_dga(args, inputs)
+    dga = _load_dga(args, {})
     report = validate(dga)
     if not report.ok:
         raise CliError(str(report), EXIT_VALIDATE)
@@ -161,42 +165,37 @@ def cmd_dga(args) -> int:
     return EXIT_OK
 
 
-def cmd_augs(args) -> int:
-    started = time.monotonic()
+def cmd_augs(args):
     inputs: dict = {"field": args.field}
-    dga, _ = _load_dga(args, inputs)
+    dga = _load_dga(args, inputs)
     augs = augment.enumerate_augmentations(dga, args.field)
     result = {
         "count": len(augs),
         "augmentations": [dict(a.values) for a in augs],
         "t_value": augs[0].t_value if augs and augs[0].t_value is not None else None,
     }
-    rep = _report("augs", inputs, result, started=started)
-    return _emit(args, rep, f"{len(augs)} augmentations over F{args.field}")
+    return inputs, [], result, f"{len(augs)} augmentations over F{args.field}"
 
 
-def cmd_linpoly(args) -> int:
-    started = time.monotonic()
+def cmd_linpoly(args):
     inputs: dict = {"field": args.field, "all_augs": args.all_augs}
-    dga, _ = _load_dga(args, inputs)
+    dga = _load_dga(args, inputs)
     augs = augment.enumerate_augmentations(dga, args.field)
     stages = [{"stage": "augment", "count": len(augs)}]
     polys = []
     details = []
     for eps in augs if args.all_augs else augs[:1]:
-        p = linhom.poincare(augment.linearized_cohomology(dga, eps))
+        p = linhom.poincare(linhom.homology_field(augment.linearized_complex(dga, eps)))
         polys.append(str(p))
         details.append({"augmentation": dict(eps.values), "polynomial": str(p)})
     result = {"polynomials": sorted(polys), "per_augmentation": details}
-    rep = _report("linpoly", inputs, result, stages=stages, started=started)
-    return _emit(args, rep, f"polynomials: {sorted(set(polys))}")
+    return inputs, stages, result, f"polynomials: {sorted(set(polys))}"
 
 
-def cmd_spin(args) -> int:
-    started = time.monotonic()
+def cmd_spin(args):
     inputs: dict = {"spin": args.spin, "integral": args.integral, "field": None}
-    dga, _ = _load_dga(args, inputs)
     schedule = _parse_schedule(args.spin)
+    dga = _load_dga(args, inputs)
     stages = []
     if args.integral:
         if dga.ring is not ZZ:
@@ -214,8 +213,7 @@ def cmd_spin(args) -> int:
         augs = augment.enumerate_augmentations(dga, q)
         if not augs:
             raise ObstructionStageError("spin", "no augmentations to linearize at")
-        dga = augment.conjugate(dga, augs[0])
-        cx = augment.linear_part(dga)
+        cx = augment.linearized_complex(dga, augs[0])
         stages.append({"stage": "conjugate", "augmentation": dict(augs[0].values)})
 
     def measure(c):
@@ -223,28 +221,24 @@ def cmd_spin(args) -> int:
         if args.integral:
             h = linhom.homology_integral(c)
             return {"module": obstruct.module_to_jsonable(h)}, h.describe()
-        p = linhom.poincare(linhom.as_cohomological(linhom.homology_field(c)))
+        p = linhom.poincare(linhom.homology_field(c))
         return {"polynomial": str(p)}, f"P = {p}"
 
     result, summary = measure(cx)
     stages.append({"stage": "start", **result})
-    n_leg = 1
     for st in spin.iterate_schedule(cx, schedule):
-        n_leg += st.sphere_dim
         result, summary = measure(st.complex)
         if st.sphere_dim == 1:  # a circle is named after the S^1 Kunneth splitting
             stages.append({"stage": "kunneth_s1", **result})
             continue
         entry = {"stage": "spin", "sphere_dim": st.sphere_dim, **result}
         if args.integral:
-            entry["legendrian_dimension"] = n_leg
+            entry["legendrian_dimension"] = st.legendrian_dimension
         stages.append(entry)
-    rep = _report("spin", inputs, result, stages=stages, started=started)
-    return _emit(args, rep, summary)
+    return inputs, stages, result, summary
 
 
-def cmd_augvar(args) -> int:
-    started = time.monotonic()
+def cmd_augvar(args):
     inputs: dict = {"system": _digest(args.system), "fields": args.fields}
     system = augment.parse_polysystem(Path(args.system).read_text())
     fields = _parse_fields(args.fields)
@@ -257,8 +251,7 @@ def cmd_augvar(args) -> int:
             "stable": est.stable,
             "slopes": list(est.slopes),
         }
-    rep = _report("augvar", inputs, result, started=started)
-    return _emit(args, rep, f"counts: {result['counts']}")
+    return inputs, [], result, f"counts: {result['counts']}"
 
 
 _POLY_TERM = re.compile(r"^\s*(\d+)?\s*\*?\s*(t(?:\^(-?\d+))?)?\s*$")
@@ -285,8 +278,7 @@ def parse_poly_text(text: str) -> linhom.PoincarePolynomial:
     return linhom.PoincarePolynomial.from_dims(dims)
 
 
-def cmd_obstruct(args) -> int:
-    started = time.monotonic()
+def cmd_obstruct(args):
     inputs: dict = {"poly": args.poly, "dim": args.dim, "tb": args.tb, "counts": args.counts}
     poly = parse_poly_text(args.poly)
     counts = _parse_counts(args.counts) if args.counts else None
@@ -305,12 +297,11 @@ def cmd_obstruct(args) -> int:
             )
             verdict = obstruct.aug_injectivity_test(integral, counts)
             stages.append({"stage": "aug_injectivity", "verdict": verdict.to_jsonable()})
-    rep = _report("obstruct", inputs, {"verdict": verdict.to_jsonable()}, stages=stages, started=started)
-    return _emit(args, rep, f"{verdict.status}: {verdict.codes()}")
+    result = {"verdict": verdict.to_jsonable()}
+    return inputs, stages, result, f"{verdict.status}: {verdict.codes()}"
 
 
-def cmd_certify(args) -> int:
-    started = time.monotonic()
+def cmd_certify(args):
     case_map = {
         "classA": "classA_m821",
         "classA-spun": "classA_spun",
@@ -334,14 +325,9 @@ def cmd_certify(args) -> int:
         grid=grid,
         budget=args.budget,
     )
-    rep = _report(
-        "certify",
-        inputs,
-        {"verdict": cert.verdict.to_jsonable(), "case": cert.case},
-        stages=cert.evidence,
-        started=started,
-    )
-    return _emit(args, rep, f"{cert.case}: {cert.verdict.status} {cert.verdict.codes()}")
+    verdict = cert.verdict
+    result = {"verdict": verdict.to_jsonable(), "case": cert.case}
+    return inputs, cert.evidence, result, f"{cert.case}: {verdict.status} {verdict.codes()}"
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; every JSON report leaves through `_write_report`."""
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        for name in ("dim", "budget"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise CliError(f"--{name} must be at least 1, got {value}", EXIT_PARSE)
+        if args.subcommand == "dga":  # writes DSL text, not a report
+            return args.func(args)
+        return _write_report(args, started, *args.func(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -258,13 +258,6 @@ class Certification:
     verdict: ObstructionVerdict
     evidence: list[dict] = field(default_factory=list)
 
-    def to_jsonable(self):
-        return {
-            "case": self.case,
-            "verdict": self.verdict.to_jsonable(),
-            "evidence": self.evidence,
-        }
-
 
 TARGET_M821_POLY = PoincarePolynomial.from_dims({-1: 1, 0: 4, 1: 2})
 
@@ -308,21 +301,23 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
             "differential_terms": sum(len(e.terms) for e in dga.differential.values()),
         }
     )
-    pairs = [
-        (eps, linhom.poincare(augment.linearized_cohomology(dga, eps)))
-        for eps in augment.enumerate_augmentations(dga, 2)
-    ]
-    if not pairs:
+    polys, chosen = [], None
+    for eps in augment.enumerate_augmentations(dga, 2):
+        cx = augment.linearized_complex(dga, eps)
+        p = linhom.poincare(linhom.homology_field(cx))
+        polys.append(str(p))
+        if chosen is None and p.as_dict() == TARGET_M821_POLY.as_dict():
+            chosen = eps, cx
+    if not polys:
         raise ObstructionStageError("augment", "no graded augmentations over F2")
-    polys = sorted(str(p) for _, p in pairs)
-    evidence.append({"stage": "augment", "count": len(pairs), "polynomials": polys})
-    chosen = [eps for eps, p in pairs if p.as_dict() == TARGET_M821_POLY.as_dict()]
-    if not chosen:
+    polys.sort()
+    evidence.append({"stage": "augment", "count": len(polys), "polynomials": polys})
+    if chosen is None:
         raise ObstructionStageError(
             "augment",
             f"no augmentation with polynomial {TARGET_M821_POLY}; got {polys}",
         )
-    eps = chosen[0]
+    eps, cx = chosen
     evidence.append(
         {
             "stage": "distinguished_augmentation",
@@ -330,7 +325,7 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
             "polynomial": str(TARGET_M821_POLY),
         }
     )
-    return evidence, augment.linear_part(augment.conjugate(dga, eps))
+    return evidence, cx
 
 
 def certify_nongeometric(
@@ -362,19 +357,19 @@ def _certify_class_a(schedule, grid, budget, case) -> Certification:
     evidence = [{"stage": "grid", "size": grid.size}]
     ev2, cx = class_a_homology(grid, budget=budget)
     evidence.extend(ev2)
+    stages = spin.iterate_schedule(cx, schedule)
     h = linhom.as_cohomological(linhom.homology_field(cx))
-    n_leg = 1
-    for st in spin.iterate_schedule(cx, schedule):
+    for st in stages:
         h = linhom.as_cohomological(linhom.homology_field(st.complex))
-        n_leg += st.sphere_dim
         evidence.append(
             {
                 "stage": "kunneth_s1",
-                "legendrian_dimension": n_leg,
+                "legendrian_dimension": st.legendrian_dimension,
                 "module": module_to_jsonable(h),
             }
         )
-    verdict, _ = seidel_stage(h, n_leg, evidence)
+    leg_dim = stages[-1].legendrian_dimension if stages else 1
+    verdict, _ = seidel_stage(h, leg_dim, evidence)
     return Certification(case, verdict, evidence)
 
 
@@ -392,24 +387,22 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
     h_coh = linhom.uct_dualize(h_int)
     evidence.append({"stage": "uct", "module": module_to_jsonable(h_coh)})
     h_f2 = linhom.homology_field(linhom.reduce_complex_mod_p(cx, 2))
-    poly = linhom.poincare(linhom.as_cohomological(h_f2))
+    poly = linhom.poincare(h_f2)
     evidence.append({"stage": "homology_f2", "polynomial": str(poly)})
 
     try:
         stages = spin.iterate_schedule(cx, schedule)
     except spin.SpinError as exc:
         raise ObstructionStageError("spin", str(exc)) from exc
-    spun_cx = stages[-1].complex if stages else cx
-    n_leg = 1
+    spun_cx, leg_dim = (stages[-1].complex, stages[-1].legendrian_dimension) if stages else (cx, 1)
     for st in stages:
-        n_leg += st.sphere_dim
         poly = poly.multiply_one_plus_tm(st.sphere_dim)
         evidence.append(
             {
                 "stage": "spin",
                 "sphere_dim": st.sphere_dim,
                 "bound": st.bound,
-                "legendrian_dimension": n_leg,
+                "legendrian_dimension": st.legendrian_dimension,
                 "polynomial_f2": str(poly),
             }
         )
@@ -419,10 +412,10 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
         {"stage": "spun_homology_integral", "module": module_to_jsonable(h_spun_coh)}
     )
 
-    verdict, profile = seidel_stage(h_spun_coh, n_leg, evidence)
+    verdict, profile = seidel_stage(h_spun_coh, leg_dim, evidence)
     if profile is None:
         return Certification(case, verdict, evidence)
-    if n_leg == 1:
+    if leg_dim == 1:
         tb = len(dga.generators_of_degree(0)) - len(dga.generators_of_degree(1))
         evidence.append(
             {"stage": "euler_tb", "tb": tb, "verdict": euler_tb_check(profile, tb).to_jsonable()}

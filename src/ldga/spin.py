@@ -6,8 +6,12 @@ free homology of the sphere: LCH(Sigma_{S^m} Lambda) = LCH(Lambda) (x) H_*(S^m)
 J. Differential Geom. 2005; Golovko, "A note on the front spinning
 construction", Bull. London Math. Soc. 2014).  Here that is one operation on
 complexes, the block sum C + C[m] of a complex with its m-shifted copy, and
-`iterate_schedule` applies it stage by stage.  Each stage has a precondition:
+`iterate_schedule` applies it stage by stage to a knot's complex.  Each
+`SpinStage` records the sphere dimension m, the spun complex and
+`legendrian_dimension`, the dimension of the spun Legendrian: 1 plus the
+sphere dimensions so far.  Each stage has a precondition:
 
+- the sphere dimension m is at least 1;
 - a circle (m = 1) needs finite-field coefficients, where the block sum agrees
   with the Kunneth splitting `kunneth_s1` at homology level; once a circle has
   been spun, only circles may follow;
@@ -60,14 +64,18 @@ class SpinStage:
     sphere_dim: int
     bound: int | None  # None for a circle, which needs no stable bound
     complex: LinearizedComplex
+    legendrian_dimension: int  # of the spun knot: 1 plus the sphere dims so far
 
 
 def iterate_schedule(cx: LinearizedComplex, schedule: Sequence[int]) -> list[SpinStage]:
-    """Spin stage by stage, checking each stage's precondition first."""
+    """Spin a knot's complex stage by stage, checking each stage's precondition first."""
     stages: list[SpinStage] = []
     circled = False
+    dim = 1
     for idx, m in enumerate(schedule):
         bound = None
+        if m < 1:
+            raise SpinError(f"schedule stage {idx} (sphere dim {m}) is below 1")
         if m == 1 and isinstance(cx.ring, FiniteField):
             circled = True
         elif circled:
@@ -79,5 +87,6 @@ def iterate_schedule(cx: LinearizedComplex, schedule: Sequence[int]) -> list[Spi
                     f"schedule stage {idx} (sphere dim {m}) violates the stable bound {bound}"
                 )
         cx = spin_complex_stable(cx, m)
-        stages.append(SpinStage(m, bound, cx))
+        dim += m
+        stages.append(SpinStage(m, bound, cx, dim))
     return stages

@@ -246,10 +246,27 @@ def strip_timing(report):
     return report
 
 
-def test_reports_deterministic_modulo_timing(capsys):
-    r1, _ = run_json(capsys, "augs", "--builtin", "trefoil", "--field", "2")
-    r2, _ = run_json(capsys, "augs", "--builtin", "trefoil", "--field", "2")
+REPORT_KEYS = {"schema", "tool", "command", "inputs", "stages", "result", "timing_ms"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["augs", "--builtin", "trefoil", "--field", "2"],
+        ["linpoly", "--builtin", "trefoil", "--all-augs"],
+        ["spin", "--builtin", "twist:5", "--spin", "3", "--integral"],
+        ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "2,4"],
+        ["obstruct", "--poly", "2 + t", "--dim", "1", "--tb", "1", "--counts", "2:1,4:3"],
+        ["certify", "classB", "--n", "5", "--spin", "3"],
+    ],
+)
+def test_reports_deterministic_modulo_timing(capsys, argv):
+    r1, _ = run_json(capsys, *argv)
+    r2, _ = run_json(capsys, *argv)
     assert strip_timing(r1) == strip_timing(r2)
+    assert set(r1) == REPORT_KEYS
+    assert r1["command"] == argv[0]
+    assert set(r1["timing_ms"]) == {"total"}
 
 
 @pytest.mark.parametrize(
@@ -266,6 +283,20 @@ def test_reports_deterministic_modulo_timing(capsys):
         ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:-1"],
         ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:1,"],
         ["spin", "--dsl", str(FIXTURES / "f3.dga"), "--field", "5"],
+        ["certify", "classA", "--fields", "6"],
+        ["certify", "classA-spun", "--fields", "0"],
+        ["certify", "classB", "--n", "5", "--fields", "2,6"],
+        ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "1"],
+        ["spin", "--builtin", "twist:5", "--spin", "0"],
+        ["spin", "--builtin", "twist:5", "--spin", "-3", "--integral"],
+        ["spin", "--builtin", "twist:5", "--spin", "3,0", "--integral"],
+        ["certify", "classB", "--n", "5", "--spin", "0"],
+        ["obstruct", "--poly", "1+t", "--dim", "0"],
+        ["obstruct", "--poly", "1+t", "--dim", "-1"],
+        ["dga", "--builtin", "trefoil", "--budget", "0"],
+        ["dga", "--grid", str(FIXTURES / "m821.json"), "--budget", "-1"],
+        ["certify", "classA", "--budget", "0"],
+        ["certify", "classA", "--budget", "-1"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

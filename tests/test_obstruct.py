@@ -249,6 +249,13 @@ def test_certify_spin_bound_violation_names_the_stage():
     assert exc.value.stage == "spin"
 
 
+def test_certify_sphere_dim_below_one_names_the_stage():
+    with pytest.raises(ObstructionStageError) as exc:
+        certify_nongeometric("classB_twist", n=5, schedule=[0])
+    assert exc.value.stage == "spin"
+    assert "below 1" in str(exc.value)
+
+
 def test_twist_variety_counts():
     assert {q: variety_points(TWIST_VARIETY, q) for q in (2, 4, 8, 16)} == {
         2: 1, 4: 3, 8: 7, 16: 15

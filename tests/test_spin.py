@@ -198,6 +198,7 @@ def test_iterate_single_stage():
 def test_iterate_recomputes_bound():
     stages = iterate_schedule(twist_complex(5), [3, 8])
     assert stages[1].bound == 5
+    assert [st.legendrian_dimension for st in stages] == [4, 12]
     degrees = sorted(stages[1].complex.bases)
     assert degrees == [0, 1, 3, 4, 8, 9, 11, 12]
 
@@ -209,6 +210,13 @@ def test_iterate_empty_schedule():
 def test_iterate_rejects_bad_stage():
     with pytest.raises(SpinError, match="stage 1"):
         iterate_schedule(twist_complex(5), [3, 5])
+
+
+@pytest.mark.parametrize("schedule", [[0], [-3], [3, 0]])
+def test_iterate_rejects_sphere_dims_below_one(schedule):
+    # checked before the stable bound, which says nothing about such a sphere
+    with pytest.raises(SpinError, match="is below 1"):
+        iterate_schedule(twist_complex(5), schedule)
 
 
 def test_iterate_circles_need_a_field():

@@ -1,22 +1,32 @@
-"""The m(8_21) fixture tool must keep working against the library."""
+"""Tools outside the library must keep working against it."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 from ldga.cedga import m821_grid
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "make_m821_fixture.py"
+REPO = Path(__file__).resolve().parents[1]
+TOOL = REPO / "tools" / "make_m821_fixture.py"
+TRACING = REPO / "perfbench" / "tracing.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("make_m821_fixture", TOOL)
+def load_by_path(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_trace_layers_resolve_to_library_functions():
+    # `--trace 1` wraps these by name; a rename must fail here, not there
+    for module, function, span, _ in load_by_path(TRACING).LAYERS:
+        assert module.startswith("ldga."), span
+        assert callable(getattr(importlib.import_module(module), function, None)), span
+
+
 def test_m821_tool_polynomial_multiset():
-    tool = load_tool()
+    tool = load_by_path(TOOL)
     polys = tool.polynomial_multiset(m821_grid())
     assert tool.TARGET_POLY == {-1: 1, 0: 4, 1: 2}
     assert tool.TARGET_POLY in polys

@@ -42,7 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ldga.augment import enumerate_augmentations, linearized_cohomology
+from ldga.augment import enumerate_augmentations, linearized_complex
 from ldga.cedga import build_dga
 from ldga.diagram import (
     CROSS,
@@ -52,7 +52,7 @@ from ldga.diagram import (
     grid_to_front,
     resolve,
 )
-from ldga.linhom import poincare
+from ldga.linhom import homology_field, poincare
 
 TARGET_ALEXANDER = (1, -4, 5, -4, 1)
 TARGET_POLY = {-1: 1, 0: 4, 1: 2}
@@ -555,7 +555,7 @@ def polynomial_multiset(grid: GridDiagram):
     proj = resolve(front)
     dga = build_dga(proj)
     return [
-        poincare(linearized_cohomology(dga, eps)).as_dict()
+        poincare(homology_field(linearized_complex(dga, eps))).as_dict()
         for eps in enumerate_augmentations(dga, 2)
     ]
 
