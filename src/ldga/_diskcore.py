@@ -31,17 +31,54 @@ Each branch of the depth-first sweep carries a search context, a dict:
   * ``uf`` is the lineage union-find, mapping a lineage to its parent;
   * ``next`` is the first unused id; arcs and lineages draw from it;
   * ``start`` is the arc leaving the positive corner, and ``pos`` says
-    whether that corner is placed yet.
+    whether that corner is placed yet;
+  * ``comps`` counts the lineage components, the trees of ``uf``.
 
 Sibling branches share their parent's context, so a branch that changes
 it first copies it with ``_Search._fork``, which also hands out fresh ids.
 Every lineage enters ``uf`` when its sheet opens (a finger or a split at
 a left cusp, or the east positive corner), so ``_find`` never meets an
-unregistered lineage.
+unregistered lineage.  A finger and the east positive corner open a new
+component; a split joins the tree of the interval it splits, and a merge
+at a cap joins two trees into one.
+
+Dead states are memoized.  A state is dead when its subtree yields no
+disk; each ``run`` keeps, per event index, the keys of the states found
+dead, and a state whose key is there is not explored again.  The key of a
+state before event ``idx`` is:
+
+  * the ``(bottom, top)`` of each interval, in sweep order;
+  * the partition of those intervals by lineage root;
+  * the number of orphaned components, those with no interval left,
+    capped at 2;
+  * ``pos``.
+
+Two states with one key have the same subtree shape, so they are dead
+together:
+
+  * every transition reads only interval positions, ``pos``, the anchor
+    side (fixed within a ``run``) and whether two active intervals share
+    a root; the partition after a transition follows from the partition
+    before it;
+  * acceptance at the end reads only whether the state is empty, ``pos``
+    and whether exactly one component remains;
+  * an orphaned component has no interval to merge through, so it stays
+    a component to the end: one orphan fails unless the state empties
+    with no other component, and two or more always fail, so counts past
+    2 need not be told apart;
+  * arc ids, joints and ``start`` shape only the word read on success;
+    a dead subtree reads no word, so skipping it leaves ``found``, and
+    its order, unchanged.
+
+The tripwires are unaffected: the straddle check of ``_do_birth`` reads
+only positions, so a state whose key is dead raised nothing the first
+time and raises nothing now, and ``_read_word`` runs only on found disks.
+The budget counts every ``_dfs`` step, memo hits included.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
 from .diagram import BIRTH, CAP, DiagramError, ProjectionDiagram
@@ -83,6 +120,7 @@ class _Search:
             raise KeyError(f"no crossing named {crossing!r}")
         self.crossing = crossing
         self.budget = DEFAULT_DISK_BUDGET if budget is None else budget
+        self.steps = 0
         self.found: list[tuple[str, ...]] = []
 
     # -- the search context -------------------------------------------------
@@ -111,31 +149,59 @@ class _Search:
         """
         out, (t_arc, b_arc, lin) = self._fork(ctx, 3)
         out["joints"][t_arc] = (None, b_arc)
-        out["uf"][lin] = lin if parent is None else self._find(out["uf"], parent)
+        if parent is None:
+            out["uf"][lin] = lin
+            out["comps"] += 1
+        else:
+            out["uf"][lin] = self._find(out["uf"], parent)
         return out, t_arc, b_arc, lin
+
+    def _key(self, state: tuple[_Interval, ...], ctx: dict) -> bytes:
+        """The memo key of a state (see the module docstring); idx picks the set."""
+        uf = ctx["uf"]
+        labels: dict[int, int] = {}  # lineage root -> block of the partition
+        key: list[int] = []
+        for bottom, top, _, _, root in state:
+            while uf[root] != root:  # _find, inlined: this runs at every step
+                root = uf[root]
+            key += (bottom, top, labels.setdefault(root, len(labels)))
+        key += (min(ctx["comps"] - len(labels), 2), ctx["pos"])
+        return array("I", key).tobytes()
 
     # -- the sweep ----------------------------------------------------------
 
     def run(self, anchor_side: str) -> None:
         """Enumerate disks whose positive corner opens east or west."""
         self.anchor_side = anchor_side
-        self._dfs(0, (), {"joints": {}, "uf": {}, "next": 0, "start": None, "pos": False})
+        self.dead: list[set[bytes]] = [set() for _ in self.events]
+        try:
+            self._dfs(0, (), {"joints": {}, "uf": {}, "next": 0, "start": None,
+                              "pos": False, "comps": 0})
+        finally:
+            # the recursive `expand` closures of _do_cross form reference
+            # cycles through self, so self may outlive the search until the
+            # cyclic collector runs; the memo should not live on with it
+            del self.dead
 
     def _dfs(self, idx: int, state: tuple[_Interval, ...], ctx: dict):
-        self.budget -= 1
-        if self.budget < 0:
+        self.steps += 1
+        if self.steps > self.budget:
+            side = "east" if self.anchor_side == "E" else "west"
             raise DiskBudgetExceeded(
-                f"disk search for {self.crossing!r} exceeded its step budget; "
+                f"disk search for {self.crossing!r} exceeded its budget of "
+                f"{self.budget} steps while sweeping for {side} positive corners "
+                f"(disks found so far: {len(self.found)}); "
                 f"raise --budget to search further"
             )
         if idx == len(self.events):
-            if state or not ctx["pos"]:
-                return
-            roots = {self._find(ctx["uf"], x) for x in ctx["uf"]}
-            if len(roots) != 1:
-                return
-            self.found.append(self._read_word(ctx))
+            if not state and ctx["pos"] and ctx["comps"] == 1:
+                self.found.append(self._read_word(ctx))
             return
+        key = self._key(state, ctx)
+        dead = self.dead[idx]
+        if key in dead:
+            return
+        found = len(self.found)
         ev = self.events[idx]
         kind, level = ev[0], ev[1]
         if kind == BIRTH:
@@ -144,6 +210,8 @@ class _Search:
             self._do_cap(idx, level, state, ctx)
         else:
             self._do_cross(idx, level, ev[2], state, ctx)
+        if len(self.found) == found:
+            dead.add(key)
 
     # -- event handlers -------------------------------------------------
 
@@ -209,6 +277,7 @@ class _Search:
             if root == other:
                 return  # merging sheets already connected: annulus, not a disk
             ctx["uf"][root] = other
+            ctx["comps"] -= 1
             ctx["joints"][upper.bottom_arc] = (None, lower.top_arc)
             new_state.append(
                 _Interval(lower.bottom, upper.top - 2, lower.bottom_arc, upper.top_arc,
@@ -254,7 +323,7 @@ class _Search:
                     ctx_now, (b_arc, t_arc, lin) = self._fork(ctx_now, 3)
                     ctx_now["joints"][t_arc] = ("POS", None)
                     ctx_now["uf"][lin] = lin
-                    ctx_now.update(start=b_arc, pos=True)
+                    ctx_now.update(start=b_arc, pos=True, comps=ctx_now["comps"] + 1)
                     acc = [*acc, _Interval(i, i + 1, b_arc, t_arc, lin)]
                 self._next(idx, acc, ctx_now)
                 return

@@ -7,8 +7,9 @@ diagram).  Every disk found is checked against the index identity
 deg(a) - sum deg(b_i) = 1, and every assembled DGA must pass validation
 (degree purity and d^2 = 0) before it is returned.
 
-The disk budget caps the number of search steps per crossing (default
-500000); set it with ``build_dga(..., budget=)`` or the CLI's ``--budget``.
+The disk budget caps the number of sweep steps per crossing, memo hits
+included (default 500000); set it with ``build_dga(..., budget=)`` or the
+CLI's ``--budget``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "dump_dsl",
     "load_dsl",
     "m821_grid",
+    "torus2_projection",
     "trefoil_projection",
     "twist_linearized",
     "unknot_dsl_dga",
@@ -351,10 +353,19 @@ def unknot_projection() -> ProjectionDiagram:
     return resolve(FrontDiagram([(LCUSP, 0), (RCUSP, 0)]))
 
 
-def trefoil_projection() -> ProjectionDiagram:
-    events = [(LCUSP, 0), (LCUSP, 2), (CROSS, 1), (CROSS, 1), (CROSS, 1),
-              (RCUSP, 2), (RCUSP, 0)]
+def torus2_projection(n: int) -> ProjectionDiagram:
+    """The resolved max-tb (2,n) torus front: two nested left cusps, n crossings.
+
+    Requires n odd and n >= 3.
+    """
+    if n % 2 == 0 or n < 3:
+        raise BuiltinError(f"torus2 family needs odd n >= 3, got {n}")
+    events = [(LCUSP, 0), (LCUSP, 2)] + [(CROSS, 1)] * n + [(RCUSP, 2), (RCUSP, 0)]
     return resolve(FrontDiagram(events))
+
+
+def trefoil_projection() -> ProjectionDiagram:
+    return torus2_projection(3)
 
 
 def m821_grid() -> GridDiagram:
@@ -368,10 +379,14 @@ def unknot_dsl_dga() -> DGA:
 
 
 def builtin(name: str):
-    """Builtin families: twist_linearized(n) / twist:n, m821_grid, unknot, trefoil."""
+    """Builtin families: twist_linearized(n) / twist:n, torus2:n, m821_grid, unknot,
+    trefoil, unknot_dsl."""
     m = re.fullmatch(r"(?:twist|twist_linearized)[:(](\d+)\)?", name)
     if m:
         return twist_linearized(int(m.group(1)))
+    m = re.fullmatch(r"torus2:(\d+)", name)
+    if m:
+        return torus2_projection(int(m.group(1)))
     if name == "m821_grid":
         return m821_grid()
     if name == "unknot":

@@ -139,9 +139,11 @@ def _parse_schedule(spec: str) -> list[int]:
     if not spec:
         return []
     try:
-        schedule = [int(x) for x in spec.split(",") if x]
+        schedule = [int(x) for x in spec.split(",")]
     except ValueError:
-        raise CliError(f"bad spin schedule {spec!r}", EXIT_PARSE)
+        raise CliError(
+            f"bad spin schedule {spec!r}: want a comma list of sphere dimensions", EXIT_PARSE
+        )
     if any(m < 1 for m in schedule):
         raise CliError(f"bad spin schedule {spec!r}: sphere dimensions start at 1", EXIT_PARSE)
     return schedule
@@ -334,11 +336,20 @@ def cmd_certify(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
+_BUDGET_HELP = (
+    "disk search budget: sweep steps per crossing, memo hits included "
+    f"(default {cedga.DEFAULT_DISK_BUDGET})"
+)
+
+
 def _add_source_args(p):
     p.add_argument("--grid", help="grid diagram JSON file")
     p.add_argument("--dsl", help="DGA DSL file")
-    p.add_argument("--builtin", help="builtin id: twist:N, m821_grid, unknot, trefoil, unknot_dsl")
-    p.add_argument("--budget", type=int, default=None, help="disk search step budget")
+    p.add_argument(
+        "--builtin",
+        help="builtin id: twist:N, torus2:N, m821_grid, unknot, trefoil, unknot_dsl",
+    )
+    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", default="", help="spin schedule")
     p.add_argument("--fields", default="2,4")
     p.add_argument("--grid", default=None, help="override the grid fixture")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
     return parser

@@ -1,8 +1,13 @@
-import pytest
+import random
 
+import pytest
+from test_diagram import _random_knot_grid
+
+from ldga import _diskcore
 from ldga.algebra import Element, ZT, ZZ, validate
 from ldga.augment import conjugate, enumerate_augmentations
 from ldga.cedga import (
+    BuiltinError,
     DGAValidationError,
     DiskBudgetExceeded,
     DSLError,
@@ -12,12 +17,13 @@ from ldga.cedga import (
     dump_dsl,
     load_dsl,
     m821_grid,
+    torus2_projection,
     trefoil_projection,
     twist_linearized,
     unknot_dsl_dga,
     unknot_projection,
 )
-from ldga.diagram import grid_to_front, resolve
+from ldga.diagram import DiagramError, grid_to_front, resolve
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +77,90 @@ def test_budget_exhaustion_is_loud():
         build_dga(proj, budget=5)
 
 
-@pytest.mark.parametrize("name, steps", [("m821", 1618), ("torus2_7", 3733)])
-def test_largest_crossing_step_count_pinned(name, steps):
-    # the budget caps steps per crossing, so S = the largest crossing's count
-    # is the least budget that builds the DGA
-    from ldga.diagram import CROSS, FrontDiagram, LCUSP, RCUSP
+def test_budget_message_says_how_far_it_got():
+    # e1 of T(2,7): the east sweep takes 108 steps and finds one disk
+    with pytest.raises(DiskBudgetExceeded) as exc:
+        boundary_words(torus2_projection(7), "e1", budget=200)
+    message = str(exc.value)
+    assert "'e1'" in message and "budget of 200 steps" in message
+    assert "west positive corners" in message and "disks found so far: 1" in message
+    assert "--budget" in message
 
+
+@pytest.mark.parametrize("name, steps", [("m821", 865), ("torus2_7", 371)])
+def test_largest_crossing_step_count_pinned(name, steps):
+    # the budget caps steps per crossing, memo hits included, so S = the
+    # largest crossing's count is the least budget that builds the DGA
     if name == "m821":
         proj = resolve(grid_to_front(m821_grid()))
     else:
-        proj = resolve(FrontDiagram(
-            [(LCUSP, 0), (LCUSP, 2)] + [(CROSS, 1)] * 7 + [(RCUSP, 2), (RCUSP, 0)]
-        ))
+        proj = torus2_projection(7)
     build_dga(proj, budget=steps)
     with pytest.raises(DiskBudgetExceeded):
         build_dga(proj, budget=steps - 1)
+
+
+def test_memo_key_reads_positions_partition_orphans_and_pos():
+    a = _diskcore._Interval(0, 1, 10, 11, 1)
+    b = _diskcore._Interval(2, 3, 12, 13, 2)
+    search = _diskcore._Search(torus2_projection(3), "c1", None)
+
+    def key(uf, pos=False, state=(a, b)):
+        comps = sum(x == r for x, r in uf.items())
+        return search._key(state, {"uf": uf, "comps": comps, "pos": pos})
+
+    apart = {1: 1, 2: 2}
+    base = key(apart)
+    assert key({1: 1, 2: 1}) != base  # one lineage tree, not two
+    assert key(apart, pos=True) != base
+    assert key(apart, state=(a, b._replace(top=4))) != base
+    one, two, three = ({**apart, **{x: x for x in range(3, 3 + k)}} for k in (1, 2, 3))
+    assert len({base, key(one), key(two)}) == 3  # 0, 1 and 2 orphans
+    assert key(three) == key(two)  # orphan counts are capped at 2
+    # arc ids and lineage ids are not part of the key
+    renamed = (a._replace(bottom_arc=20, lineage=5), b._replace(top_arc=30, lineage=6))
+    assert key({5: 5, 6: 6}, state=renamed) == base
+
+
+def _differential_projections():
+    projs = {"unknot": unknot_projection(), "m821": resolve(grid_to_front(m821_grid()))}
+    projs.update({f"torus2_{n}": torus2_projection(n) for n in (3, 5, 7, 9)})
+    for seed in range(40):
+        rng = random.Random(seed)
+        front = grid_to_front(_random_knot_grid(rng, rng.choice([4, 5, 6, 7])))
+        try:
+            projs[f"random_{seed}"] = resolve(front)
+        except DiagramError:
+            continue  # nonzero rotation: the front has no graded resolution
+    return projs
+
+
+def test_memoized_search_matches_search_without_memo(monkeypatch):
+    # a dead-state memo may only skip subtrees that read no word
+    projs = _differential_projections()
+    assert sum(name.startswith("random_") for name in projs) >= 10
+
+    def all_words():
+        return {
+            (name, c.name): boundary_words(proj, c.name, budget=10**7)
+            for name, proj in projs.items()
+            for c in proj.crossings
+        }
+
+    memoized = all_words()
+    # a fresh object is never in the dead set, so no state is ever skipped
+    monkeypatch.setattr(_diskcore._Search, "_key", lambda self, state, ctx: object())
+    assert all_words() == memoized
+
+
+def test_torus2_builtin():
+    # the (2,n) family: torus2:3 is the trefoil, and #Aug over F2 is (2^(n+1) - 1)/3
+    assert dump_dsl(build_dga(builtin("torus2:3"))) == dump_dsl(build_dga(trefoil_projection()))
+    dga = build_dga(builtin("torus2:5"))
+    assert len(enumerate_augmentations(dga, 2)) == (2 ** 6 - 1) // 3
+    for bad in ("torus2:1", "torus2:4", "torus2:0"):
+        with pytest.raises(BuiltinError, match="odd n >= 3"):
+            builtin(bad)
 
 
 def test_crossing_relabeling_matches_after_rename():

@@ -74,6 +74,12 @@ def test_augs_trefoil(capsys):
     assert "5 augmentations" in err
 
 
+def test_augs_torus2_builtin(capsys):
+    # closed form for the max-tb (2,n) torus knot over F2: (2^(n+1) - 1)/3
+    report, _ = run_json(capsys, "augs", "--builtin", "torus2:9", "--field", "2")
+    assert report["result"]["count"] == (2 ** 10 - 1) // 3 == 341
+
+
 def test_augs_unknot_dsl_fixture(capsys):
     report, _ = run_json(capsys, "augs", "--dsl", str(FIXTURES / "unknot.dga"), "--field", "2")
     assert report["result"]["count"] == 1
@@ -104,6 +110,11 @@ def test_spin_integral(capsys):
         "0": [2, []], "1": [1, []], "3": [2, []], "4": [1, []]
     }
     assert "Z^2" in err
+
+
+def test_spin_empty_schedule_has_no_stages(capsys):
+    report, _ = run_json(capsys, "spin", "--builtin", "twist:5", "--spin", "", "--integral")
+    assert [st["stage"] for st in report["stages"]] == ["start"]
 
 
 def test_spin_field_kunneth(capsys):
@@ -297,6 +308,10 @@ def test_reports_deterministic_modulo_timing(capsys, argv):
         ["dga", "--grid", str(FIXTURES / "m821.json"), "--budget", "-1"],
         ["certify", "classA", "--budget", "0"],
         ["certify", "classA", "--budget", "-1"],
+        ["spin", "--builtin", "twist:5", "--spin", "3,,1", "--integral"],
+        ["spin", "--builtin", "twist:5", "--spin", "3,", "--integral"],
+        ["augs", "--builtin", "torus2:8"],
+        ["augs", "--builtin", "torus2:1"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from ldga.cedga import build_dga, dump_dsl
+from ldga.cedga import build_dga, builtin, dump_dsl
 from ldga.cli import main
-from ldga.diagram import CROSS, FrontDiagram, LCUSP, RCUSP, resolve
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -69,13 +68,12 @@ CASES = {
     "spin_f3dsl_s1.json": ["spin", "--dsl", "fixtures/f3.dga", "--spin", "1"],
 }
 
-TORUS_CASES = {f"dsl_torus2_{n}.dga": n for n in (3, 5, 7, 9)}
+TORUS_CASES = {f"dsl_torus2_{n}.dga": n for n in (3, 5, 7, 9, 11, 13)}
 
 
 def torus2_dsl(n: int) -> str:
-    """``dump_dsl`` of the max-tb (2,n) torus front's DGA."""
-    events = [(LCUSP, 0), (LCUSP, 2)] + [(CROSS, 1)] * n + [(RCUSP, 2), (RCUSP, 0)]
-    return dump_dsl(build_dga(resolve(FrontDiagram(events))))
+    """``dump_dsl`` of the max-tb (2,n) torus front's DGA, from the ``torus2:n`` builtin."""
+    return dump_dsl(build_dga(builtin(f"torus2:{n}")))
 
 
 def render(argv: list[str]) -> str:
