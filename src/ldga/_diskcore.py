@@ -23,15 +23,20 @@ must be a single tree.  The boundary word is read off by traversing arc
 joints counterclockwise from the positive corner.  Every produced disk is
 checked against the index identity deg(a) - sum deg(b_i) = 1 by the caller.
 
-Each branch of the depth-first sweep carries a search context, a dict:
+One depth-first sweep finds the disks of every crossing.  While no
+positive corner is placed, each crossing may open one as an east corner, a
+new interval spanning exactly the crossing gap, or close the gap interval
+as a west corner; the context records that crossing, and from then on no
+transition reads it.  Each branch of the sweep carries a search context,
+a dict:
 
   * ``joints`` maps a boundary arc to ``(letter, next arc)``, where the
     letter is the crossing of a negative corner, ``None`` where the arc
     turns at a cusp or cap, or ``"POS"`` at the positive corner;
   * ``uf`` is the lineage union-find, mapping a lineage to its parent;
   * ``next`` is the first unused id; arcs and lineages draw from it;
-  * ``start`` is the arc leaving the positive corner, and ``pos`` says
-    whether that corner is placed yet;
+  * ``start`` is the arc leaving the positive corner, ``corner`` is that
+    corner's crossing, and ``pos`` says whether the corner is placed yet;
   * ``comps`` counts the lineage components, the trees of ``uf``.
 
 Sibling branches share their parent's context, so a branch that changes
@@ -42,8 +47,14 @@ unregistered lineage.  A finger and the east positive corner open a new
 component; a split joins the tree of the interval it splits, and a merge
 at a cap joins two trees into one.
 
+Each disk is found once, on the one path that traces it.  Before its
+positive corner, every crossing offers both corner options next to its
+other transitions, so no disk is cut off before its corner is reached; a
+path places at most one corner, so no disk is read twice; and after the
+corner, no transition reads which crossing holds it.
+
 Dead states are memoized.  A state is dead when its subtree yields no
-disk; each ``run`` keeps, per event index, the keys of the states found
+disk; the sweep keeps, per event index, the keys of the states found
 dead, and a state whose key is there is not explored again.  The key of a
 state before event ``idx`` is:
 
@@ -56,29 +67,29 @@ state before event ``idx`` is:
 Two states with one key have the same subtree shape, so they are dead
 together:
 
-  * every transition reads only interval positions, ``pos``, the anchor
-    side (fixed within a ``run``) and whether two active intervals share
-    a root; the partition after a transition follows from the partition
-    before it;
+  * every transition reads only interval positions, ``pos`` and whether
+    two active intervals share a root; the partition after a transition
+    follows from the partition before it;
   * acceptance at the end reads only whether the state is empty, ``pos``
     and whether exactly one component remains;
   * an orphaned component has no interval to merge through, so it stays
     a component to the end: one orphan fails unless the state empties
     with no other component, and two or more always fail, so counts past
     2 need not be told apart;
-  * arc ids, joints and ``start`` shape only the word read on success;
-    a dead subtree reads no word, so skipping it leaves ``found``, and
-    its order, unchanged.
+  * arc ids, joints, ``start`` and ``corner`` shape only the word read on
+    success, and which crossing it belongs to; a dead subtree reads no
+    word, so skipping it leaves ``found``, and its order, unchanged.
 
 The tripwires are unaffected: the straddle check of ``_do_birth`` reads
 only positions, so a state whose key is dead raised nothing the first
 time and raises nothing now, and ``_read_word`` runs only on found disks.
-The budget counts every ``_dfs`` step, memo hits included.
+The budget counts every ``_dfs`` step of the sweep, memo hits included.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from typing import NamedTuple
 
 from .diagram import BIRTH, CAP, DiagramError, ProjectionDiagram
@@ -103,25 +114,20 @@ class _Interval(NamedTuple):
 
 
 class _Search:
-    def __init__(self, diagram: ProjectionDiagram, crossing: str, budget: int | None):
+    def __init__(self, diagram: ProjectionDiagram, budget: int | None):
         self.events = list(diagram.events)
         n = 0
-        self.anchor = None
-        for idx, ev in enumerate(self.events):
+        for ev in self.events:
             if ev[0] == BIRTH:
                 n += 2
             elif ev[0] == CAP:
                 n -= 2
-            elif ev[2] == crossing:
-                self.anchor = idx
         if n != 0:
             raise DiagramError("resolved diagram does not close up")
-        if self.anchor is None:
-            raise KeyError(f"no crossing named {crossing!r}")
-        self.crossing = crossing
         self.budget = DEFAULT_DISK_BUDGET if budget is None else budget
         self.steps = 0
-        self.found: list[tuple[str, ...]] = []
+        self.found: list[tuple[str, tuple[str, ...]]] = []
+        self.dead: list[set[bytes]] = [set() for _ in self.events]
 
     # -- the search context -------------------------------------------------
 
@@ -170,32 +176,24 @@ class _Search:
 
     # -- the sweep ----------------------------------------------------------
 
-    def run(self, anchor_side: str) -> None:
-        """Enumerate disks whose positive corner opens east or west."""
-        self.anchor_side = anchor_side
-        self.dead: list[set[bytes]] = [set() for _ in self.events]
-        try:
-            self._dfs(0, (), {"joints": {}, "uf": {}, "next": 0, "start": None,
-                              "pos": False, "comps": 0})
-        finally:
-            # the recursive `expand` closures of _do_cross form reference
-            # cycles through self, so self may outlive the search until the
-            # cyclic collector runs; the memo should not live on with it
-            del self.dead
+    def run(self) -> None:
+        """Enumerate the disks of every crossing into ``found``."""
+        self._dfs(0, (), {"joints": {}, "uf": {}, "next": 0, "start": None,
+                          "corner": None, "pos": False, "comps": 0})
 
     def _dfs(self, idx: int, state: tuple[_Interval, ...], ctx: dict):
         self.steps += 1
         if self.steps > self.budget:
-            side = "east" if self.anchor_side == "E" else "west"
+            per = Counter(name for name, _ in self.found)
+            at = ", ".join(f"{name}: {k}" for name, k in sorted(per.items()))
             raise DiskBudgetExceeded(
-                f"disk search for {self.crossing!r} exceeded its budget of "
-                f"{self.budget} steps while sweeping for {side} positive corners "
-                f"(disks found so far: {len(self.found)}); "
-                f"raise --budget to search further"
+                f"disk search exceeded its budget of {self.budget} steps at sweep "
+                f"event {idx} of {len(self.events)}; disks found so far: "
+                f"{len(self.found)}{f' ({at})' if at else ''}; raise --budget to search further"
             )
         if idx == len(self.events):
             if not state and ctx["pos"] and ctx["comps"] == 1:
-                self.found.append(self._read_word(ctx))
+                self.found.append((ctx["corner"], self._read_word(ctx)))
             return
         key = self._key(state, ctx)
         dead = self.dead[idx]
@@ -295,16 +293,14 @@ class _Search:
     def _do_cross(self, idx, i, name, state, ctx):
         # an option is "positive_death", "corner_s", "corner_n", or the new
         # (bottom, top) of an interval whose endpoint passes the crossing
-        is_anchor = idx == self.anchor
         choosers = []
         fixed = []
         for iv in state:
             b, t = iv.bottom, iv.top
             if b == i and t == i + 1:
-                if is_anchor and self.anchor_side == "W" and not ctx["pos"]:
-                    choosers.append((iv, ("positive_death",)))
-                else:
+                if ctx["pos"]:
                     return  # the gap interval pinches; no other transition
+                choosers.append((iv, ("positive_death",)))
             elif t == i and b < i:
                 choosers.append((iv, ((b, i + 1), "corner_s")))
             elif b == i + 1 and t > i + 1:
@@ -316,37 +312,41 @@ class _Search:
             else:
                 fixed.append(iv)
 
-        def expand(k: int, acc: list[_Interval], ctx_now: dict):
-            if k == len(choosers):
-                if is_anchor and self.anchor_side == "E" and not ctx_now["pos"]:
-                    # the positive corner must open exactly here
-                    ctx_now, (b_arc, t_arc, lin) = self._fork(ctx_now, 3)
-                    ctx_now["joints"][t_arc] = ("POS", None)
-                    ctx_now["uf"][lin] = lin
-                    ctx_now.update(start=b_arc, pos=True, comps=ctx_now["comps"] + 1)
-                    acc = [*acc, _Interval(i, i + 1, b_arc, t_arc, lin)]
-                self._next(idx, acc, ctx_now)
-                return
-            iv, options = choosers[k]
-            for opt in options:
-                if opt == "positive_death":
-                    ctx2, _ = self._fork(ctx_now)
-                    ctx2["joints"][iv.bottom_arc] = ("POS", None)
-                    ctx2.update(start=iv.top_arc, pos=True)
-                    expand(k + 1, acc, ctx2)
-                elif opt == "corner_s":
-                    ctx2, (t_e,) = self._fork(ctx_now, 1)
-                    ctx2["joints"][t_e] = (name, iv.top_arc)
-                    expand(k + 1, [*acc, _Interval(iv.bottom, i, iv.bottom_arc, t_e, iv.lineage)], ctx2)
-                elif opt == "corner_n":
-                    ctx2, (b_e,) = self._fork(ctx_now, 1)
-                    ctx2["joints"][iv.bottom_arc] = (name, b_e)
-                    expand(k + 1, [*acc, _Interval(i + 1, iv.top, b_e, iv.top_arc, iv.lineage)], ctx2)
-                else:
-                    b, t = opt
-                    expand(k + 1, [*acc, _Interval(b, t, iv.bottom_arc, iv.top_arc, iv.lineage)], ctx_now)
+        # every combination of options, the first chooser varying slowest
+        branches = [(fixed, ctx)]
+        for iv, options in choosers:
+            grown = []
+            for acc, ctx_now in branches:
+                for opt in options:
+                    if opt == "positive_death":
+                        ctx2, _ = self._fork(ctx_now)
+                        ctx2["joints"][iv.bottom_arc] = ("POS", None)
+                        ctx2.update(start=iv.top_arc, corner=name, pos=True)
+                        grown.append((acc, ctx2))
+                        continue
+                    if opt == "corner_s":
+                        ctx2, (t_e,) = self._fork(ctx_now, 1)
+                        ctx2["joints"][t_e] = (name, iv.top_arc)
+                        new = _Interval(iv.bottom, i, iv.bottom_arc, t_e, iv.lineage)
+                    elif opt == "corner_n":
+                        ctx2, (b_e,) = self._fork(ctx_now, 1)
+                        ctx2["joints"][iv.bottom_arc] = (name, b_e)
+                        new = _Interval(i + 1, iv.top, b_e, iv.top_arc, iv.lineage)
+                    else:
+                        ctx2 = ctx_now
+                        new = _Interval(*opt, iv.bottom_arc, iv.top_arc, iv.lineage)
+                    grown.append(([*acc, new], ctx2))
+            branches = grown
 
-        expand(0, fixed, ctx)
+        for acc, ctx_now in branches:
+            self._next(idx, acc, ctx_now)
+            if not ctx_now["pos"]:
+                # the positive corner may open east of this crossing
+                ctx2, (b_arc, t_arc, lin) = self._fork(ctx_now, 3)
+                ctx2["joints"][t_arc] = ("POS", None)
+                ctx2["uf"][lin] = lin
+                ctx2.update(start=b_arc, corner=name, pos=True, comps=ctx2["comps"] + 1)
+                self._next(idx, [*acc, _Interval(i, i + 1, b_arc, t_arc, lin)], ctx2)
 
     def _next(self, idx, state_list, ctx):
         state = tuple(sorted(state_list, key=lambda iv: (iv.bottom, iv.top)))
@@ -377,15 +377,14 @@ class _Search:
 
 def boundary_words(
     diagram: ProjectionDiagram,
-    crossing: str,
     budget: int | None = None,
-) -> list[tuple[str, ...]]:
-    """All immersed one-positive-corner disk words at `crossing`.
+) -> list[tuple[str, tuple[str, ...]]]:
+    """All immersed one-positive-corner disks, as (crossing, word) pairs.
 
-    Words list the negative corners counterclockwise starting after the
-    positive corner; multiplicity is preserved.
+    The crossing is the disk's positive corner; its word lists the negative
+    corners counterclockwise starting after it.  Multiplicity is preserved.
+    The budget caps the steps of the one sweep that finds them all.
     """
-    search = _Search(diagram, crossing, budget)
-    search.run("E")
-    search.run("W")
+    search = _Search(diagram, budget)
+    search.run()
     return search.found

@@ -7,9 +7,9 @@ diagram).  Every disk found is checked against the index identity
 deg(a) - sum deg(b_i) = 1, and every assembled DGA must pass validation
 (degree purity and d^2 = 0) before it is returned.
 
-The disk budget caps the number of sweep steps per crossing, memo hits
-included (default 500000); set it with ``build_dga(..., budget=)`` or the
-CLI's ``--budget``.
+One sweep finds the disks of every crossing, so the disk budget caps the
+sweep steps per DGA build, memo hits included (default 500000); set it
+with ``build_dga(..., budget=)`` or the CLI's ``--budget``.
 """
 
 from __future__ import annotations
@@ -70,23 +70,20 @@ def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
     """Enumerate disks and assemble the F2 DGA of a resolved diagram."""
     degrees = {c.name: c.degree for c in diagram.crossings}
     ring = GF(2)
-
-    def diff_for(name: str) -> Element:
-        words = boundary_words(diagram, name, budget=budget)
-        for w in words:
-            got = degrees[name] - sum(degrees[b] for b in w)
-            if got != 1:
-                raise DiskSearchError(
-                    f"disk at {name!r} with word {w} violates the index identity: "
-                    f"deg difference {got} != 1"
-                )
-        # disks are counted mod 2: words found twice cancel
-        return Element.sum(ring, ((w, ring.one) for w in words))
-
+    words: dict[str, list[tuple[str, ...]]] = {name: [] for name in degrees}
+    for name, w in boundary_words(diagram, budget=budget):
+        got = degrees[name] - sum(degrees[b] for b in w)
+        if got != 1:
+            raise DiskSearchError(
+                f"disk at {name!r} with word {w} violates the index identity: "
+                f"deg difference {got} != 1"
+            )
+        words[name].append(w)
     dga = DGA(
         ring,
         tuple(Generator(c.name, c.degree) for c in diagram.crossings),
-        {c.name: diff_for(c.name) for c in diagram.crossings},
+        # disks are counted mod 2: words found twice cancel
+        {name: Element.sum(ring, ((w, ring.one) for w in ws)) for name, ws in words.items()},
     )
     report = validate(dga)
     if not report.ok:

@@ -100,11 +100,9 @@ def _load_dga(args, inputs: dict):
 
 def _parse_fields(spec: str) -> list[int]:
     try:
-        fields = [int(x) for x in spec.split(",") if x]
+        fields = [int(x) for x in spec.split(",")]
     except ValueError:
-        raise CliError(f"bad field list {spec!r}", EXIT_PARSE)
-    if not fields:
-        raise CliError("empty field list", EXIT_PARSE)
+        raise CliError(f"bad field list {spec!r}: want a comma list of field orders", EXIT_PARSE)
     for q in fields:
         try:
             GF(q)
@@ -337,7 +335,7 @@ def cmd_certify(args):
 # ---------------------------------------------------------------------------
 
 _BUDGET_HELP = (
-    "disk search budget: sweep steps per crossing, memo hits included "
+    "disk search budget: sweep steps per DGA build, memo hits included "
     f"(default {cedga.DEFAULT_DISK_BUDGET})"
 )
 

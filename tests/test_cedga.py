@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from test_diagram import _random_knot_grid
@@ -36,8 +38,7 @@ def test_unknot_differential():
     dga = build_dga(unknot_projection())
     assert [g.degree for g in dga.generators] == [1]
     assert dga.diff_of(dga.generators[0].name).is_zero
-    words = boundary_words(unknot_projection(), "e1")
-    assert sorted(words) == [(), ()]
+    assert boundary_words(unknot_projection()) == [("e1", ()), ("e1", ())]
 
 
 def test_trefoil_differential_frozen():
@@ -66,9 +67,10 @@ def test_diagram_dgas_validate():
 def test_index_identity_on_all_disks():
     proj = resolve(grid_to_front(m821_grid()))
     degrees = {c.name: c.degree for c in proj.crossings}
-    for c in proj.crossings:
-        for word in boundary_words(proj, c.name):
-            assert degrees[c.name] - sum(degrees[b] for b in word) == 1
+    disks = boundary_words(proj)
+    assert {name for name, _ in disks} <= set(degrees)
+    for name, word in disks:
+        assert degrees[name] - sum(degrees[b] for b in word) == 1
 
 
 def test_budget_exhaustion_is_loud():
@@ -78,19 +80,19 @@ def test_budget_exhaustion_is_loud():
 
 
 def test_budget_message_says_how_far_it_got():
-    # e1 of T(2,7): the east sweep takes 108 steps and finds one disk
+    # T(2,7): 200 steps reach event 7 of 13 and find 18 disks, 17 of them at e1
     with pytest.raises(DiskBudgetExceeded) as exc:
-        boundary_words(torus2_projection(7), "e1", budget=200)
+        boundary_words(torus2_projection(7), budget=200)
     message = str(exc.value)
-    assert "'e1'" in message and "budget of 200 steps" in message
-    assert "west positive corners" in message and "disks found so far: 1" in message
+    assert "budget of 200 steps" in message and "sweep event 7 of 13" in message
+    assert "disks found so far: 18 (e1: 17, e2: 1)" in message
     assert "--budget" in message
 
 
-@pytest.mark.parametrize("name, steps", [("m821", 865), ("torus2_7", 371)])
-def test_largest_crossing_step_count_pinned(name, steps):
-    # the budget caps steps per crossing, memo hits included, so S = the
-    # largest crossing's count is the least budget that builds the DGA
+@pytest.mark.parametrize("name, steps", [("m821", 1458), ("torus2_7", 578)])
+def test_build_step_count_pinned(name, steps):
+    # the budget caps the steps of the one sweep per build, memo hits
+    # included, so S = the sweep's step count is the least budget that works
     if name == "m821":
         proj = resolve(grid_to_front(m821_grid()))
     else:
@@ -103,7 +105,7 @@ def test_largest_crossing_step_count_pinned(name, steps):
 def test_memo_key_reads_positions_partition_orphans_and_pos():
     a = _diskcore._Interval(0, 1, 10, 11, 1)
     b = _diskcore._Interval(2, 3, 12, 13, 2)
-    search = _diskcore._Search(torus2_projection(3), "c1", None)
+    search = _diskcore._Search(torus2_projection(3), None)
 
     def key(uf, pos=False, state=(a, b)):
         comps = sum(x == r for x, r in uf.items())
@@ -141,16 +143,27 @@ def test_memoized_search_matches_search_without_memo(monkeypatch):
     assert sum(name.startswith("random_") for name in projs) >= 10
 
     def all_words():
-        return {
-            (name, c.name): boundary_words(proj, c.name, budget=10**7)
-            for name, proj in projs.items()
-            for c in proj.crossings
-        }
+        return {name: boundary_words(proj, budget=10**7) for name, proj in projs.items()}
 
     memoized = all_words()
     # a fresh object is never in the dead set, so no state is ever skipped
     monkeypatch.setattr(_diskcore._Search, "_key", lambda self, state, ctx: object())
     assert all_words() == memoized
+
+
+def test_finished_search_is_freed_without_the_cyclic_collector():
+    # a search holds its memo; nothing may keep it alive in a reference cycle
+    proj = resolve(grid_to_front(m821_grid()))
+    gc.disable()
+    try:
+        search = _diskcore._Search(proj, None)
+        search.run()
+        assert search.found and any(search.dead)
+        ref = weakref.ref(search)
+        del search
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_torus2_builtin():

@@ -312,6 +312,10 @@ def test_reports_deterministic_modulo_timing(capsys, argv):
         ["spin", "--builtin", "twist:5", "--spin", "3,", "--integral"],
         ["augs", "--builtin", "torus2:8"],
         ["augs", "--builtin", "torus2:1"],
+        ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "2,,4,"],
+        ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", ""],
+        ["certify", "classA", "--fields", "2,"],
+        ["certify", "classB", "--n", "5", "--fields", ",4"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

@@ -1,7 +1,8 @@
 """CLI reports must match the committed goldens outside ``timing_ms``.
 
-The ``dump_dsl`` text of the max-tb (2,N) torus DGAs is pinned too, so any
-change to the disk search that alters a differential shows here.
+The ``dump_dsl`` text of the max-tb (2,N) torus DGAs and of the DGAs of the
+random grid fronts is pinned too, so any change to the disk search that
+alters a differential shows here.
 
 Regenerate (only when an answer is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
@@ -11,13 +12,16 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
 import pytest
+from test_diagram import _random_knot_grid
 
-from ldga.cedga import build_dga, builtin, dump_dsl
+from ldga.cedga import DiskSearchError, build_dga, builtin, dump_dsl
 from ldga.cli import main
+from ldga.diagram import DiagramError, grid_to_front, resolve
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -76,6 +80,32 @@ def torus2_dsl(n: int) -> str:
     return dump_dsl(build_dga(builtin(f"torus2:{n}")))
 
 
+RANDOM_FRONTS = "dsl_random_fronts.txt"
+
+
+def random_fronts_dsl() -> str:
+    """``dump_dsl`` of the DGA of every resolvable random grid front, seeds 0-199.
+
+    Each seed draws a grid size from 4..8 and then a knot grid of that size.
+    A front whose DGA fails validation is pinned by its error.
+    """
+    out = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        size = rng.choice([4, 5, 6, 7, 8])
+        try:
+            proj = resolve(grid_to_front(_random_knot_grid(rng, size)))
+        except DiagramError:
+            continue  # nonzero rotation: the front has no graded resolution
+        out.append(f"# seed {seed}, grid size {size}, {len(proj.crossings)} crossings\n")
+        try:
+            out.append(dump_dsl(build_dga(proj)))
+        except DiskSearchError as exc:  # pinned as text: a defect must stay visible
+            out.append("".join(f"# {line}\n" for line in
+                               f"{type(exc).__name__}: {exc}".splitlines()))
+    return "".join(out)
+
+
 def render(argv: list[str]) -> str:
     """Run the CLI from the repository root; JSON reports lose ``timing_ms``."""
     out = io.StringIO()
@@ -105,6 +135,10 @@ def test_torus_dga_matches_golden(name):
     assert torus2_dsl(TORUS_CASES[name]) == (GOLDEN / name).read_text()
 
 
+def test_random_front_dgas_match_golden():
+    assert random_fronts_dsl() == (GOLDEN / RANDOM_FRONTS).read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
@@ -113,3 +147,5 @@ if __name__ == "__main__":
     for name, n in TORUS_CASES.items():
         (GOLDEN / name).write_text(torus2_dsl(n))
         print(f"wrote {GOLDEN / name}", file=sys.stderr)
+    (GOLDEN / RANDOM_FRONTS).write_text(random_fronts_dsl())
+    print(f"wrote {GOLDEN / RANDOM_FRONTS}", file=sys.stderr)
