@@ -17,11 +17,12 @@ disk's boundary.  Events transform states:
     or cap from outside would be a reflex boundary point and is rejected.
 
 Merging two sheets that are already connected through the past would
-create an annulus instead of a disk, so lineages are tracked with a
-union-find and such merges are rejected; at the end the lineage forest
-must be a single tree.  The boundary word is read off by traversing arc
-joints counterclockwise from the positive corner.  Every produced disk is
-checked against the index identity deg(a) - sum deg(b_i) = 1 by the caller.
+create an annulus instead of a disk, so each interval carries the label
+of its connected component and such merges are rejected; at the end a
+single component must remain.  The boundary word is read off by
+traversing arc joints counterclockwise from the positive corner.  Every
+produced disk is checked against the index identity
+deg(a) - sum deg(b_i) = 1 by the caller.
 
 One depth-first sweep finds the disks of every crossing.  While no
 positive corner is placed, each crossing may open one as an east corner, a
@@ -33,19 +34,19 @@ a dict:
   * ``joints`` maps a boundary arc to ``(letter, next arc)``, where the
     letter is the crossing of a negative corner, ``None`` where the arc
     turns at a cusp or cap, or ``"POS"`` at the positive corner;
-  * ``uf`` is the lineage union-find, mapping a lineage to its parent;
-  * ``next`` is the first unused id; arcs and lineages draw from it;
-  * ``start`` is the arc leaving the positive corner, ``corner`` is that
-    corner's crossing, and ``pos`` says whether the corner is placed yet;
-  * ``comps`` counts the lineage components, the trees of ``uf``.
+  * ``start`` is the arc leaving the positive corner, and ``corner`` is
+    that corner's crossing, ``None`` until the corner is placed;
+  * ``comps`` counts the components opened and not merged away, those
+    with an interval left and the orphans without one.
 
 Sibling branches share their parent's context, so a branch that changes
-it first copies it with ``_Search._fork``, which also hands out fresh ids.
-Every lineage enters ``uf`` when its sheet opens (a finger or a split at
-a left cusp, or the east positive corner), so ``_find`` never meets an
-unregistered lineage.  A finger and the east positive corner open a new
-component; a split joins the tree of the interval it splits, and a merge
-at a cap joins two trees into one.
+it first copies it with ``_Search._fork``.  Arc and component ids come
+from one counter per search, so no two branches need to agree on them.
+A finger and the east positive corner open a new component; a split at
+a left cusp keeps the component of the interval it splits, and a merge
+at a cap relabels the lower interval's component to the upper one's in
+every interval it carries on.  So two active intervals share a label
+exactly when their sheets are connected through the past.
 
 Each disk is found once, on the one path that traces it.  Before its
 positive corner, every crossing offers both corner options next to its
@@ -59,26 +60,27 @@ dead, and a state whose key is there is not explored again.  The key of a
 state before event ``idx`` is:
 
   * the ``(bottom, top)`` of each interval, in sweep order;
-  * the partition of those intervals by lineage root;
+  * the partition of those intervals by component;
   * the number of orphaned components, those with no interval left,
     capped at 2;
-  * ``pos``.
+  * whether the positive corner is placed.
 
 Two states with one key have the same subtree shape, so they are dead
 together:
 
-  * every transition reads only interval positions, ``pos`` and whether
-    two active intervals share a root; the partition after a transition
-    follows from the partition before it;
-  * acceptance at the end reads only whether the state is empty, ``pos``
-    and whether exactly one component remains;
+  * every transition reads only interval positions, whether the corner
+    is placed and whether two active intervals share a component; the
+    partition after a transition follows from the partition before it;
+  * acceptance at the end reads only whether the state is empty, whether
+    the corner is placed and whether exactly one component remains;
   * an orphaned component has no interval to merge through, so it stays
     a component to the end: one orphan fails unless the state empties
     with no other component, and two or more always fail, so counts past
     2 need not be told apart;
-  * arc ids, joints, ``start`` and ``corner`` shape only the word read on
-    success, and which crossing it belongs to; a dead subtree reads no
-    word, so skipping it leaves ``found``, and its order, unchanged.
+  * arc and component ids, joints, ``start`` and which crossing holds the
+    corner shape only the word read on success, and which crossing it
+    belongs to; a dead subtree reads no word, so skipping it leaves
+    ``found``, and its order, unchanged.
 
 The tripwires are unaffected: the straddle check of ``_do_birth`` reads
 only positions, so a state whose key is dead raised nothing the first
@@ -90,6 +92,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from itertools import count
 from typing import NamedTuple
 
 from .diagram import BIRTH, CAP, DiagramError, ProjectionDiagram
@@ -110,7 +113,14 @@ class _Interval(NamedTuple):
     top: int
     bottom_arc: int
     top_arc: int
-    lineage: int
+    comp: int
+
+
+def _shift(iv: _Interval, at: int, by: int, comp: int) -> _Interval:
+    """iv in component comp, its endpoints at or above level `at` moved by `by`."""
+    b = iv.bottom + by if iv.bottom >= at else iv.bottom
+    t = iv.top + by if iv.top >= at else iv.top
+    return _Interval(b, t, iv.bottom_arc, iv.top_arc, comp)
 
 
 class _Search:
@@ -128,58 +138,46 @@ class _Search:
         self.steps = 0
         self.found: list[tuple[str, tuple[str, ...]]] = []
         self.dead: list[set[bytes]] = [set() for _ in self.events]
+        self.ids = count()  # arc and component ids, unique across the sweep
 
     # -- the search context -------------------------------------------------
 
     @staticmethod
-    def _find(uf: dict, x: int) -> int:
-        while uf[x] != x:
-            x = uf[x]
-        return x
-
-    @staticmethod
-    def _fork(ctx: dict, fresh: int = 0) -> tuple[dict, range]:
-        """A copy of ctx to mutate on one branch, and `fresh` new ids."""
+    def _fork(ctx: dict) -> dict:
+        """A copy of ctx to mutate on one branch."""
         out = ctx.copy()
         out["joints"] = ctx["joints"].copy()
-        out["uf"] = ctx["uf"].copy()
-        first = ctx["next"]
-        out["next"] = first + fresh
-        return out, range(first, first + fresh)
+        return out
 
-    def _open_cusp(self, ctx: dict, parent: int | None = None):
-        """Fork ctx for a sheet opening at a cusp: (ctx, top arc, bottom arc, lineage).
+    def _open_cusp(self, ctx: dict, comp: int | None = None):
+        """Fork ctx for a sheet opening at a cusp: (ctx, top arc, bottom arc, comp).
 
-        The new lineage is its own root, or joins `parent`'s tree when the
-        sheet splits off an interval covering the cusp.
+        The sheet opens a new component, or stays in `comp` when it splits
+        off an interval covering the cusp.
         """
-        out, (t_arc, b_arc, lin) = self._fork(ctx, 3)
+        out = self._fork(ctx)
+        t_arc, b_arc = next(self.ids), next(self.ids)
         out["joints"][t_arc] = (None, b_arc)
-        if parent is None:
-            out["uf"][lin] = lin
+        if comp is None:
+            comp = next(self.ids)
             out["comps"] += 1
-        else:
-            out["uf"][lin] = self._find(out["uf"], parent)
-        return out, t_arc, b_arc, lin
+        return out, t_arc, b_arc, comp
 
-    def _key(self, state: tuple[_Interval, ...], ctx: dict) -> bytes:
+    @staticmethod
+    def _key(state: tuple[_Interval, ...], ctx: dict) -> bytes:
         """The memo key of a state (see the module docstring); idx picks the set."""
-        uf = ctx["uf"]
-        labels: dict[int, int] = {}  # lineage root -> block of the partition
+        labels: dict[int, int] = {}  # component -> block of the partition
         key: list[int] = []
-        for bottom, top, _, _, root in state:
-            while uf[root] != root:  # _find, inlined: this runs at every step
-                root = uf[root]
-            key += (bottom, top, labels.setdefault(root, len(labels)))
-        key += (min(ctx["comps"] - len(labels), 2), ctx["pos"])
+        for bottom, top, _, _, comp in state:
+            key += (bottom, top, labels.setdefault(comp, len(labels)))
+        key += (min(ctx["comps"] - len(labels), 2), ctx["corner"] is not None)
         return array("I", key).tobytes()
 
     # -- the sweep ----------------------------------------------------------
 
     def run(self) -> None:
         """Enumerate the disks of every crossing into ``found``."""
-        self._dfs(0, (), {"joints": {}, "uf": {}, "next": 0, "start": None,
-                          "corner": None, "pos": False, "comps": 0})
+        self._dfs(0, (), {"joints": {}, "start": None, "corner": None, "comps": 0})
 
     def _dfs(self, idx: int, state: tuple[_Interval, ...], ctx: dict):
         self.steps += 1
@@ -192,7 +190,7 @@ class _Search:
                 f"{len(self.found)}{f' ({at})' if at else ''}; raise --budget to search further"
             )
         if idx == len(self.events):
-            if not state and ctx["pos"] and ctx["comps"] == 1:
+            if not state and ctx["corner"] is not None and ctx["comps"] == 1:
                 self.found.append((ctx["corner"], self._read_word(ctx)))
             return
         key = self._key(state, ctx)
@@ -220,22 +218,16 @@ class _Search:
         others = [iv for iv in state if iv not in straddlers]
         if len(straddlers) > 1:
             raise DiskSearchError("overlapping sheets straddle a cusp")
-
-        def shift(iv: _Interval) -> _Interval:
-            b = iv.bottom + 2 if iv.bottom >= i else iv.bottom
-            t = iv.top + 2 if iv.top >= i else iv.top
-            return _Interval(b, t, iv.bottom_arc, iv.top_arc, iv.lineage)
-
-        base = [shift(iv) for iv in others]
+        base = [_shift(iv, i, 2, iv.comp) for iv in others]
         variants: list[tuple[list[_Interval], dict]] = []
         if straddlers:
             iv = straddlers[0]
             # pass: the cusp point sits in the disk's interior
-            variants.append(([*base, shift(iv)], ctx))
+            variants.append(([*base, _shift(iv, i, 2, iv.comp)], ctx))
             # split: the boundary rounds the cusp from inside
-            ctx2, t_lo, b_hi, lin = self._open_cusp(ctx, iv.lineage)
-            lower = _Interval(iv.bottom, i, iv.bottom_arc, t_lo, iv.lineage)
-            upper = _Interval(i + 1, iv.top + 2, b_hi, iv.top_arc, lin)
+            ctx2, t_lo, b_hi, _ = self._open_cusp(ctx, iv.comp)
+            lower = _Interval(iv.bottom, i, iv.bottom_arc, t_lo, iv.comp)
+            upper = _Interval(i + 1, iv.top + 2, b_hi, iv.top_arc, iv.comp)
             variants.append(([*base, lower, upper], ctx2))
         else:
             variants.append((base, ctx))
@@ -243,8 +235,8 @@ class _Search:
         for cur, cur_ctx in variants:
             self._next(idx, cur, cur_ctx)
             # optionally open a finger hugging the new cusp
-            ctx3, t_arc, b_arc, lin = self._open_cusp(cur_ctx)
-            self._next(idx, [*cur, _Interval(i, i + 1, b_arc, t_arc, lin)], ctx3)
+            ctx3, t_arc, b_arc, comp = self._open_cusp(cur_ctx)
+            self._next(idx, [*cur, _Interval(i, i + 1, b_arc, t_arc, comp)], ctx3)
 
     def _do_cap(self, idx, i, state, ctx):
         tops = []
@@ -265,29 +257,23 @@ class _Search:
         if len(tops) != len(bottoms) or len(tops) > 1 or len(exact) > 1:
             return
         new_state = []
+        relabel = {}  # the merged-away component -> the one it joins
         if exact or tops:
-            ctx, _ = self._fork(ctx)
+            ctx = self._fork(ctx)
         for iv in exact:
             ctx["joints"][iv.bottom_arc] = (None, iv.top_arc)
         for lower, upper in zip(tops, bottoms):
-            root = self._find(ctx["uf"], lower.lineage)
-            other = self._find(ctx["uf"], upper.lineage)
-            if root == other:
+            if lower.comp == upper.comp:
                 return  # merging sheets already connected: annulus, not a disk
-            ctx["uf"][root] = other
+            relabel[lower.comp] = upper.comp
             ctx["comps"] -= 1
             ctx["joints"][upper.bottom_arc] = (None, lower.top_arc)
             new_state.append(
                 _Interval(lower.bottom, upper.top - 2, lower.bottom_arc, upper.top_arc,
-                          lower.lineage)
+                          upper.comp)
             )
-
-        def shift(iv: _Interval) -> _Interval:
-            b = iv.bottom - 2 if iv.bottom > i + 1 else iv.bottom
-            t = iv.top - 2 if iv.top > i + 1 else iv.top
-            return _Interval(b, t, iv.bottom_arc, iv.top_arc, iv.lineage)
-
-        new_state.extend(shift(iv) for iv in rest)
+        # no endpoint in rest sits at i or i + 1
+        new_state.extend(_shift(iv, i, -2, relabel.get(iv.comp, iv.comp)) for iv in rest)
         self._next(idx, new_state, ctx)
 
     def _do_cross(self, idx, i, name, state, ctx):
@@ -298,7 +284,7 @@ class _Search:
         for iv in state:
             b, t = iv.bottom, iv.top
             if b == i and t == i + 1:
-                if ctx["pos"]:
+                if ctx["corner"] is not None:
                     return  # the gap interval pinches; no other transition
                 choosers.append((iv, ("positive_death",)))
             elif t == i and b < i:
@@ -319,34 +305,34 @@ class _Search:
             for acc, ctx_now in branches:
                 for opt in options:
                     if opt == "positive_death":
-                        ctx2, _ = self._fork(ctx_now)
+                        ctx2 = self._fork(ctx_now)
                         ctx2["joints"][iv.bottom_arc] = ("POS", None)
-                        ctx2.update(start=iv.top_arc, corner=name, pos=True)
+                        ctx2.update(start=iv.top_arc, corner=name)
                         grown.append((acc, ctx2))
                         continue
                     if opt == "corner_s":
-                        ctx2, (t_e,) = self._fork(ctx_now, 1)
+                        ctx2, t_e = self._fork(ctx_now), next(self.ids)
                         ctx2["joints"][t_e] = (name, iv.top_arc)
-                        new = _Interval(iv.bottom, i, iv.bottom_arc, t_e, iv.lineage)
+                        new = _Interval(iv.bottom, i, iv.bottom_arc, t_e, iv.comp)
                     elif opt == "corner_n":
-                        ctx2, (b_e,) = self._fork(ctx_now, 1)
+                        ctx2, b_e = self._fork(ctx_now), next(self.ids)
                         ctx2["joints"][iv.bottom_arc] = (name, b_e)
-                        new = _Interval(i + 1, iv.top, b_e, iv.top_arc, iv.lineage)
+                        new = _Interval(i + 1, iv.top, b_e, iv.top_arc, iv.comp)
                     else:
                         ctx2 = ctx_now
-                        new = _Interval(*opt, iv.bottom_arc, iv.top_arc, iv.lineage)
+                        new = _Interval(*opt, iv.bottom_arc, iv.top_arc, iv.comp)
                     grown.append(([*acc, new], ctx2))
             branches = grown
 
         for acc, ctx_now in branches:
             self._next(idx, acc, ctx_now)
-            if not ctx_now["pos"]:
+            if ctx_now["corner"] is None:
                 # the positive corner may open east of this crossing
-                ctx2, (b_arc, t_arc, lin) = self._fork(ctx_now, 3)
+                ctx2 = self._fork(ctx_now)
+                b_arc, t_arc, comp = next(self.ids), next(self.ids), next(self.ids)
                 ctx2["joints"][t_arc] = ("POS", None)
-                ctx2["uf"][lin] = lin
-                ctx2.update(start=b_arc, corner=name, pos=True, comps=ctx2["comps"] + 1)
-                self._next(idx, [*acc, _Interval(i, i + 1, b_arc, t_arc, lin)], ctx2)
+                ctx2.update(start=b_arc, corner=name, comps=ctx2["comps"] + 1)
+                self._next(idx, [*acc, _Interval(i, i + 1, b_arc, t_arc, comp)], ctx2)
 
     def _next(self, idx, state_list, ctx):
         state = tuple(sorted(state_list, key=lambda iv: (iv.bottom, iv.top)))

@@ -354,12 +354,14 @@ def variety_points(system: PolySystem, q: int) -> int:
     """Exact number of GF(q) solutions, counted by the augmentation solver.
 
     Each term becomes a (word, coefficient) pair: x^k is the letter x
-    repeated k times and the integer coefficient enters through from_int.
+    repeated ((k - 1) mod (q - 1)) + 1 times for k >= 1, which is x^k on all
+    of GF(q), and the integer coefficient enters through from_int.
     """
     ring = GF(q)
     equations = [
         [
-            (tuple(var for var, power in powers for _ in range(power)), ring.from_int(coeff))
+            (tuple(var for var, k in powers for _ in range(k and (k - 1) % (q - 1) + 1)),
+             ring.from_int(coeff))
             for coeff, powers in eq
         ]
         for eq in system.equations

@@ -63,7 +63,7 @@ def _write_report(
         "result": result,
         "timing_ms": {"total": round((time.monotonic() - started) * 1000, 3)},
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
@@ -247,7 +247,7 @@ def cmd_augvar(args):
     if len(counts) >= 2:
         est = augment.dimension_estimate(counts)
         result["dimension"] = {
-            "estimate": est.estimate,
+            "estimate": None if est.estimate == float("-inf") else est.estimate,  # empty variety
             "stable": est.stable,
             "slopes": list(est.slopes),
         }
@@ -411,6 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(prefix: str, exc: Exception, code: int) -> int:
+    """Report a failure as one stderr line, its message's lines joined."""
+    message = " ".join(line.strip() for line in str(exc).splitlines())
+    print(f"{prefix}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     """Run one subcommand; every JSON report leaves through `_write_report`."""
     args = build_parser().parse_args(argv)
@@ -424,20 +431,15 @@ def main(argv=None) -> int:
             return args.func(args)
         return _write_report(args, started, *args.func(args))
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return _fail("error", exc, exc.code)
     except (BuiltinError, CoefficientError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail("error", exc, EXIT_PARSE)
     except (DSLError, DiagramError, AugmentationError, json.JSONDecodeError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail("parse error", exc, EXIT_PARSE)
     except DGAValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATE
+        return _fail("validation error", exc, EXIT_VALIDATE)
     except (ObstructionStageError, SpinError, DiskBudgetExceeded) as exc:
-        print(f"stage error: {exc}", file=sys.stderr)
-        return EXIT_STAGE
+        return _fail("stage error", exc, EXIT_STAGE)
 
 
 if __name__ == "__main__":

@@ -148,12 +148,8 @@ def seidel_profile(h: GradedModule, n: int):
             )
     if reasons:
         return ObstructionVerdict(OBSTRUCTED, tuple(reasons))
-    entries = {}
-    for i in range(0, n + 2):
-        free, tor = h.entries.get(n - i, (0, ()))
-        if free or tor:
-            entries[i] = (free, tor)
-    return FillingProfile(h.ring_tag, n, entries)
+    # every degree left lies in [0, n]
+    return FillingProfile(h.ring_tag, n, {n - d: e for d, e in h.entries.items()})
 
 
 def seidel_stage(h: GradedModule, n: int, evidence: list[dict]):

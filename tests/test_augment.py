@@ -216,6 +216,19 @@ def test_variety_points_match_exhaustive_count(q):
         assert variety_points(system, q) == exhaustive_points(system, q), system
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_variety_points_reduce_huge_exponents(q):
+    # x^k is ((k - 1) mod (q - 1)) + 1 letters long, never k letters
+    k = 10**12
+    for text in (
+        f"var x; eq x^{k} + 1;",
+        f"var x y; eq x^{k}*y^{k + 1} + x + 1;",
+        f"var x y; eq x^{k} + y^{k + 3}; eq x^{k - 1}*y + 2;",
+    ):
+        system = parse_polysystem(text)
+        assert variety_points(system, q) == exhaustive_points(system, q), text
+
+
 def test_variety_points_have_no_variable_cap():
     # the exhaustive scan stopped at six variables
     assert variety_points(PolySystem(tuple(f"x{i}" for i in range(10)), ()), 2) == 1024

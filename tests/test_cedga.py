@@ -107,21 +107,19 @@ def test_memo_key_reads_positions_partition_orphans_and_pos():
     b = _diskcore._Interval(2, 3, 12, 13, 2)
     search = _diskcore._Search(torus2_projection(3), None)
 
-    def key(uf, pos=False, state=(a, b)):
-        comps = sum(x == r for x, r in uf.items())
-        return search._key(state, {"uf": uf, "comps": comps, "pos": pos})
+    def key(comps=2, corner=None, state=(a, b)):
+        return search._key(state, {"comps": comps, "corner": corner})
 
-    apart = {1: 1, 2: 2}
-    base = key(apart)
-    assert key({1: 1, 2: 1}) != base  # one lineage tree, not two
-    assert key(apart, pos=True) != base
-    assert key(apart, state=(a, b._replace(top=4))) != base
-    one, two, three = ({**apart, **{x: x for x in range(3, 3 + k)}} for k in (1, 2, 3))
-    assert len({base, key(one), key(two)}) == 3  # 0, 1 and 2 orphans
-    assert key(three) == key(two)  # orphan counts are capped at 2
-    # arc ids and lineage ids are not part of the key
-    renamed = (a._replace(bottom_arc=20, lineage=5), b._replace(top_arc=30, lineage=6))
-    assert key({5: 5, 6: 6}, state=renamed) == base
+    base = key()
+    assert key(comps=1, state=(a, b._replace(comp=1))) != base  # one component, not two
+    assert key(corner="c1") != base  # the positive corner is placed
+    assert key(state=(a, b._replace(top=4))) != base
+    assert len({base, key(comps=3), key(comps=4)}) == 3  # 0, 1 and 2 orphans
+    assert key(comps=5) == key(comps=4)  # orphan counts are capped at 2
+    assert key(corner="c2") == key(corner="c1")  # not which crossing holds it
+    # arc ids and component ids are not part of the key
+    renamed = (a._replace(bottom_arc=20, comp=5), b._replace(top_arc=30, comp=6))
+    assert key(state=renamed) == base
 
 
 def _differential_projections():

@@ -325,6 +325,71 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+MISSING = str(FIXTURES / "missing.json")
+INVALID = str(FIXTURES / "invalid.dga")
+STABILIZED = str(FIXTURES / "stabilized_unknot.json")
+PREFIXES = ("error: ", "parse error: ", "validation error: ", "stage error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dga", "--grid", str(FIXTURES / "bad.json")], 2),
+        (["dga", "--dsl", INVALID], 3),
+        (["dga", "--builtin", "torus2:7", "--budget", "10"], 4),
+        (["augs", "--grid", STABILIZED], 2),
+        (["augs", "--dsl", INVALID], 3),
+        (["augs", "--grid", str(FIXTURES / "m821.json"), "--budget", "5"], 4),
+        (["linpoly", "--grid", MISSING], 2),
+        (["linpoly", "--builtin", "trefoil", "--field", "6"], 2),
+        (["linpoly", "--dsl", INVALID], 3),
+        (["linpoly", "--builtin", "trefoil", "--budget", "3"], 4),
+        (["spin", "--dsl", MISSING], 2),
+        (["spin", "--builtin", "unknot_dsl", "--integral"], 3),
+        (["spin", "--builtin", "twist:7", "--spin", "2", "--integral"], 4),
+        (["augvar", "--system", MISSING], 2),
+        (["obstruct", "--poly", "t^x", "--dim", "1"], 2),
+        (["certify", "classA", "--grid", MISSING], 2),
+        (["certify", "classB", "--n", "5", "--spin", "1"], 4),
+        (["certify", "classA", "--grid", STABILIZED], 4),
+    ],
+)
+def test_every_subcommand_fails_with_its_documented_code(capsys, argv, code):
+    got, _, err = run(capsys, *argv)
+    assert got == code, err
+    assert err.startswith(PREFIXES) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_reports_carry_no_nan_or_infinity(tmp_path, capsys):
+    # an empty variety has no dimension: its estimate is null, not -Infinity
+    system = tmp_path / "empty.sys"
+    system.write_text("var x; eq 2*x + 1;")
+    code, out, err = run(capsys, "augvar", "--system", str(system), "--fields", "2,3")
+    assert code == 0, err
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    result = json.loads(out, parse_constant=reject)["result"]
+    assert result["counts"] == {"2": 0, "3": 1}
+    assert result["dimension"] == {"estimate": None, "stable": True, "slopes": []}
+
+
+def test_report_writer_refuses_nan(monkeypatch, capsys):
+    nan = augment.DimensionEstimate(float("nan"), True, ())
+    monkeypatch.setattr(augment, "dimension_estimate", lambda counts: nan)
+    with pytest.raises(ValueError, match="JSON"):
+        main(["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "2,4"])
+
+
+def test_seidel_profile_of_a_huge_dimension(capsys):
+    # the profile reads only the classes present, never the range 0..n+1
+    report, _ = run_json(capsys, "obstruct", "--poly", f"t^{10**9}", "--dim", str(10**9))
+    assert report["stages"][0]["profile"]["homology"] == {"0": [1, []]}
+    assert report["result"]["verdict"]["status"] == "feasible"
+
+
 def test_bad_polysystem_exits_2(tmp_path, capsys):
     system = tmp_path / "bad.sys"
     system.write_text("var a; eq a*b + 1;")

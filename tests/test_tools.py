@@ -33,3 +33,23 @@ def test_m821_tool_polynomial_multiset():
     # the docstring's profile: exactly 2 + t and t^-1 + 4 + 2t
     distinct = {tuple(sorted(p.items())) for p in polys}
     assert distinct == {((0, 2), (1, 1)), ((-1, 1), (0, 4), (1, 2))}
+
+
+def test_m821_tool_braid_word_and_alexander_pinned():
+    tool = load_by_path(TOOL)
+    word = tool.find_braid_word()
+    assert word == (1, 1, 1, 2, -1, -1, 2, 2)
+    assert tool.braid_alexander(word) == tool.TARGET_ALEXANDER == (1, -4, 5, -4, 1)
+    # unknot, trefoil, figure-eight, T(2,5)
+    known = {(1, 2): (1,), (1, 1, 1, 2): (1, -1, 1), (1, -2, 1, -2): (1, -3, 1),
+             (1, 1, 1, 1, 1, 2): (1, -1, 1, -1, 1)}
+    for w, alexander in known.items():
+        assert tool.braid_closure_is_knot(w)
+        assert tool.braid_alexander(w) == alexander, w
+
+
+def test_m821_tool_bracket_invariant_pinned():
+    tool = load_by_path(TOOL)
+    assert tool.grid_invariant(m821_grid()) == (
+        (-22, -2), (-14, -1), (-6, 1), (2, 1), (6, -1),
+    )

@@ -42,6 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from ldga.algebra import ZT, Laurent
 from ldga.augment import enumerate_augmentations, linearized_complex
 from ldga.cedga import build_dga
 from ldga.diagram import (
@@ -62,35 +63,13 @@ TARGET_POLY = {-1: 1, 0: 4, 1: 2}
 # Alexander polynomials of 3-braid closures (reduced Burau)
 # ---------------------------------------------------------------------------
 
-def _lmul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _ladd(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-        if out[e] == 0:
-            del out[e]
-    return out
-
-
-def _lneg(a):
-    return {e: -c for e, c in a.items()}
-
-
-_ONE = {0: 1}
-_T = {1: 1}
-_TI = {-1: 1}
+_ONE, _ZERO = ZT.one, ZT.zero
+_T, _TI = ZT.t_power(1), ZT.t_power(-1)
 _BURAU = {
-    1: [[_lneg(_T), _ONE], [{}, _ONE]],
-    2: [[_ONE, {}], [_T, _lneg(_T)]],
-    -1: [[_lneg(_TI), _TI], [{}, _ONE]],
-    -2: [[_ONE, {}], [_ONE, _lneg(_TI)]],
+    1: [[ZT.neg(_T), _ONE], [_ZERO, _ONE]],
+    2: [[_ONE, _ZERO], [_T, ZT.neg(_T)]],
+    -1: [[ZT.neg(_TI), _TI], [_ZERO, _ONE]],
+    -2: [[_ONE, _ZERO], [_ONE, ZT.neg(_TI)]],
 }
 _PERM = {1: (1, 0, 2), 2: (0, 2, 1), -1: (1, 0, 2), -2: (0, 2, 1)}
 
@@ -109,20 +88,15 @@ def braid_closure_is_knot(word) -> bool:
 
 
 def braid_alexander(word):
-    m = [[_ONE, {}], [{}, _ONE]]
+    add, mul, neg = ZT.add, ZT.mul, ZT.neg
+    m = [[_ONE, _ZERO], [_ZERO, _ONE]]
     for g in word:
-        a, b = m
         s = _BURAU[g]
-        m = [
-            [_ladd(_lmul(a[0], s[0][0]), _lmul(a[1], s[1][0])),
-             _ladd(_lmul(a[0], s[0][1]), _lmul(a[1], s[1][1]))],
-            [_ladd(_lmul(b[0], s[0][0]), _lmul(b[1], s[1][0])),
-             _ladd(_lmul(b[0], s[0][1]), _lmul(b[1], s[1][1]))],
-        ]
-    det = _ladd(
-        _lmul(_ladd(_ONE, _lneg(m[0][0])), _ladd(_ONE, _lneg(m[1][1]))),
-        _lneg(_lmul(_lneg(m[0][1]), _lneg(m[1][0]))),
-    )
+        m = [[add(mul(row[0], s[0][j]), mul(row[1], s[1][j])) for j in (0, 1)] for row in m]
+    # det(I - M) = (1 - m00)(1 - m11) - m01 m10
+    det = add(
+        mul(add(_ONE, neg(m[0][0])), add(_ONE, neg(m[1][1]))), neg(mul(m[0][1], m[1][0]))
+    ).as_dict()
     if not det:
         return ()
     lo = min(det)
@@ -228,19 +202,15 @@ def braid_to_grid(word, n=3) -> GridDiagram:
 # Kauffman bracket transfer over Morse event diagrams
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a, b):
-    return _lmul(a, b)
-
-
 def _poly_add_into(acc, key, poly):
-    acc[key] = _ladd(acc.get(key, {}), poly)
-    if not acc[key]:
+    acc[key] = ZT.add(acc.get(key, ZT.zero), poly)
+    if ZT.is_zero(acc[key]):
         del acc[key]
 
 
-DELTA = {2: -1, -2: -1}  # -A^2 - A^-2
-A_POS = {1: 1}
-A_NEG = {-1: 1}
+DELTA = Laurent.from_dict({2: -1, -2: -1})  # -A^2 - A^-2
+A_POS = ZT.t_power(1)
+A_NEG = ZT.t_power(-1)
 
 
 def _reindex_birth(match, i):
@@ -265,14 +235,14 @@ def _close_pair(match, i, weight):
     out = {}
     for k, v in new.items():
         out[k - 2 if k > i + 1 else k] = v - 2 if v > i + 1 else v
-    return out, _poly_mul(weight, factor)
+    return out, ZT.mul(weight, factor)
 
 
 def _turnback(match, i, weight):
     """West cup joining i, i+1; the pair reopens immediately to the east."""
     a, b = match[i], match[i + 1]
     if a == i + 1:
-        return dict(match), _poly_mul(weight, DELTA)
+        return dict(match), ZT.mul(weight, DELTA)
     new = dict(match)
     new[a] = b
     new[b] = a
@@ -310,15 +280,15 @@ def kauffman_invariant(events) -> tuple:
             writhe += sign
             ca, cb = (A_POS, A_NEG) if over == "lower" else (A_NEG, A_POS)
             for key, w in states.items():
-                _poly_add_into(new_states, key, _poly_mul(w, ca))
-                m, w2 = _turnback(dict(key), level, _poly_mul(w, cb))
+                _poly_add_into(new_states, key, ZT.mul(w, ca))
+                m, w2 = _turnback(dict(key), level, ZT.mul(w, cb))
                 _poly_add_into(new_states, freeze(m), w2)
         states = new_states
     if set(states) - {()}:
         raise RuntimeError("diagram did not close up in the bracket transfer")
-    bracket = states.get((), {})
-    norm = {-3 * writhe: -1 if writhe % 2 else 1}
-    return tuple(sorted(_poly_mul(bracket, norm).items()))
+    bracket = states.get((), ZT.zero)
+    norm = Laurent(((-3 * writhe, -1 if writhe % 2 else 1),))
+    return ZT.mul(bracket, norm).terms
 
 
 def grid_events_with_signs(grid: GridDiagram):
