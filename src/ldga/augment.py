@@ -3,14 +3,13 @@
 An augmentation assigns field values to the degree-0 generators (t, when
 present, is pinned to -1) so that eps(d g) = 0 for every generator.  The
 enumerator backtracks over generators ordered by equation membership with
-unit propagation; plain exhaustive search is kept alongside as the oracle.
-Variety point counts of polynomial systems go through the same backtracking
+unit propagation; the tests check it against a plain scan of every
+assignment.  Variety point counts of polynomial systems go through the same backtracking
 solver.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -75,12 +74,8 @@ def _field_dga(dga: DGA, q: int) -> DGA:
     return dga.field_copies[q]
 
 
-def enumerate_augmentations(dga: DGA, q: int, oracle: bool = False) -> list[Augmentation]:
-    """All graded augmentations of the DGA into GF(q), in canonical order.
-
-    With oracle=True the plain product scan over all assignments is used
-    instead of backtracking; results must agree.
-    """
+def enumerate_augmentations(dga: DGA, q: int) -> list[Augmentation]:
+    """All graded augmentations of the DGA into GF(q), in canonical order."""
     ring = GF(q)
     fdga = _field_dga(dga, q)
     unknowns = sorted(fdga.generators_of_degree(0))
@@ -91,15 +86,7 @@ def enumerate_augmentations(dga: DGA, q: int, oracle: bool = False) -> list[Augm
         if terms:
             equations.append(terms)
     t_val = ring.from_int(-1) if dga.ring.name == "Z[t]" else None
-
-    if oracle:
-        sols = []
-        for combo in itertools.product(ring.elements(), repeat=len(unknowns)):
-            assign = dict(zip(unknowns, combo))
-            if all(_eval_terms(ring, eq, assign) == 0 for eq in equations):
-                sols.append(assign)
-    else:
-        sols = _backtrack(ring, unknowns, equations)
+    sols = _backtrack(ring, unknowns, equations)
     sols.sort(key=lambda a: tuple(a[u] for u in unknowns))
     out = [Augmentation.build(ring, s, t_val) for s in sols]
     for aug in out:

@@ -2,13 +2,13 @@
 
 The differential of a diagram crossing counts immersed disks with convex
 corners and a single positive corner at that crossing; the enumeration
-itself lives in :mod:`ldga._diskcore` (a fiber-sweep over the resolved
-diagram).  Every disk found is checked against the index identity
-deg(a) - sum deg(b_i) = 1, and every assembled DGA must pass validation
-(degree purity and d^2 = 0) before it is returned.
+itself lives in :mod:`ldga._diskcore` (a finger sweep that carries one
+interval per fiber over the resolved diagram).  Every disk found is checked
+against the index identity deg(a) - sum deg(b_i) = 1, and every assembled
+DGA must pass validation (degree purity and d^2 = 0) before it is returned.
 
-One sweep finds the disks of every crossing, so the disk budget caps the
-sweep steps per DGA build, memo hits included (default 500000); set it
+One finger sweep finds the disks of every crossing, so the disk budget
+caps its steps per DGA build, memo hits included (default 500000); set it
 with ``build_dga(..., budget=)`` or the CLI's ``--budget``.
 """
 
@@ -378,9 +378,9 @@ def unknot_dsl_dga() -> DGA:
 def builtin(name: str):
     """Builtin families: twist_linearized(n) / twist:n, torus2:n, m821_grid, unknot,
     trefoil, unknot_dsl."""
-    m = re.fullmatch(r"(?:twist|twist_linearized)[:(](\d+)\)?", name)
+    m = re.fullmatch(r"twist:(\d+)|twist_linearized\((\d+)\)", name)
     if m:
-        return twist_linearized(int(m.group(1)))
+        return twist_linearized(int(m.group(1) or m.group(2)))
     m = re.fullmatch(r"torus2:(\d+)", name)
     if m:
         return torus2_projection(int(m.group(1)))

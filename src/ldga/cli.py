@@ -335,7 +335,7 @@ def cmd_certify(args):
 # ---------------------------------------------------------------------------
 
 _BUDGET_HELP = (
-    "disk search budget: sweep steps per DGA build, memo hits included "
+    "disk search budget: finger-sweep steps per DGA build, memo hits included "
     f"(default {cedga.DEFAULT_DISK_BUDGET})"
 )
 

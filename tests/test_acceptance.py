@@ -9,6 +9,7 @@ import sys
 import time
 
 import pytest
+from test_augment import exhaustive_augmentations
 
 from ldga import augment, cedga, diagram, linhom, obstruct, spin
 from ldga.algebra import GF, validate
@@ -226,6 +227,5 @@ def test_criterion_9_sanity_oracles():
     trefoil = build_dga(trefoil_projection())
     augs = enumerate_augmentations(trefoil, 2)
     assert len(augs) == 5
-    brute = enumerate_augmentations(trefoil, 2, oracle=True)
-    assert [a.values for a in augs] == [a.values for a in brute]
+    assert augs == exhaustive_augmentations(trefoil, 2)
     report(9, "unknot has exactly 1 graded augmentation over F2; trefoil exactly 5")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ldga.algebra import DGA, Element, GF, Generator, ZZ
+from ldga.algebra import DGA, Element, GF, Generator, ZZ, change_coefficients
 from ldga.augment import (
     Augmentation,
     AugmentationError,
@@ -28,6 +28,24 @@ from ldga.cedga import (
 AB_VARIETY = parse_polysystem("var a b; eq a*b + 1;")
 
 
+def exhaustive_augmentations(dga: DGA, q: int) -> list[Augmentation]:
+    """Every graded augmentation into GF(q), by scanning all assignments.
+
+    The oracle for ``enumerate_augmentations`` on small DGAs; the product
+    order over GF(q)'s codes is already the canonical order.
+    """
+    field = GF(q)
+    fdga = dga if dga.ring == field else change_coefficients(dga, field)
+    unknowns = sorted(fdga.generators_of_degree(0))
+    t_val = field.from_int(-1) if dga.ring.name == "Z[t]" else None
+    out = []
+    for combo in itertools.product(field.elements(), repeat=len(unknowns)):
+        eps = Augmentation.build(field, dict(zip(unknowns, combo)), t_val)
+        if eps.is_valid(fdga):
+            out.append(eps)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # augmentation enumeration
 # ---------------------------------------------------------------------------
@@ -42,8 +60,7 @@ def test_trefoil_five_augmentations():
     dga = build_dga(trefoil_projection())
     augs = enumerate_augmentations(dga, 2)
     assert len(augs) == 5
-    oracle = enumerate_augmentations(dga, 2, oracle=True)
-    assert [a.values for a in augs] == [a.values for a in oracle]
+    assert augs == exhaustive_augmentations(dga, 2)
 
 
 def test_twist_augmentation_counts():
@@ -63,14 +80,9 @@ def test_augmentations_reverified_post_hoc():
 def test_backtracker_matches_oracle_on_nonlinear_system():
     text = "coeff F2\ngen e 1\ngen x 0\ngen y 0\ngen z 0\nd e = x*y*z + x + y\n"
     dga = load_dsl(text)
-    fast = enumerate_augmentations(dga, 2)
-    slow = enumerate_augmentations(dga, 2, oracle=True)
-    assert [a.values for a in fast] == [a.values for a in slow]
+    assert enumerate_augmentations(dga, 2) == exhaustive_augmentations(dga, 2)
     dga4 = load_dsl(text.replace("F2", "F4"))
-    assert (
-        [a.values for a in enumerate_augmentations(dga4, 4)]
-        == [a.values for a in enumerate_augmentations(dga4, 4, oracle=True)]
-    )
+    assert enumerate_augmentations(dga4, 4) == exhaustive_augmentations(dga4, 4)
 
 
 # ---------------------------------------------------------------------------

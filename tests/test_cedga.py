@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -12,6 +13,7 @@ from ldga.cedga import (
     BuiltinError,
     DGAValidationError,
     DiskBudgetExceeded,
+    DiskSearchError,
     DSLError,
     boundary_words,
     build_dga,
@@ -25,7 +27,7 @@ from ldga.cedga import (
     unknot_dsl_dga,
     unknot_projection,
 )
-from ldga.diagram import DiagramError, grid_to_front, resolve
+from ldga.diagram import CROSS, LCUSP, RCUSP, DiagramError, FrontDiagram, grid_to_front, resolve
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +75,14 @@ def test_index_identity_on_all_disks():
         assert degrees[name] - sum(degrees[b] for b in word) == 1
 
 
+def test_cap_must_follow_its_cusp_crossing():
+    # the right cusp's loop is read off the crossing just before the cap
+    proj = unknot_projection()
+    birth, cross, cap = proj.events
+    with pytest.raises(DiskSearchError, match="does not follow its cusp crossing"):
+        boundary_words(dataclasses.replace(proj, events=(birth, cap, cross)))
+
+
 def test_budget_exhaustion_is_loud():
     proj = resolve(grid_to_front(m821_grid()))
     with pytest.raises(DiskBudgetExceeded, match="--budget"):
@@ -80,16 +90,16 @@ def test_budget_exhaustion_is_loud():
 
 
 def test_budget_message_says_how_far_it_got():
-    # T(2,7): 200 steps reach event 7 of 13 and find 18 disks, 17 of them at e1
+    # T(2,7): 150 steps reach event 7 of 13 and find 26 disks, 22 of them at e2
     with pytest.raises(DiskBudgetExceeded) as exc:
-        boundary_words(torus2_projection(7), budget=200)
+        boundary_words(torus2_projection(7), budget=150)
     message = str(exc.value)
-    assert "budget of 200 steps" in message and "sweep event 7 of 13" in message
-    assert "disks found so far: 18 (e1: 17, e2: 1)" in message
+    assert "budget of 150 steps" in message and "sweep event 7 of 13" in message
+    assert "disks found so far: 26 (e1: 4, e2: 22)" in message
     assert "--budget" in message
 
 
-@pytest.mark.parametrize("name, steps", [("m821", 1458), ("torus2_7", 578)])
+@pytest.mark.parametrize("name, steps", [("m821", 151), ("torus2_7", 220)])
 def test_build_step_count_pinned(name, steps):
     # the budget caps the steps of the one sweep per build, memo hits
     # included, so S = the sweep's step count is the least budget that works
@@ -102,24 +112,20 @@ def test_build_step_count_pinned(name, steps):
         build_dga(proj, budget=steps - 1)
 
 
-def test_memo_key_reads_positions_partition_orphans_and_pos():
-    a = _diskcore._Interval(0, 1, 10, 11, 1)
-    b = _diskcore._Interval(2, 3, 12, 13, 2)
-    search = _diskcore._Search(torus2_projection(3), None)
+def test_memo_key_is_event_bottom_and_top():
+    # a twist region whose disks all die at the next cap: paths through it
+    # differ only in their corners, and a state is keyed by (event, bottom,
+    # top) alone, so each twist adds a fixed number of steps; keyed with its
+    # corners too, the paths would grow like the Fibonacci numbers
+    def search(n):
+        events = [(LCUSP, 0), (LCUSP, 2)] + [(CROSS, 1)] * n + [(RCUSP, 1), (RCUSP, 0)]
+        out = _diskcore._Search(resolve(FrontDiagram(events)), None)
+        out.run()
+        assert sorted(out.found) == [("e1", ()), ("e2", ())]  # the two loops
+        return out
 
-    def key(comps=2, corner=None, state=(a, b)):
-        return search._key(state, {"comps": comps, "corner": corner})
-
-    base = key()
-    assert key(comps=1, state=(a, b._replace(comp=1))) != base  # one component, not two
-    assert key(corner="c1") != base  # the positive corner is placed
-    assert key(state=(a, b._replace(top=4))) != base
-    assert len({base, key(comps=3), key(comps=4)}) == 3  # 0, 1 and 2 orphans
-    assert key(comps=5) == key(comps=4)  # orphan counts are capped at 2
-    assert key(corner="c2") == key(corner="c1")  # not which crossing holds it
-    # arc ids and component ids are not part of the key
-    renamed = (a._replace(bottom_arc=20, comp=5), b._replace(top_arc=30, comp=6))
-    assert key(state=renamed) == base
+    assert [search(n).steps for n in (3, 5, 7, 9)] == [25, 37, 49, 61]
+    assert all(len(key) == 3 for key in search(9).dead)
 
 
 def _differential_projections():
@@ -135,6 +141,13 @@ def _differential_projections():
     return projs
 
 
+class _Forgetful(set):
+    """A dead set that keeps no key, so no state is ever skipped."""
+
+    def add(self, key):
+        pass
+
+
 def test_memoized_search_matches_search_without_memo(monkeypatch):
     # a dead-state memo may only skip subtrees that read no word
     projs = _differential_projections()
@@ -144,8 +157,13 @@ def test_memoized_search_matches_search_without_memo(monkeypatch):
         return {name: boundary_words(proj, budget=10**7) for name, proj in projs.items()}
 
     memoized = all_words()
-    # a fresh object is never in the dead set, so no state is ever skipped
-    monkeypatch.setattr(_diskcore._Search, "_key", lambda self, state, ctx: object())
+    init = _diskcore._Search.__init__
+
+    def without_memo(self, *args):
+        init(self, *args)
+        self.dead = _Forgetful()
+
+    monkeypatch.setattr(_diskcore._Search, "__init__", without_memo)
     assert all_words() == memoized
 
 
@@ -175,8 +193,6 @@ def test_torus2_builtin():
 
 
 def test_crossing_relabeling_matches_after_rename():
-    from ldga.diagram import FrontDiagram, LCUSP, RCUSP, CROSS
-
     events = [(LCUSP, 0), (LCUSP, 2), (CROSS, 1), (CROSS, 1), (CROSS, 1),
               (RCUSP, 2), (RCUSP, 0)]
     plain = build_dga(build_proj := resolve(FrontDiagram(events)))

@@ -312,6 +312,9 @@ def test_reports_deterministic_modulo_timing(capsys, argv):
         ["spin", "--builtin", "twist:5", "--spin", "3,", "--integral"],
         ["augs", "--builtin", "torus2:8"],
         ["augs", "--builtin", "torus2:1"],
+        ["augs", "--builtin", "twist:5)"],
+        ["augs", "--builtin", "twist(5"],
+        ["augs", "--builtin", "twist_linearized:5"],
         ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "2,,4,"],
         ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", ""],
         ["certify", "classA", "--fields", "2,"],

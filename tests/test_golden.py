@@ -2,7 +2,9 @@
 
 The ``dump_dsl`` text of the max-tb (2,N) torus DGAs and of the DGAs of the
 random grid fronts is pinned too, so any change to the disk search that
-alters a differential shows here.
+alters a differential shows here.  So are the random grids whose Legendrian
+invariants change under commutation moves, which cannot happen when every
+DGA is right: a fix shows as that list shrinking.
 
 Regenerate (only when an answer is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
@@ -18,10 +20,13 @@ from pathlib import Path
 
 import pytest
 from test_diagram import _random_knot_grid
+from test_tools import TOOL, load_by_path
 
+from ldga.augment import enumerate_augmentations, linearized_complex
 from ldga.cedga import DiskSearchError, build_dga, builtin, dump_dsl
 from ldga.cli import main
-from ldga.diagram import DiagramError, grid_to_front, resolve
+from ldga.diagram import DiagramError, classical_invariants, grid_to_front, resolve
+from ldga.linhom import homology_field, poincare
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -72,7 +77,7 @@ CASES = {
     "spin_f3dsl_s1.json": ["spin", "--dsl", "fixtures/f3.dga", "--spin", "1"],
 }
 
-TORUS_CASES = {f"dsl_torus2_{n}.dga": n for n in (3, 5, 7, 9, 11, 13)}
+TORUS_CASES = {f"dsl_torus2_{n}.dga": n for n in (3, 5, 7, 9, 11, 13, 15, 17)}
 
 
 def torus2_dsl(n: int) -> str:
@@ -84,13 +89,13 @@ RANDOM_FRONTS = "dsl_random_fronts.txt"
 
 
 def random_fronts_dsl() -> str:
-    """``dump_dsl`` of the DGA of every resolvable random grid front, seeds 0-199.
+    """``dump_dsl`` of the DGA of every resolvable random grid front, seeds 0-999.
 
     Each seed draws a grid size from 4..8 and then a knot grid of that size.
     A front whose DGA fails validation is pinned by its error.
     """
     out = []
-    for seed in range(200):
+    for seed in range(1000):
         rng = random.Random(seed)
         size = rng.choice([4, 5, 6, 7, 8])
         try:
@@ -104,6 +109,59 @@ def random_fronts_dsl() -> str:
             out.append("".join(f"# {line}\n" for line in
                                f"{type(exc).__name__}: {exc}".splitlines()))
     return "".join(out)
+
+
+INVARIANCE = "invariance_commutation.txt"
+
+
+def legendrian_profile(grid) -> str:
+    """tb, r, whether F2 and F4 augmentations exist, and the F2 polynomial set.
+
+    A front that does not resolve or build shows its error in place of the
+    DGA-derived values.
+    """
+    front = grid_to_front(grid)
+    tb, r = classical_invariants(front)
+    try:
+        dga = build_dga(resolve(front))
+    except (DiagramError, DiskSearchError) as exc:
+        return f"tb {tb}, r {r}, {type(exc).__name__}"
+    augs = enumerate_augmentations(dga, 2)
+    polys = sorted({str(poincare(homology_field(linearized_complex(dga, eps))))
+                    for eps in augs})
+    return (f"tb {tb}, r {r}, aug F2 {bool(augs)}, "
+            f"aug F4 {bool(enumerate_augmentations(dga, 4))}, polys {polys}")
+
+
+def commutation_disagreements() -> str:
+    """The random grids of seeds 0-199 whose profile changes under commutations.
+
+    Each grid is drawn as for ``random_fronts_dsl``, then moved by up to 30
+    commutations of adjacent rows or columns, drawn from one
+    ``random.Random(7)``; these keep the Legendrian type, so every profile
+    must hold.  Unmoved grids are not compared.
+    """
+    tool = load_by_path(TOOL)
+    moves = random.Random(7)
+    pairs = 0
+    out = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        size = rng.choice([4, 5, 6, 7, 8])
+        grid = moved = _random_knot_grid(rng, size)
+        for _ in range(30):
+            commute = moves.choice([tool.commute_rows, tool.commute_cols])
+            moved = commute(moved, moves.randrange(size - 1)) or moved
+        assert tool.grid_invariant(moved) == tool.grid_invariant(grid), seed
+        if moved == grid:
+            continue
+        pairs += 1
+        before, after = legendrian_profile(grid), legendrian_profile(moved)
+        if before != after:
+            out.append(f"# seed {seed}: X {list(grid.X)}, O {list(grid.O)} -> "
+                       f"X {list(moved.X)}, O {list(moved.O)}\n"
+                       f"  before: {before}\n  after:  {after}\n")
+    return f"# {len(out)} of {pairs} moved grids change their profile\n" + "".join(out)
 
 
 def render(argv: list[str]) -> str:
@@ -139,6 +197,10 @@ def test_random_front_dgas_match_golden():
     assert random_fronts_dsl() == (GOLDEN / RANDOM_FRONTS).read_text()
 
 
+def test_commutation_disagreements_match_golden():
+    assert commutation_disagreements() == (GOLDEN / INVARIANCE).read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
@@ -149,3 +211,5 @@ if __name__ == "__main__":
         print(f"wrote {GOLDEN / name}", file=sys.stderr)
     (GOLDEN / RANDOM_FRONTS).write_text(random_fronts_dsl())
     print(f"wrote {GOLDEN / RANDOM_FRONTS}", file=sys.stderr)
+    (GOLDEN / INVARIANCE).write_text(commutation_disagreements())
+    print(f"wrote {GOLDEN / INVARIANCE}", file=sys.stderr)
