@@ -28,7 +28,7 @@ from .algebra import (
     validate,
 )
 from .augment import AugmentationError
-from .cedga import BuiltinError, DSLError, DiskBudgetExceeded
+from .cedga import BuiltinError, DSLError, DiskBudgetExceeded, DiskSearchError
 from .diagram import DiagramError
 from .obstruct import ObstructionStageError
 from .spin import SpinError
@@ -436,7 +436,7 @@ def main(argv=None) -> int:
         return _fail("error", exc, EXIT_PARSE)
     except (DSLError, DiagramError, AugmentationError, json.JSONDecodeError, OSError) as exc:
         return _fail("parse error", exc, EXIT_PARSE)
-    except DGAValidationError as exc:
+    except (DGAValidationError, DiskSearchError) as exc:
         return _fail("validation error", exc, EXIT_VALIDATE)
     except (ObstructionStageError, SpinError, DiskBudgetExceeded) as exc:
         return _fail("stage error", exc, EXIT_STAGE)

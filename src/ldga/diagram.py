@@ -112,161 +112,97 @@ class FrontEvent:
 class FrontDiagram:
     """A front as a validated event sequence with arc and orientation data.
 
-    Arcs are the maximal cusp-free strand runs; every arc is x-monotone in
-    this model and the knot walk traverses arcs alternately east and west.
+    Arcs are the maximal cusp-free strand runs, each x-monotone; the arcs
+    born at the k-th left cusp are 2k (lower) and 2k + 1 (upper), so arc 0
+    is the lower strand of the first left cusp.  One walk per component
+    visits the arcs in knot order, alternately east and west, from its
+    lowest arc with the heading ``east`` (for a knot: the heading of arc 0,
+    which fixes the orientation).  Crossing a cusp from its upper arc to its
+    lower arc is a down cusp and lowers the Maslov potential mu by 1; the
+    other way is an up cusp and raises it by 1.  So the walk gives every
+    arc its direction and mu, r = (down - up) / 2, and mu solves
+    mu(upper) = mu(lower) + 1 at every cusp exactly when each walk closes
+    at mu = 0.
     """
 
-    def __init__(self, events: Sequence[tuple[str, int]], labels: dict[int, str] | None = None):
-        self.raw_events = [(kind, level) for kind, level in events]
-        self.crossing_labels = dict(labels or {})
-        self._replay()
-        self._orient()
-        self._maslov()
+    def __init__(self, events: Sequence[tuple[str, int]], east: bool = True):
+        self._walk(self._replay(events), east)
 
     # -- construction ------------------------------------------------------
 
-    def _replay(self):
+    def _replay(self, raw_events) -> dict[tuple[int, str], tuple[int, int]]:
+        """Validate the events and name the arcs.
+
+        Returns the cusps as a map (arc, heading) -> (the arc across the
+        cusp at that end, the change of mu on crossing it).
+        """
         active: list[int] = []  # arc tokens, bottom-up
         next_arc = 0
         events: list[FrontEvent] = []
-        births: dict[int, str] = {}
-        cusp_pairs: list[tuple[int, int]] = []  # (upper, lower) at each cusp
-        for kind, level in self.raw_events:
+        across: dict[tuple[int, str], tuple[int, int]] = {}
+        for kind, level in raw_events:
             if kind == LCUSP:
                 if not 0 <= level <= len(active):
                     raise DiagramError(f"left cusp level {level} out of range")
                 lower, upper = next_arc, next_arc + 1
                 next_arc += 2
                 active[level:level] = [lower, upper]
-                events.append(FrontEvent(LCUSP, level, upper, lower))
-                cusp_pairs.append((upper, lower))
             elif kind == RCUSP:
                 if not 0 <= level < len(active) - 1:
                     raise DiagramError(f"right cusp level {level} out of range")
                 lower, upper = active[level], active[level + 1]
                 del active[level : level + 2]
-                events.append(FrontEvent(RCUSP, level, upper, lower))
-                cusp_pairs.append((upper, lower))
             elif kind == CROSS:
                 if not 0 <= level < len(active) - 1:
                     raise DiagramError(f"crossing level {level} out of range")
                 lower, upper = active[level], active[level + 1]
                 active[level], active[level + 1] = upper, lower
-                events.append(FrontEvent(CROSS, level, upper, lower))
             else:
                 raise DiagramError(f"unknown front event kind {kind!r}")
+            events.append(FrontEvent(kind, level, upper, lower))
+            if kind != CROSS:
+                heading = "W" if kind == LCUSP else "E"
+                across[upper, heading] = (lower, -1)
+                across[lower, heading] = (upper, +1)
         if active:
             raise DiagramError(f"front does not close up; {len(active)} strands left open")
+        if next_arc == 0:
+            raise DiagramError("empty front")
         self.events = events
         self.n_arcs = next_arc
-        self.cusp_pairs = cusp_pairs
-        if self.n_arcs == 0:
-            raise DiagramError("empty front")
+        self.n_left_cusps = self.n_right_cusps = next_arc // 2
+        return across
 
-        parent = list(range(self.n_arcs))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for upper, lower in cusp_pairs:
-            parent[find(upper)] = find(lower)
-        self.n_components = len({find(a) for a in range(self.n_arcs)})
-
-    def _orient(self):
-        """Walk the knot; arcs get directions E/W alternating through cusps."""
-        # each arc meets exactly two cusps (its west and east endpoint)
-        west_partner: dict[int, int] = {}
-        east_partner: dict[int, int] = {}
-        for ev in self.events:
-            if ev.kind == LCUSP:
-                west_partner[ev.upper_arc] = ev.lower_arc
-                west_partner[ev.lower_arc] = ev.upper_arc
-            elif ev.kind == RCUSP:
-                east_partner[ev.upper_arc] = ev.lower_arc
-                east_partner[ev.lower_arc] = ev.upper_arc
+    def _walk(self, across, east: bool):
         direction: dict[int, str] = {}
-        for start in range(self.n_arcs):
+        mu: dict[int, int] = {}
+        closed = True
+        self.n_components = net = 0  # net: up cusps - down cusps
+        for start in range(0, self.n_arcs, 2):
             if start in direction:
                 continue
-            arc, d = start, "E"
+            self.n_components += 1
+            arc, heading, level = start, "E" if east else "W", 0
             while arc not in direction:
-                direction[arc] = d
-                arc = east_partner[arc] if d == "E" else west_partner[arc]
-                d = "W" if d == "E" else "E"
+                direction[arc], mu[arc] = heading, level
+                arc, step = across[arc, heading]
+                level += step
+                heading = "W" if heading == "E" else "E"
+            closed = closed and level == 0
+            net += level
         self.arc_direction = direction
-
-        down = up = 0
-        for upper, lower in self.cusp_pairs:
-            if direction[upper] == direction[lower]:
-                raise DiagramError("orientation walk failed at a cusp")
-        for ev in self.events:
-            if ev.kind == RCUSP:
-                # arriving east along the E-directed arc
-                if self.arc_direction[ev.upper_arc] == "E":
-                    down += 1
-                else:
-                    up += 1
-            elif ev.kind == LCUSP:
-                # arriving west along the W-directed arc
-                if self.arc_direction[ev.upper_arc] == "W":
-                    down += 1
-                else:
-                    up += 1
-        if (down - up) % 2:
-            raise DiagramError("cusp parity violation")
-        self.rotation_number = (down - up) // 2
-
-        writhe = 0
-        for ev in self.events:
-            if ev.kind == CROSS:
-                same = self.arc_direction[ev.upper_arc] == self.arc_direction[ev.lower_arc]
-                writhe += 1 if same else -1
-        self.writhe = writhe
-        self.n_right_cusps = sum(1 for ev in self.events if ev.kind == RCUSP)
-        self.n_left_cusps = sum(1 for ev in self.events if ev.kind == LCUSP)
-
-    def _maslov(self):
-        """Solve mu(upper) = mu(lower) + 1 over all cusps; exists iff r = 0."""
-        mu: dict[int, int] = {}
-        adj: dict[int, list[tuple[int, int]]] = {a: [] for a in range(self.n_arcs)}
-        for upper, lower in self.cusp_pairs:
-            adj[upper].append((lower, -1))
-            adj[lower].append((upper, +1))
-        consistent = True
-        for start in range(self.n_arcs):
-            if start in mu:
-                continue
-            mu[start] = 0
-            stack = [start]
-            while stack:
-                a = stack.pop()
-                for b, delta in adj[a]:
-                    want = mu[a] + delta
-                    if b in mu:
-                        if mu[b] != want:
-                            consistent = False
-                    else:
-                        mu[b] = want
-                        stack.append(b)
-        self.maslov = mu if consistent else None
+        self.maslov = mu if closed else None
+        self.rotation_number = -net // 2  # a walk crosses an even number of cusps
+        self.writhe = sum(
+            1 if direction[ev.upper_arc] == direction[ev.lower_arc] else -1
+            for ev in self.events if ev.kind == CROSS
+        )
 
     # -- queries -----------------------------------------------------------
 
     @property
     def tb(self) -> int:
         return self.writhe - self.n_right_cusps
-
-    def reversed_orientation_invariants(self) -> tuple[int, int]:
-        """(tb, r) for the opposite orientation."""
-        return self.tb, -self.rotation_number
-
-
-def classical_invariants(front: FrontDiagram) -> tuple[int, int]:
-    """Thurston-Bennequin and rotation numbers of the front."""
-    return front.tb, front.rotation_number
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +214,8 @@ def grid_to_front(grid: GridDiagram) -> FrontDiagram:
 
     Verticals keep their grid over-crossing role: they become the lesser
     slope (over) strands at front crossings.  Event order is the rotated
-    x-order, made total by the lexicographic key (c - r, c + r).
+    x-order, made total by the lexicographic key (c - r, c + r).  The front
+    is oriented as the grid: columns run O -> X.
     """
     if grid.components() != 1:
         raise DiagramError(f"grid has {grid.components()} components; knots only")
@@ -309,6 +246,11 @@ def grid_to_front(grid: GridDiagram) -> FrontDiagram:
     for (k1, *_), (k2, *_) in zip(events_in, events_in[1:]):
         if k1 == k2:
             raise DiagramError("event key collision; grid data degenerate")
+
+    # the first event is the first left cusp, whose lower strand (arc 0) is
+    # its column's vertical: it heads east iff it leaves this corner as an O
+    _, _, c0, r0 = events_in[0]
+    east = grid.O[r0] == c0
 
     # sweep state: strand ids ('v', c) or ('h', r), bottom-up
     active: list[tuple[str, int]] = []
@@ -369,7 +311,7 @@ def grid_to_front(grid: GridDiagram) -> FrontDiagram:
             active[i] = outgoing
     if active:
         raise DiagramError("sweep finished with open strands")
-    return FrontDiagram(out_events)
+    return FrontDiagram(out_events, east)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +339,6 @@ class ProjectionDiagram:
 
     events: tuple[tuple, ...]
     crossings: tuple[Crossing, ...]
-    tb: int
-    rotation: int
-
-    def euler_writhe_check(self) -> bool:
-        """Sum of (-1)^deg over crossings equals tb (cusp crossings count +1)."""
-        total = sum((-1) ** c.degree for c in self.crossings)
-        return total == self.tb
 
 
 def resolve(front: FrontDiagram) -> ProjectionDiagram:
@@ -422,7 +357,7 @@ def resolve(front: FrontDiagram) -> ProjectionDiagram:
             events.append((BIRTH, ev.level))
         elif ev.kind == CROSS:
             n_front += 1
-            label = front.crossing_labels.get(n_front - 1, f"c{n_front}")
+            label = f"c{n_front}"
             deg = mu[ev.upper_arc] - mu[ev.lower_arc]
             crossings.append(Crossing(label, deg, "front"))
             events.append((CROSS, ev.level, label))
@@ -432,6 +367,4 @@ def resolve(front: FrontDiagram) -> ProjectionDiagram:
             crossings.append(Crossing(label, 1, "cusp"))
             events.append((CROSS, ev.level, label))
             events.append((CAP, ev.level))
-    return ProjectionDiagram(
-        tuple(events), tuple(crossings), front.tb, front.rotation_number
-    )
+    return ProjectionDiagram(tuple(events), tuple(crossings))

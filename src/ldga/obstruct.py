@@ -267,11 +267,11 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
     """
     evidence = []
     front = diagram.grid_to_front(grid)
-    tb, rot = diagram.classical_invariants(front)
+    rot = front.rotation_number
     evidence.append(
         {
             "stage": "front",
-            "tb": tb,
+            "tb": front.tb,
             "rotation_number": rot,
             "left_cusps": front.n_left_cusps,
             "right_cusps": front.n_right_cusps,
@@ -280,7 +280,8 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
     if rot != 0:
         raise ObstructionStageError("front", f"rotation number {rot} != 0")
     proj = diagram.resolve(front)
-    if not proj.euler_writhe_check():
+    # tripwire: sum over crossings of (-1)^degree is tb (cusp crossings count +1)
+    if sum(-1 if c.degree % 2 else 1 for c in proj.crossings) != front.tb:
         raise ObstructionStageError("resolve", "degree/writhe bookkeeping mismatch")
     evidence.append(
         {
@@ -354,7 +355,8 @@ def _certify_class_a(schedule, grid, budget, case) -> Certification:
     ev2, cx = class_a_homology(grid, budget=budget)
     evidence.extend(ev2)
     stages = spin.iterate_schedule(cx, schedule)
-    h = linhom.as_cohomological(linhom.homology_field(cx))
+    if not stages:
+        h = linhom.as_cohomological(linhom.homology_field(cx))
     for st in stages:
         h = linhom.as_cohomological(linhom.homology_field(st.complex))
         evidence.append(

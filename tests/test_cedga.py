@@ -192,23 +192,6 @@ def test_torus2_builtin():
             builtin(bad)
 
 
-def test_crossing_relabeling_matches_after_rename():
-    events = [(LCUSP, 0), (LCUSP, 2), (CROSS, 1), (CROSS, 1), (CROSS, 1),
-              (RCUSP, 2), (RCUSP, 0)]
-    plain = build_dga(build_proj := resolve(FrontDiagram(events)))
-    renamed = build_dga(resolve(FrontDiagram(events, labels={0: "x", 1: "y", 2: "z"})))
-    mapping = {"x": "c1", "y": "c2", "z": "c3"}
-    for g in renamed.generators:
-        target = mapping.get(g.name, g.name)
-        expect = plain.diff_of(target)
-        got = renamed.diff_of(g.name)
-        translated = Element.build(
-            plain.ring,
-            {tuple(mapping.get(f, f) for f in w): c for w, c in got.terms},
-        )
-        assert translated == expect
-
-
 # ---------------------------------------------------------------------------
 # DSL
 # ---------------------------------------------------------------------------

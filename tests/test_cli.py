@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ldga import augment
+from ldga import augment, cedga
 from ldga.algebra import ValidationReport
 from ldga.cli import main, parse_poly_text
 
@@ -331,7 +331,14 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
 MISSING = str(FIXTURES / "missing.json")
 INVALID = str(FIXTURES / "invalid.dga")
 STABILIZED = str(FIXTURES / "stabilized_unknot.json")
+M821 = str(FIXTURES / "m821.json")
 PREFIXES = ("error: ", "parse error: ", "validation error: ", "stage error: ")
+BAD_DISKS = "bad-disks"  # leading tag: the disk search breaks the index identity
+
+
+def _words_breaking_the_index_identity(diagram, budget=None):
+    first = diagram.crossings[0].name
+    return [(first, (first,))]
 
 
 @pytest.mark.parametrize(
@@ -355,9 +362,17 @@ PREFIXES = ("error: ", "parse error: ", "validation error: ", "stage error: ")
         (["certify", "classA", "--grid", MISSING], 2),
         (["certify", "classB", "--n", "5", "--spin", "1"], 4),
         (["certify", "classA", "--grid", STABILIZED], 4),
+        ([BAD_DISKS, "dga", "--grid", M821], 3),
+        ([BAD_DISKS, "augs", "--grid", M821], 3),
+        ([BAD_DISKS, "linpoly", "--grid", M821], 3),
+        ([BAD_DISKS, "spin", "--grid", M821, "--spin", "1"], 3),
+        ([BAD_DISKS, "certify", "classA", "--grid", M821], 3),
     ],
 )
-def test_every_subcommand_fails_with_its_documented_code(capsys, argv, code):
+def test_every_subcommand_fails_with_its_documented_code(capsys, monkeypatch, argv, code):
+    if argv[0] == BAD_DISKS:
+        monkeypatch.setattr(cedga, "boundary_words", _words_breaking_the_index_identity)
+        argv = argv[1:]
     got, _, err = run(capsys, *argv)
     assert got == code, err
     assert err.startswith(PREFIXES) and err.count("\n") == 1, err

@@ -10,7 +10,6 @@ from ldga.diagram import (
     GridDiagram,
     LCUSP,
     RCUSP,
-    classical_invariants,
     grid_to_front,
     parse_grid,
     resolve,
@@ -75,7 +74,7 @@ def test_minimal_grid_front():
     assert kinds.count(LCUSP) == 1
     assert kinds.count(RCUSP) == 1
     assert kinds.count(CROSS) == 0
-    assert classical_invariants(front) == (-1, 0)
+    assert (front.tb, front.rotation_number) == (-1, 0)
 
 
 def test_m821_front_rotation_zero():
@@ -120,10 +119,21 @@ def test_random_grid_front_properties(seed):
 
 
 def test_reversing_orientation_negates_r():
-    front = grid_to_front(unknot_grid())
-    tb, r = front.reversed_orientation_invariants()
-    assert tb == front.tb
-    assert r == -front.rotation_number
+    # the zigzag stabilized unknot, walked with arc 0 heading west
+    events = [(LCUSP, 0), (LCUSP, 1), (RCUSP, 0), (RCUSP, 0)]
+    front, west = FrontDiagram(events), FrontDiagram(events, east=False)
+    assert (front.tb, front.rotation_number) == (-2, -1)
+    assert (west.tb, west.rotation_number) == (-2, 1)
+
+
+def test_swapping_x_and_o_reverses_the_grid_orientation():
+    # X <-> O keeps every segment and reverses the knot: tb holds, r flips
+    for seed in range(1000):
+        rng = random.Random(seed)
+        g = _random_knot_grid(rng, rng.choice([4, 5, 6, 7, 8]))
+        front, swapped = grid_to_front(g), grid_to_front(GridDiagram(g.size, g.O, g.X))
+        assert swapped.tb == front.tb, seed
+        assert swapped.rotation_number == -front.rotation_number, seed
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +143,7 @@ def test_reversing_orientation_negates_r():
 def test_trefoil_front_invariants():
     front = FrontDiagram(trefoil_front_events())
     assert front.n_components == 1
-    assert classical_invariants(front) == (1, 0)
+    assert (front.tb, front.rotation_number) == (1, 0)
     assert front.maslov is not None
 
 
@@ -177,6 +187,11 @@ def test_resolve_rejects_nonzero_rotation():
         resolve(front)
 
 
+def euler_sum(proj):
+    """Sum of (-1)^deg over the crossings; a front's resolution gives its tb."""
+    return sum(-1 if c.degree % 2 else 1 for c in proj.crossings)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_degree_writhe_bookkeeping(seed):
     rng = random.Random(100 + seed)
@@ -184,19 +199,12 @@ def test_degree_writhe_bookkeeping(seed):
     front = grid_to_front(g)
     if front.maslov is None:
         return
-    proj = resolve(front)
-    assert proj.euler_writhe_check()
+    assert euler_sum(resolve(front)) == front.tb
 
 
 def test_trefoil_resolution_degrees():
-    proj = resolve(FrontDiagram(trefoil_front_events()))
+    front = FrontDiagram(trefoil_front_events())
+    proj = resolve(front)
     degs = sorted(c.degree for c in proj.crossings)
     assert degs == [0, 0, 0, 1, 1]
-    assert proj.euler_writhe_check()
-
-
-def test_resolve_honors_labels():
-    front = FrontDiagram(trefoil_front_events(), labels={0: "a1", 1: "a2", 2: "a3"})
-    proj = resolve(front)
-    names = [c.name for c in proj.crossings]
-    assert names[:3] == ["a1", "a2", "a3"]
+    assert euler_sum(proj) == front.tb

@@ -7,10 +7,12 @@ invariants change under commutation moves, which cannot happen when every
 DGA is right: a fix shows as that list shrinking.
 
 Regenerate (only when an answer is meant to change) with
-``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
+``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` from the
+repository root; it rewrites the named goldens, or all of them.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -25,7 +27,7 @@ from test_tools import TOOL, load_by_path
 from ldga.augment import enumerate_augmentations, linearized_complex
 from ldga.cedga import DiskSearchError, build_dga, builtin, dump_dsl
 from ldga.cli import main
-from ldga.diagram import DiagramError, classical_invariants, grid_to_front, resolve
+from ldga.diagram import DiagramError, grid_to_front, resolve
 from ldga.linhom import homology_field, poincare
 
 REPO = Path(__file__).resolve().parents[1]
@@ -121,7 +123,7 @@ def legendrian_profile(grid) -> str:
     DGA-derived values.
     """
     front = grid_to_front(grid)
-    tb, r = classical_invariants(front)
+    tb, r = front.tb, front.rotation_number
     try:
         dga = build_dga(resolve(front))
     except (DiagramError, DiskSearchError) as exc:
@@ -202,14 +204,15 @@ def test_commutation_disagreements_match_golden():
 
 
 if __name__ == "__main__":
+    writers = {name: functools.partial(render, argv) for name, argv in CASES.items()}
+    writers.update({name: functools.partial(torus2_dsl, n) for name, n in TORUS_CASES.items()})
+    writers[RANDOM_FRONTS] = random_fronts_dsl
+    writers[INVARIANCE] = commutation_disagreements
+    names = sys.argv[1:] or list(writers)
+    unknown = sorted(set(names) - set(writers))
+    if unknown:
+        sys.exit(f"unknown goldens {unknown}; known: {sorted(writers)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN / name).write_text(render(argv))
+    for name in names:
+        (GOLDEN / name).write_text(writers[name]())
         print(f"wrote {GOLDEN / name}", file=sys.stderr)
-    for name, n in TORUS_CASES.items():
-        (GOLDEN / name).write_text(torus2_dsl(n))
-        print(f"wrote {GOLDEN / name}", file=sys.stderr)
-    (GOLDEN / RANDOM_FRONTS).write_text(random_fronts_dsl())
-    print(f"wrote {GOLDEN / RANDOM_FRONTS}", file=sys.stderr)
-    (GOLDEN / INVARIANCE).write_text(commutation_disagreements())
-    print(f"wrote {GOLDEN / INVARIANCE}", file=sys.stderr)
