@@ -1,28 +1,32 @@
-"""Immersed-disk enumeration over resolved diagrams by a finger sweep.
+"""Immersed-disk enumeration over graded fronts by a finger sweep.
 
 A disk of the differential has one positive corner and convex negative
 corners (Ng, "Computable Legendrian invariants", Topology 2003).  Swept
-from left to right, each fiber of the disks found here is one vertical
-interval between two strands.  A disk starts at a left cusp as the
-interval on the cusp's two strands, and the interval is carried east one
-event at a time:
+from left to right over the front's events, each fiber of the disks found
+here is one vertical interval between two strands.  A disk starts at a left
+cusp as the interval on the cusp's two strands, and the interval is carried
+east one event at a time:
 
   * over a left cusp it shifts with the strands; a cusp inside it passes
     through its interior;
   * at a crossing just outside its top or bottom, that end either follows
     its strand, widening the interval, or turns there as a negative corner;
     at a crossing just inside, the end follows its strand;
-  * a cap passes only when it lies outside the interval or strictly inside
-    it;
-  * when the interval spans a crossing's gap exactly, the disk closes
-    there as its positive corner.
+  * a right cusp passes it only when the cusp lies outside the interval or
+    strictly inside it, and kills it otherwise;
+  * when the interval spans the gap of a crossing or a right cusp exactly,
+    the disk closes there as its positive corner.
+
+A right cusp e_k is the crossing that Ng's resolution puts just west of the
+cusp's cap.  An interval with an end on either of its strands cannot pass
+the cap, so no disk turns at e_k and no word contains it.
 
 Read counterclockwise from the positive corner, the boundary word is the
 top corners from east to west, then the bottom corners from west to east.
-Each right cusp adds one more disk: the loop between the cusp's crossing
-and its cap, with the empty word.  Disks whose fiber is two intervals
-somewhere are not enumerated; finding them is the first open item of
-ROADMAP.md.  The caller checks every disk against the index identity
+Each right cusp adds one more disk: the loop between its crossing and its
+cap, with the empty word.  Disks whose fiber is two intervals somewhere are
+not enumerated; finding them is the first open item of ROADMAP.md.  The
+caller checks every disk against the index identity
 deg(a) - sum deg(b_i) = 1, and the assembled DGA against d^2 = 0.
 
 Dead states are memoized.  A state's subtree reads only the event index
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .diagram import BIRTH, CAP, CROSS, DiagramError, ProjectionDiagram
+from .diagram import LCUSP, RCUSP, ProjectionDiagram
 
 DEFAULT_DISK_BUDGET = 500_000
 
@@ -46,35 +50,24 @@ class DiskBudgetExceeded(RuntimeError):
     """The disk search ran past its step budget."""
 
 
-class DiskSearchError(RuntimeError):
-    """Internal inconsistency while enumerating disks (convention tripwire)."""
-
-
 class _Search:
     def __init__(self, diagram: ProjectionDiagram, budget: int | None):
-        self.events = list(diagram.events)
+        self.events = diagram.front.events
+        names = iter(c.name for c in diagram.crossings)  # in event order
+        self.names = [None if ev.kind == LCUSP else next(names) for ev in self.events]
         self.budget = DEFAULT_DISK_BUDGET if budget is None else budget
         self.steps = 0
-        self.found: list[tuple[str, tuple[str, ...]]] = []
+        # each right cusp's loop, with the empty word
+        self.found: list[tuple[str, tuple[str, ...]]] = [
+            (name, ()) for ev, name in zip(self.events, self.names) if ev.kind == RCUSP
+        ]
         self.dead: set[tuple[int, int, int]] = set()
-        strands = 0
-        for idx, ev in enumerate(self.events):
-            if ev[0] == BIRTH:
-                strands += 2
-            elif ev[0] == CAP:
-                strands -= 2
-                if idx == 0 or self.events[idx - 1][:2] != (CROSS, ev[1]):
-                    raise DiskSearchError(
-                        f"the cap at event {idx} does not follow its cusp crossing")
-                self.found.append((self.events[idx - 1][2], ()))  # the right cusp's loop
-        if strands != 0:
-            raise DiagramError("resolved diagram does not close up")
 
     def run(self) -> None:
         """Enumerate the disks of every crossing into ``found``."""
         for idx, ev in enumerate(self.events):
-            if ev[0] == BIRTH:
-                self._dfs(idx + 1, ev[1], ev[1] + 1, (), ())
+            if ev.kind == LCUSP:
+                self._dfs(idx + 1, ev.level, ev.level + 1, (), ())
 
     def _dfs(self, idx: int, bottom: int, top: int,
              tops: tuple[str, ...], bottoms: tuple[str, ...]) -> None:
@@ -96,27 +89,26 @@ class _Search:
         if key in self.dead:
             return
         found = len(self.found)
-        kind, i = self.events[idx][:2]
-        if kind == BIRTH:
+        ev, name = self.events[idx], self.names[idx]
+        i = ev.level
+        if ev.kind == LCUSP:
             self._dfs(idx + 1, bottom + 2 if bottom >= i else bottom,
                       top + 2 if top >= i else top, tops, bottoms)
-        elif kind == CAP:
+        elif (bottom, top) == (i, i + 1):
+            self.found.append((name, tops[::-1] + bottoms))
+        elif ev.kind == RCUSP:
             if top < i or bottom > i + 1 or (bottom < i and top > i + 1):
                 self._dfs(idx + 1, bottom - 2 if bottom > i else bottom,
                           top - 2 if top > i else top, tops, bottoms)
-        else:
-            name = self.events[idx][2]
-            if (bottom, top) == (i, i + 1):
-                self.found.append((name, tops[::-1] + bottoms))
-            elif top == i:
-                self._dfs(idx + 1, bottom, i + 1, tops, bottoms)
-                self._dfs(idx + 1, bottom, i, tops + (name,), bottoms)
-            elif bottom == i + 1:
-                self._dfs(idx + 1, i, top, tops, bottoms)
-                self._dfs(idx + 1, i + 1, top, tops, bottoms + (name,))
-            else:  # an end at a crossing just inside follows its strand
-                self._dfs(idx + 1, i + 1 if bottom == i else bottom,
-                          i if top == i + 1 else top, tops, bottoms)
+        elif top == i:
+            self._dfs(idx + 1, bottom, i + 1, tops, bottoms)
+            self._dfs(idx + 1, bottom, i, tops + (name,), bottoms)
+        elif bottom == i + 1:
+            self._dfs(idx + 1, i, top, tops, bottoms)
+            self._dfs(idx + 1, i + 1, top, tops, bottoms + (name,))
+        else:  # an end at a crossing just inside follows its strand
+            self._dfs(idx + 1, i + 1 if bottom == i else bottom,
+                      i if top == i + 1 else top, tops, bottoms)
         if len(self.found) == found:
             self.dead.add(key)
 

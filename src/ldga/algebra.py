@@ -375,9 +375,6 @@ class Element:
         _check_rings(self, other)
         return Element.sum(self.ring, self.terms + other.terms)
 
-    def neg(self) -> "Element":
-        return Element(self.ring, tuple((w, self.ring.neg(c)) for w, c in self.terms))
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -1,11 +1,12 @@
-"""Chekanov-Eliashberg DGAs over F2 from resolved diagrams, plus a DSL.
+"""Chekanov-Eliashberg DGAs over F2 from graded fronts, plus a DSL.
 
-The differential of a diagram crossing counts immersed disks with convex
-corners and a single positive corner at that crossing; the enumeration
-itself lives in :mod:`ldga._diskcore` (a finger sweep that carries one
-interval per fiber over the resolved diagram).  Every disk found is checked
-against the index identity deg(a) - sum deg(b_i) = 1, and every assembled
-DGA must pass validation (degree purity and d^2 = 0) before it is returned.
+The differential of a crossing (a front crossing or a right cusp) counts
+immersed disks with convex corners and a single positive corner at that
+crossing; the enumeration itself lives in :mod:`ldga._diskcore` (a finger
+sweep that carries one interval per fiber over the front's events).  Every
+disk found is checked against the index identity deg(a) - sum deg(b_i) = 1,
+and every DGA made here, from a diagram, the DSL or a builtin family, must
+pass validation (degree purity and d^2 = 0) before it is returned.
 
 One finger sweep finds the disks of every crossing, so the disk budget
 caps its steps per DGA build, memo hits included (default 500000); set it
@@ -17,12 +18,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from ._diskcore import (
-    DEFAULT_DISK_BUDGET,
-    DiskBudgetExceeded,
-    DiskSearchError,
-    boundary_words,
-)
+from ._diskcore import DEFAULT_DISK_BUDGET, DiskBudgetExceeded, boundary_words
 from .algebra import (
     DGA,
     DGAValidationError,
@@ -64,6 +60,10 @@ __all__ = [
     "unknot_dsl_dga",
     "unknot_projection",
 ]
+
+
+class DiskSearchError(RuntimeError):
+    """A diagram's disks break the index identity or d^2 = 0 (convention tripwire)."""
 
 
 def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
@@ -191,7 +191,10 @@ def load_dsl(text: str) -> DGA:
     differential = {}
     for name in order:
         differential[name] = _parse_poly(ring, seen, diffs[name], name)
-    dga = DGA(ring, tuple(gens), differential)
+    return _validated(DGA(ring, tuple(gens), differential))
+
+
+def _validated(dga: DGA) -> DGA:
     report = validate(dga)
     if not report.ok:
         raise DGAValidationError(f"DGA fails validation: {report}")
@@ -343,7 +346,7 @@ def twist_linearized(n: int) -> DGA:
             diff[f"e{i}"] = Element.build(ZZ, {(f"c{i-1}",): 1, (f"c{i}",): -1})
         else:
             diff[f"e{i}"] = Element.build(ZZ, {(f"c{i-1}",): -1, (f"c{i}",): 1})
-    return DGA(ZZ, tuple(gens), diff)
+    return _validated(DGA(ZZ, tuple(gens), diff))
 
 
 def unknot_projection() -> ProjectionDiagram:

@@ -25,7 +25,6 @@ from .algebra import (
     DGAValidationError,
     FiniteField,
     change_coefficients,
-    validate,
 )
 from .augment import AugmentationError
 from .cedga import BuiltinError, DSLError, DiskBudgetExceeded, DiskSearchError
@@ -108,6 +107,8 @@ def _parse_fields(spec: str) -> list[int]:
             GF(q)
         except CoefficientError as exc:
             raise CliError(f"bad field list {spec!r}: {exc}", EXIT_PARSE)
+    if len(set(fields)) != len(fields):
+        raise CliError(f"bad field list {spec!r}: a field order is repeated", EXIT_PARSE)
     return fields
 
 
@@ -129,6 +130,8 @@ def _parse_counts(spec: str) -> dict[int, int]:
             GF(q)
         except CoefficientError as exc:
             raise CliError(f"bad --counts pair {pair!r}: {exc}", EXIT_PARSE)
+        if q in counts:
+            raise CliError(f"bad --counts pair {pair!r}: field order {q} is repeated", EXIT_PARSE)
         counts[q] = c
     return counts
 
@@ -153,9 +156,6 @@ def _parse_schedule(spec: str) -> list[int]:
 
 def cmd_dga(args) -> int:
     dga = _load_dga(args, {})
-    report = validate(dga)
-    if not report.ok:
-        raise CliError(str(report), EXIT_VALIDATE)
     text = cedga.dump_dsl(dga)
     if args.out:
         Path(args.out).write_text(text)

@@ -10,9 +10,10 @@ sequences over a bottom-up strand list:
     ("cross", i)  the strands at levels i, i+1 cross
 
 At a front crossing the strand entering at the upper level is the
-over-strand (it has the lesser slope).  Resolving a front keeps front
-crossings, smooths left cusps, and replaces each right cusp by a new
-crossing of degree 1 followed by a cap.
+over-strand (it has the lesser slope).  Resolving a front (Ng) keeps the
+events and grades them: each front crossing stays a crossing, each left
+cusp is smoothed, and each right cusp becomes a crossing of degree 1 whose
+loop closes it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ class GridDiagram:
         return json.dumps({"size": self.size, "X": list(self.X), "O": list(self.O)})
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is a bool
+
+
 def parse_grid(text: str) -> GridDiagram:
     """Parse the {"size": N, "X": [..], "O": [..]} grid file format."""
     try:
@@ -83,10 +88,10 @@ def parse_grid(text: str) -> GridDiagram:
     missing = {"size", "X", "O"} - set(data)
     if missing:
         raise DiagramError(f"grid file missing keys: {sorted(missing)}")
-    if not isinstance(data["size"], int):
+    if not _is_int(data["size"]):
         raise DiagramError("grid size must be an integer")
     for key in ("X", "O"):
-        if not (isinstance(data[key], list) and all(isinstance(v, int) for v in data[key])):
+        if not (isinstance(data[key], list) and all(_is_int(v) for v in data[key])):
             raise DiagramError(f"grid {key} must be a list of integers")
     return GridDiagram(data["size"], tuple(data["X"]), tuple(data["O"]))
 
@@ -214,8 +219,8 @@ def grid_to_front(grid: GridDiagram) -> FrontDiagram:
 
     Verticals keep their grid over-crossing role: they become the lesser
     slope (over) strands at front crossings.  Event order is the rotated
-    x-order, made total by the lexicographic key (c - r, c + r).  The front
-    is oriented as the grid: columns run O -> X.
+    x-order, made total by the lexicographic key (c - r, c + r), which is
+    injective.  The front is oriented as the grid: columns run O -> X.
     """
     if grid.components() != 1:
         raise DiagramError(f"grid has {grid.components()} components; knots only")
@@ -243,9 +248,6 @@ def grid_to_front(grid: GridDiagram) -> FrontDiagram:
             if clo < c < chi:
                 events_in.append((key(c, r), "crossing", c, r))
     events_in.sort()
-    for (k1, *_), (k2, *_) in zip(events_in, events_in[1:]):
-        if k1 == k2:
-            raise DiagramError("event key collision; grid data degenerate")
 
     # the first event is the first left cusp, whose lower strand (arc 0) is
     # its column's vertical: it heads east iff it leaves this corner as an O
@@ -315,29 +317,24 @@ def grid_to_front(grid: GridDiagram) -> FrontDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Resolution: front -> Lagrangian projection events
+# Resolution: the crossings of the Lagrangian projection, with their degrees
 # ---------------------------------------------------------------------------
-
-BIRTH = "birth"
-CAP = "cap"
-
 
 @dataclass(frozen=True)
 class Crossing:
     name: str
     degree: int
-    kind: str  # "front" or "cusp"
 
 
 @dataclass(frozen=True)
 class ProjectionDiagram:
-    """Resolved diagram: births, crossings (with degrees) and caps.
+    """Resolved diagram: a front and its graded crossings.
 
-    events: ("birth", i) | ("cross", i, name) | ("cap", i), with i the lower
-    of the two strand levels involved, bottom-up.
+    crossings are in event order, one per front crossing (c1, c2, ...) or
+    right cusp (e1, e2, ...); left cusps are smoothed and carry none.
     """
 
-    events: tuple[tuple, ...]
+    front: FrontDiagram
     crossings: tuple[Crossing, ...]
 
 
@@ -348,23 +345,13 @@ def resolve(front: FrontDiagram) -> ProjectionDiagram:
             f"front has rotation number {front.rotation_number} != 0; no Z-grading"
         )
     mu = front.maslov
-    events: list[tuple] = []
     crossings: list[Crossing] = []
-    n_front = 0
-    n_cusp = 0
+    n_front = n_cusp = 0
     for ev in front.events:
-        if ev.kind == LCUSP:
-            events.append((BIRTH, ev.level))
-        elif ev.kind == CROSS:
+        if ev.kind == CROSS:
             n_front += 1
-            label = f"c{n_front}"
-            deg = mu[ev.upper_arc] - mu[ev.lower_arc]
-            crossings.append(Crossing(label, deg, "front"))
-            events.append((CROSS, ev.level, label))
+            crossings.append(Crossing(f"c{n_front}", mu[ev.upper_arc] - mu[ev.lower_arc]))
         elif ev.kind == RCUSP:
             n_cusp += 1
-            label = f"e{n_cusp}"
-            crossings.append(Crossing(label, 1, "cusp"))
-            events.append((CROSS, ev.level, label))
-            events.append((CAP, ev.level))
-    return ProjectionDiagram(tuple(events), tuple(crossings))
+            crossings.append(Crossing(f"e{n_cusp}", 1))
+    return ProjectionDiagram(front, tuple(crossings))

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 import weakref
@@ -13,7 +12,6 @@ from ldga.cedga import (
     BuiltinError,
     DGAValidationError,
     DiskBudgetExceeded,
-    DiskSearchError,
     DSLError,
     boundary_words,
     build_dga,
@@ -75,14 +73,6 @@ def test_index_identity_on_all_disks():
         assert degrees[name] - sum(degrees[b] for b in word) == 1
 
 
-def test_cap_must_follow_its_cusp_crossing():
-    # the right cusp's loop is read off the crossing just before the cap
-    proj = unknot_projection()
-    birth, cross, cap = proj.events
-    with pytest.raises(DiskSearchError, match="does not follow its cusp crossing"):
-        boundary_words(dataclasses.replace(proj, events=(birth, cap, cross)))
-
-
 def test_budget_exhaustion_is_loud():
     proj = resolve(grid_to_front(m821_grid()))
     with pytest.raises(DiskBudgetExceeded, match="--budget"):
@@ -90,16 +80,16 @@ def test_budget_exhaustion_is_loud():
 
 
 def test_budget_message_says_how_far_it_got():
-    # T(2,7): 150 steps reach event 7 of 13 and find 26 disks, 22 of them at e2
+    # T(2,7): 150 steps reach event 8 of 11 and find 32 disks, 22 of them at e2
     with pytest.raises(DiskBudgetExceeded) as exc:
         boundary_words(torus2_projection(7), budget=150)
     message = str(exc.value)
-    assert "budget of 150 steps" in message and "sweep event 7 of 13" in message
-    assert "disks found so far: 26 (e1: 4, e2: 22)" in message
+    assert "budget of 150 steps" in message and "sweep event 8 of 11" in message
+    assert "disks found so far: 32 (e1: 10, e2: 22)" in message
     assert "--budget" in message
 
 
-@pytest.mark.parametrize("name, steps", [("m821", 151), ("torus2_7", 220)])
+@pytest.mark.parametrize("name, steps", [("m821", 125), ("torus2_7", 196)])
 def test_build_step_count_pinned(name, steps):
     # the budget caps the steps of the one sweep per build, memo hits
     # included, so S = the sweep's step count is the least budget that works
@@ -113,10 +103,11 @@ def test_build_step_count_pinned(name, steps):
 
 
 def test_memo_key_is_event_bottom_and_top():
-    # a twist region whose disks all die at the next cap: paths through it
-    # differ only in their corners, and a state is keyed by (event, bottom,
-    # top) alone, so each twist adds a fixed number of steps; keyed with its
-    # corners too, the paths would grow like the Fibonacci numbers
+    # a twist region whose disks all die at the next right cusp: paths
+    # through it differ only in their corners, and a state is keyed by
+    # (event, bottom, top) alone, so each twist adds a fixed number of steps;
+    # keyed with its corners too, the paths would grow like the Fibonacci
+    # numbers
     def search(n):
         events = [(LCUSP, 0), (LCUSP, 2)] + [(CROSS, 1)] * n + [(RCUSP, 1), (RCUSP, 0)]
         out = _diskcore._Search(resolve(FrontDiagram(events)), None)
@@ -124,7 +115,7 @@ def test_memo_key_is_event_bottom_and_top():
         assert sorted(out.found) == [("e1", ()), ("e2", ())]  # the two loops
         return out
 
-    assert [search(n).steps for n in (3, 5, 7, 9)] == [25, 37, 49, 61]
+    assert [search(n).steps for n in (3, 5, 7, 9)] == [19, 31, 43, 55]
     assert all(len(key) == 3 for key in search(9).dead)
 
 

@@ -319,6 +319,9 @@ def test_reports_deterministic_modulo_timing(capsys, argv):
         ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", ""],
         ["certify", "classA", "--fields", "2,"],
         ["certify", "classB", "--n", "5", "--fields", ",4"],
+        ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:1,2:5,4:3"],
+        ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "2,4,2"],
+        ["certify", "classB", "--n", "5", "--fields", "4,2,4"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -367,6 +370,7 @@ def _words_breaking_the_index_identity(diagram, budget=None):
         ([BAD_DISKS, "linpoly", "--grid", M821], 3),
         ([BAD_DISKS, "spin", "--grid", M821, "--spin", "1"], 3),
         ([BAD_DISKS, "certify", "classA", "--grid", M821], 3),
+        (["dga", "--grid", str(FIXTURES / "bool_grid.json")], 2),
     ],
 )
 def test_every_subcommand_fails_with_its_documented_code(capsys, monkeypatch, argv, code):

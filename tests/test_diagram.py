@@ -57,6 +57,21 @@ def test_parse_bad_json_rejected():
         parse_grid('{"size": 2}')
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"size": true, "X": [0, 1], "O": [1, 0]}',
+        '{"size": 2, "X": [true, false], "O": [false, true]}',
+        '{"size": 2, "X": [0, 1], "O": [true, 0]}',
+    ],
+    ids=["size", "X and O", "O"],
+)
+def test_parse_booleans_rejected(text):
+    # JSON true/false load as Python bools, which are ints
+    with pytest.raises(DiagramError, match="integer"):
+        parse_grid(text)
+
+
 def test_m821_fixture_is_a_knot():
     from ldga.cedga import m821_grid
 
@@ -165,7 +180,7 @@ def test_resolve_minimal_unknot():
     proj = resolve(grid_to_front(unknot_grid()))
     assert len(proj.crossings) == 1
     assert proj.crossings[0].degree == 1
-    assert proj.crossings[0].kind == "cusp"
+    assert proj.crossings[0].name == "e1"  # the right cusp
 
 
 def test_resolve_cusp_crossings_degree_one():
@@ -173,7 +188,7 @@ def test_resolve_cusp_crossings_degree_one():
 
     proj = resolve(grid_to_front(m821_grid()))
     for c in proj.crossings:
-        if c.kind == "cusp":
+        if c.name.startswith("e"):  # a right cusp
             assert c.degree == 1
 
 

@@ -25,6 +25,20 @@ def test_trace_layers_resolve_to_library_functions():
         assert callable(getattr(importlib.import_module(module), function, None)), span
 
 
+def test_tracer_counts_a_traced_pipeline():
+    # `--trace 1` reads these counters off the traced calls' arguments and
+    # results; a change to a traced return type must fail here, not there
+    from ldga import cedga, diagram, obstruct
+
+    tracer = load_by_path(TRACING).Tracer()
+    with tracer.installed():
+        cedga.build_dga(diagram.resolve(diagram.grid_to_front(cedga.m821_grid())))
+        obstruct.certify_nongeometric("classB_twist", n=5, schedule=[3])
+    for metric in ("diagram.crossings", "cedga.disks", "linhom.field_rank_cells",
+                   "linhom.snf_cells"):
+        assert tracer.counts.get(metric, 0) > 0, metric
+
+
 def test_m821_tool_polynomial_multiset():
     tool = load_by_path(TOOL)
     polys = tool.polynomial_multiset(m821_grid())
