@@ -431,6 +431,9 @@ class DGA:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names in {names}")
+        unknown = sorted(set(self.differential) - set(names))
+        if unknown:
+            raise ValueError(f"differential of unknown generators {unknown}")
         clean = {k: v for k, v in dict(self.differential).items() if not v.is_zero}
         object.__setattr__(self, "differential", clean)
 
@@ -444,13 +447,39 @@ class DGA:
         """q -> this DGA over GF(q), filled by ``augment`` on first use."""
         return {}
 
+    @cached_property
+    def _zero(self) -> Element:
+        return Element.zero(self.ring)
+
+    @cached_property
+    def augmentation_system(self) -> list[list[tuple[Word, object]]]:
+        """The degree-0 monomials of each nonzero d(g), in generator order.
+
+        eps(d g) = 0 are the equations of an augmentation; built once per
+        DGA and shared by ``augment``'s solver, its recheck and ``conjugate``.
+        """
+        system = []
+        for g in self.generators:
+            terms = self.degree_zero_monomials(self.diff_of(g.name))
+            if terms:
+                system.append(terms)
+        return system
+
     def generators_of_degree(self, d: int) -> list[str]:
         return [g.name for g in self.generators if g.degree == d]
 
+    def degree_zero_monomials(self, el: Element) -> list[tuple[Word, object]]:
+        """The terms of el that eps can see: monomials in degree-0 generators."""
+        degs = self.degrees
+        return [(w, c) for w, c in el.terms if all(degs[g] == 0 for g in w)]
+
     def diff_of(self, name: str) -> Element:
+        dg = self.differential.get(name)
+        if dg is not None:
+            return dg
         if name not in self.degrees:
             raise KeyError(f"unknown generator {name!r}")
-        return self.differential.get(name, Element.zero(self.ring))
+        return self._zero
 
     def word_degree(self, w: Word) -> int:
         degs = self.degrees
@@ -464,6 +493,7 @@ def apply_differential(dga: DGA, x: Element) -> Element:
     """Extend the generator differential to x by linearity and Leibniz."""
     ring = dga.ring
     degs = dga.degrees
+    diff = dga.differential
     pairs: list[tuple[Word, object]] = []
     for w, c in x.terms:
         for g in w:
@@ -471,8 +501,8 @@ def apply_differential(dga: DGA, x: Element) -> Element:
                 raise KeyError(f"unknown generator {g!r}")
         prefix_deg = 0
         for i, g in enumerate(w):
-            dg = dga.diff_of(g)
-            if not dg.is_zero:
+            dg = diff.get(g)
+            if dg is not None:
                 sign = -1 if prefix_deg % 2 else 1
                 for wg, cg in dg.terms:
                     coeff = ring.mul(c, cg)
@@ -506,7 +536,9 @@ def validate(dga: DGA) -> ValidationReport:
     """Check degree purity of every d(g) and d(d(g)) = 0."""
     violations = []
     for g in dga.generators:
-        dg = dga.diff_of(g.name)
+        dg = dga.differential.get(g.name)
+        if dg is None:
+            continue
         for w, _ in dg.terms:
             wd = dga.word_degree(w)
             if wd != g.degree - 1:

@@ -2,9 +2,12 @@
 
 An augmentation assigns field values to the degree-0 generators (t, when
 present, is pinned to -1) so that eps(d g) = 0 for every generator.  The
-enumerator backtracks over generators ordered by equation membership with
-unit propagation; the tests check it against a plain scan of every
-assignment.  Variety point counts of polynomial systems go through the same backtracking
+equations are one list per field DGA, ``DGA.augmentation_system``, shared by
+the solver, the recheck of every solution and ``conjugate``; the d^2 = 0
+tripwire still runs whole on every conjugated DGA.  The enumerator
+backtracks over generators ordered by equation membership with unit
+propagation; the tests check it against a plain scan of every assignment.
+Variety point counts of polynomial systems go through the same backtracking
 solver.
 """
 
@@ -56,12 +59,14 @@ class Augmentation:
 
     def evaluate(self, dga: DGA, el: Element) -> int:
         """Apply the augmentation to an element of a field DGA."""
-        return _eval_terms(self.field, _augmentation_terms(dga, el), self.as_dict())
+        return _eval_terms(self.field, dga.degree_zero_monomials(el), self.as_dict())
 
     def is_valid(self, dga: DGA) -> bool:
+        """eps(d g) = 0 for every generator, read off the DGA's cached system."""
+        assign = self.as_dict()
         return all(
-            self.evaluate(dga, dga.diff_of(g.name)) == self.field.zero
-            for g in dga.generators
+            _eval_terms(self.field, eq, assign) == self.field.zero
+            for eq in dga.augmentation_system
         )
 
 
@@ -79,26 +84,14 @@ def enumerate_augmentations(dga: DGA, q: int) -> list[Augmentation]:
     ring = GF(q)
     fdga = _field_dga(dga, q)
     unknowns = sorted(fdga.generators_of_degree(0))
-    equations = []
-    for g in fdga.generators:
-        el = fdga.diff_of(g.name)
-        terms = _augmentation_terms(fdga, el)
-        if terms:
-            equations.append(terms)
     t_val = ring.from_int(-1) if dga.ring.name == "Z[t]" else None
-    sols = _backtrack(ring, unknowns, equations)
+    sols = _backtrack(ring, unknowns, fdga.augmentation_system)
     sols.sort(key=lambda a: tuple(a[u] for u in unknowns))
     out = [Augmentation.build(ring, s, t_val) for s in sols]
     for aug in out:
         if not aug.is_valid(fdga):
             raise DGAValidationError("solver produced an invalid augmentation")
     return out
-
-
-def _augmentation_terms(dga: DGA, el: Element) -> list:
-    """The terms of el that eps can see: monomials in degree-0 generators."""
-    degs = dga.degrees
-    return [(word, coeff) for word, coeff in el.terms if all(degs[g] == 0 for g in word)]
 
 
 def _eval_terms(ring: FiniteField, terms, assign: dict[str, int]) -> int:
@@ -207,25 +200,25 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     degs = fdga.degrees
     shift = {name: v for name, v in eps.values if degs.get(name) == 0}
     diff = {}
-    for g in fdga.generators:
+    for name, dg in fdga.differential.items():
         pairs = []
-        for word, coeff in fdga.diff_of(g.name).terms:
+        for word, coeff in dg.terms:
             # expand the product of (letter + eps(letter)) over the word
             expanded = [((), coeff)]
-            for name in word:
-                v = shift.get(name)
-                kept = [(w + (name,), c) for w, c in expanded]
+            for letter in word:
+                v = shift.get(letter)
+                kept = [(w + (letter,), c) for w, c in expanded]
                 if v is not None:
                     kept += [(w, ring.mul(c, v)) for w, c in expanded]
                 expanded = kept
             pairs += expanded
-        diff[g.name] = Element.sum(ring, pairs)
+        diff[name] = Element.sum(ring, pairs)
     out = DGA(ring, fdga.generators, diff)
     report = validate(out)
     if not report.ok:
         raise DGAValidationError(f"conjugated DGA failed validation: {report}")
-    for g in out.generators:
-        if out.diff_of(g.name).constant_term() != ring.zero:
+    for dg in out.differential.values():
+        if dg.constant_term() != ring.zero:
             raise DGAValidationError("conjugation left a constant term")
     return out
 
@@ -235,7 +228,7 @@ def linear_part(dga: DGA) -> LinearizedComplex:
     ring = dga.ring
     for g in dga.generators:
         c = dga.diff_of(g.name).constant_term()
-        if c != ring.zero and not ring.is_zero(c):
+        if not ring.is_zero(c):
             raise AugmentationError(
                 f"d({g.name}) has constant term {c}; conjugate by an augmentation first"
             )

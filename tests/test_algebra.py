@@ -222,6 +222,17 @@ def test_unknown_generator_rejected():
         apply_differential(dga, Element.generator(dga.ring, "zzz"))
 
 
+def test_differential_of_unknown_generator_rejected():
+    # validate walks the generators only, so such a key would pass unchecked
+    ring = GF(2)
+    with pytest.raises(ValueError, match="zzz"):
+        DGA(ring, (Generator("a", 1),), {"zzz": Element.generator(ring, "a")})
+    from ldga.cedga import DSLError, load_dsl
+
+    with pytest.raises(DSLError, match="unknown generator 'zzz'"):
+        load_dsl("coeff F2\ngen a 1\nd zzz = a\n")
+
+
 @given(elements_f2, elements_f2)
 @settings(max_examples=60)
 def test_graded_leibniz_over_f2(v, w):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ldga.algebra import DGA, Element, GF, Generator, ZZ, change_coefficients
+from ldga.algebra import DGA, Element, GF, Generator, ZZ, change_coefficients, multiply
 from ldga.augment import (
     Augmentation,
     AugmentationError,
@@ -20,10 +20,12 @@ from ldga.augment import (
 from ldga.cedga import (
     build_dga,
     load_dsl,
+    m821_grid,
     trefoil_projection,
     twist_linearized,
     unknot_dsl_dga,
 )
+from ldga.diagram import grid_to_front, resolve
 
 AB_VARIETY = parse_polysystem("var a b; eq a*b + 1;")
 
@@ -127,6 +129,62 @@ def test_conjugated_dga_admits_zero_augmentation():
         zero = Augmentation.build(GF(2), {})
         assert zero.is_valid(conj)
         assert any(a.values == () for a in enumerate_augmentations(conj, 2))
+
+
+def conjugated_by_products(fdga: DGA, eps: Augmentation, name: str) -> Element:
+    """d(name) with every letter replaced by letter + eps(letter), multiplied out.
+
+    The reference for ``conjugate``: one ``multiply`` per letter and one
+    ``Element.add`` per word, sharing no code with its expansion.
+    """
+    ring = fdga.ring
+    total = Element.zero(ring)
+    for word, coeff in fdga.diff_of(name).terms:
+        prod = Element.unit(ring, coeff)
+        for letter in word:
+            shift = eps.value(letter) if fdga.degrees[letter] == 0 else 0
+            factor = Element.generator(ring, letter).add(Element.unit(ring, shift))
+            prod = multiply(prod, factor)
+        total = total.add(prod)
+    return total
+
+
+@pytest.mark.parametrize("knot, q, count", [("trefoil", 16, 257), ("m821", 4, 120)])
+def test_conjugate_matches_product_expansion(knot, q, count):
+    proj = trefoil_projection() if knot == "trefoil" else resolve(grid_to_front(m821_grid()))
+    dga = build_dga(proj)
+    fdga = change_coefficients(dga, GF(q))
+    augs = enumerate_augmentations(dga, q)
+    assert len(augs) == count
+    for eps in augs:
+        conj = conjugate(dga, eps)
+        for g in dga.generators:
+            assert conj.diff_of(g.name) == conjugated_by_products(fdga, eps, g.name), g.name
+
+
+def test_is_valid_matches_per_generator_definition():
+    dga = build_dga(resolve(grid_to_front(m821_grid())))
+    augs = enumerate_augmentations(dga, 4)
+    f4 = dga.field_copies[4]
+    system = f4.augmentation_system
+    assert f4.augmentation_system is system
+
+    def by_generator(eps):
+        return all(eps.evaluate(f4, f4.diff_of(g.name)) == 0 for g in f4.generators)
+
+    invalid = 0
+    for eps in augs:
+        assert eps.is_valid(f4) and by_generator(eps)
+        conjugate(dga, eps)
+        for name in f4.generators_of_degree(0):
+            for v in GF(4).elements():
+                if v != eps.value(name):
+                    moved = Augmentation.build(GF(4), {**eps.as_dict(), name: v})
+                    assert moved.is_valid(f4) == by_generator(moved)
+                    invalid += not moved.is_valid(f4)
+    assert invalid > 0
+    # enumeration, the rechecks and every conjugate read the one cached list
+    assert dga.field_copies[4] is f4 and f4.augmentation_system is system
 
 
 def test_linear_part_toy():

@@ -28,14 +28,17 @@ def test_trace_layers_resolve_to_library_functions():
 def test_tracer_counts_a_traced_pipeline():
     # `--trace 1` reads these counters off the traced calls' arguments and
     # results; a change to a traced return type must fail here, not there
-    from ldga import cedga, diagram, obstruct
+    from ldga import augment, cedga, diagram, obstruct
 
     tracer = load_by_path(TRACING).Tracer()
     with tracer.installed():
         cedga.build_dga(diagram.resolve(diagram.grid_to_front(cedga.m821_grid())))
         obstruct.certify_nongeometric("classB_twist", n=5, schedule=[3])
+        trefoil = cedga.build_dga(cedga.trefoil_projection())
+        for eps in augment.enumerate_augmentations(trefoil, 2):
+            augment.linearized_complex(trefoil, eps)
     for metric in ("diagram.crossings", "cedga.disks", "linhom.field_rank_cells",
-                   "linhom.snf_cells"):
+                   "linhom.snf_cells", "augment.solutions", "augment.conjugate_calls"):
         assert tracer.counts.get(metric, 0) > 0, metric
 
 
