@@ -535,12 +535,16 @@ class ValidationReport:
 def validate(dga: DGA) -> ValidationReport:
     """Check degree purity of every d(g) and d(d(g)) = 0."""
     violations = []
+    degs = dga.degrees
     for g in dga.generators:
         dg = dga.differential.get(g.name)
         if dg is None:
             continue
         for w, _ in dg.terms:
-            wd = dga.word_degree(w)
+            try:
+                wd = sum(map(degs.__getitem__, w))
+            except KeyError:
+                wd = dga.word_degree(w)  # raises, naming the letter and its word
             if wd != g.degree - 1:
                 violations.append(
                     f"d({g.name}) term {'*'.join(w) or '1'} has degree {wd}, "

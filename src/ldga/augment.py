@@ -4,17 +4,20 @@ An augmentation assigns field values to the degree-0 generators (t, when
 present, is pinned to -1) so that eps(d g) = 0 for every generator.  The
 equations are one list per field DGA, ``DGA.augmentation_system``, shared by
 the solver, the recheck of every solution and ``conjugate``; the d^2 = 0
-tripwire still runs whole on every conjugated DGA.  The enumerator
-backtracks over generators ordered by equation membership with unit
-propagation; the tests check it against a plain scan of every assignment.
-Variety point counts of polynomial systems go through the same backtracking
-solver.
+tripwire still runs whole on every conjugated DGA.  The one solver,
+``_backtrack``, compiles the equations to integer-indexed terms and keeps a
+watch list per generator, so an assignment touches only the equations that
+mention it: one left with no free generator is evaluated, and one left with
+a single free generator, linear there, forces it.  The tests check it
+against a plain scan of every assignment.  Variety point counts of
+polynomial systems go through the same solver.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,15 +62,13 @@ class Augmentation:
 
     def evaluate(self, dga: DGA, el: Element) -> int:
         """Apply the augmentation to an element of a field DGA."""
-        return _eval_terms(self.field, dga.degree_zero_monomials(el), self.as_dict())
+        values = defaultdict(int, self.values)
+        return _eval_terms(self.field, dga.degree_zero_monomials(el), values)
 
     def is_valid(self, dga: DGA) -> bool:
         """eps(d g) = 0 for every generator, read off the DGA's cached system."""
-        assign = self.as_dict()
-        return all(
-            _eval_terms(self.field, eq, assign) == self.field.zero
-            for eq in dga.augmentation_system
-        )
+        values = defaultdict(int, self.values)
+        return not any(_eval_terms(self.field, eq, values) for eq in dga.augmentation_system)
 
 
 def _field_dga(dga: DGA, q: int) -> DGA:
@@ -94,96 +95,122 @@ def enumerate_augmentations(dga: DGA, q: int) -> list[Augmentation]:
     return out
 
 
-def _eval_terms(ring: FiniteField, terms, assign: dict[str, int]) -> int:
-    """Sum of the terms at the assignment; unassigned letters are 0."""
-    total = ring.zero
+def _eval_terms(ring: FiniteField, terms, values) -> int:
+    """Sum of the terms (word, coeff) at values[letter] for every letter."""
+    add, mul = ring.add_table, ring.mul_table
+    total = 0
     for word, coeff in terms:
         prod = coeff
         for g in word:
-            prod = ring.mul(prod, assign.get(g, ring.zero))
-            if prod == 0:
+            prod = mul[prod][values[g]]
+            if not prod:
                 break
-        total = ring.add(total, prod)
+        else:
+            total = add[total][prod]
     return total
 
 
 def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[str, int]]:
-    # order generators by how many equations mention them, ties by name
-    counts = {u: 0 for u in unknowns}
-    for eq in equations:
-        mentioned = {g for word, _ in eq for g in word}
-        for g in mentioned:
-            counts[g] += 1
+    """Every assignment of the unknowns that zeroes every equation.
+
+    Variables are indexed in order of how many equations mention them, ties
+    by name; each keeps a watch list of those equations, and each equation
+    a count of its unassigned variables.  Assigning a variable touches only
+    its watch list: an equation left with no free variable is evaluated, and
+    one left with a single free variable y, linear there as c*y + d, forces
+    y = -d/c.  An undo trail restores the counts on backtracking.
+    """
+    add, neg, mul, inv = ring.add_table, ring.neg_table, ring.mul_table, ring.inv_table
+    mentions = [{g for word, _ in eq for g in word} for eq in equations]
+    counts = Counter(g for names in mentions for g in names)
     order = sorted(unknowns, key=lambda u: (-counts[u], u))
+    index = {u: i for i, u in enumerate(order)}
+    eqs = [[(tuple(index[g] for g in word), coeff) for word, coeff in eq] for eq in equations]
+    letters = [tuple(index[g] for g in names) for names in mentions]
+    watch: list[list[int]] = [[] for _ in order]
+    for e, ls in enumerate(letters):
+        for x in ls:
+            watch[x].append(e)
+    free = [len(ls) for ls in letters]
+    vals: list[int | None] = [None] * len(order)
+    trail: list[int] = []
     sols: list[dict[str, int]] = []
-    assign: dict[str, int] = {}
 
-    def unassigned_vars(eq):
-        return {g for word, _ in eq for g in word if g not in assign}
+    def assign(x: int, v: int, pending: list[int], solved: int = -1) -> bool:
+        """Set x = v, queue x's equations left with one free variable and
+        evaluate those left with none, but ``solved``, which forced x."""
+        vals[x] = v
+        trail.append(x)
+        ok = True
+        for e in watch[x]:
+            free[e] -= 1
+            if free[e] == 1:
+                pending.append(e)
+            elif not free[e] and e != solved and _eval_terms(ring, eqs[e], vals):
+                ok = False
+        return ok
 
-    def linear_coeffs(eq, x: str):
-        """Split eps(eq) = c*x + d when x is linear in eq, else None."""
-        c = ring.zero
-        d = ring.zero
-        for word, coeff in eq:
-            occurrences = word.count(x)
-            if occurrences > 1:
-                return None
-            prod = coeff
-            for g in word:
-                if g == x:
-                    continue
-                prod = ring.mul(prod, assign[g])
-            if occurrences:
-                c = ring.add(c, prod)
+    def split(e: int, y: int) -> tuple[int, int] | None:
+        """(c, d) with equation e = c*y + d at vals, or None if y is not linear."""
+        c = d = 0
+        for word, coeff in eqs[e]:
+            prod, hits = coeff, 0
+            for x in word:
+                if x == y:
+                    hits += 1
+                elif not (prod := mul[prod][vals[x]]):
+                    break  # a zero term, however often y occurs in it
             else:
-                d = ring.add(d, prod)
+                if hits > 1 and prod:
+                    return None
+                if hits:
+                    c = add[c][prod]
+                else:
+                    d = add[d][prod]
         return c, d
 
-    def propagate() -> tuple[list[str], bool]:
-        """Assign forced values; returns (new assignments, conflict?)."""
-        forced: list[str] = []
-        changed = True
-        while changed:
-            changed = False
-            for eq in equations:
-                free = unassigned_vars(eq)
-                if not free:
-                    if _eval_terms(ring, eq, assign) != 0:
-                        return forced, True
-                    continue
-                if len(free) == 1:
-                    x = next(iter(free))
-                    split = linear_coeffs(eq, x)
-                    if split is None:
-                        continue
-                    c, d = split
-                    if c == ring.zero:
-                        if d != ring.zero:
-                            return forced, True
-                        continue
-                    assign[x] = ring.mul(ring.inv(c), ring.neg(d))
-                    forced.append(x)
-                    changed = True
-        return forced, False
+    def propagate(pending: list[int]) -> bool:
+        """Force the free variable of each queued linear equation; False on a conflict."""
+        while pending:
+            e = pending.pop()
+            if free[e] != 1:
+                continue  # its last variable was assigned since, and assign() checked it
+            y = next(x for x in letters[e] if vals[x] is None)
+            cd = split(e, y)
+            if cd is None:
+                continue
+            c, d = cd
+            if c:
+                if not assign(y, mul[inv[c]][neg[d]], pending, e):
+                    return False
+            elif d:
+                return False
+        return True
 
-    def recurse(i: int):
-        forced, conflict = propagate()
-        if not conflict:
-            while i < len(order) and order[i] in assign:
-                i += 1
-            if i == len(order):
-                sols.append(dict(assign))
-            else:
-                g = order[i]
-                for v in ring.elements():
-                    assign[g] = v
-                    recurse(i + 1)
-                del assign[g]
-        for x in forced:
-            del assign[x]
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            x = trail.pop()
+            vals[x] = None
+            for e in watch[x]:
+                free[e] += 1
 
-    recurse(0)
+    def recurse(i: int) -> None:
+        while i < len(order) and vals[i] is not None:
+            i += 1
+        if i == len(order):
+            sols.append(dict(zip(order, vals)))
+            return
+        for v in ring.elements():
+            mark = len(trail)
+            pending: list[int] = []
+            if assign(i, v, pending) and propagate(pending):
+                recurse(i + 1)
+            undo(mark)
+
+    constants_hold = not any(not n and _eval_terms(ring, eq, vals) for n, eq in zip(free, eqs))
+    if constants_hold and propagate([e for e, n in enumerate(free) if n == 1]):
+        recurse(0)
+    del recurse  # a self-reference: it would hold every array until a gc pass
     return sols
 
 

@@ -1,7 +1,11 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldga.algebra import DGA, Element, GF, Generator, ZZ, change_coefficients, multiply
 from ldga.augment import (
@@ -16,6 +20,7 @@ from ldga.augment import (
     roots_of_unity_count,
     torus_point_count,
     variety_points,
+    _backtrack,
 )
 from ldga.cedga import (
     build_dga,
@@ -28,6 +33,12 @@ from ldga.cedga import (
 from ldga.diagram import grid_to_front, resolve
 
 AB_VARIETY = parse_polysystem("var a b; eq a*b + 1;")
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+MAX_POINTS = 4096  # q^n assignments a product scan may visit
+
+
+def max_unknowns(q: int) -> int:
+    return int(math.log(MAX_POINTS, q) + 1e-9)
 
 
 def exhaustive_augmentations(dga: DGA, q: int) -> list[Augmentation]:
@@ -85,6 +96,56 @@ def test_backtracker_matches_oracle_on_nonlinear_system():
     assert enumerate_augmentations(dga, 2) == exhaustive_augmentations(dga, 2)
     dga4 = load_dsl(text.replace("F2", "F4"))
     assert enumerate_augmentations(dga4, 4) == exhaustive_augmentations(dga4, 4)
+
+
+def product_scan(q: int, unknowns: list[str], equations) -> Counter:
+    """Every assignment that zeroes every (word, coeff) equation, by brute force."""
+    f = GF(q)
+    found = Counter()
+    for combo in itertools.product(f.elements(), repeat=len(unknowns)):
+        point = dict(zip(unknowns, combo))
+        ok = True
+        for eq in equations:
+            total = f.zero
+            for word, coeff in eq:
+                term = coeff
+                for g in word:
+                    term = f.mul(term, point[g])
+                total = f.add(total, term)
+            ok = ok and total == f.zero
+        if ok:
+            found[tuple(sorted(point.items()))] += 1
+    return found
+
+
+@st.composite
+def solver_systems(draw):
+    """A field order, unknowns with q^n <= MAX_POINTS, and (word, coeff) equations.
+
+    Words repeat letters (nonlinear terms) and may be empty (constants),
+    coefficients may be 0, and an unknown may appear in no equation.
+    """
+    q = draw(st.sampled_from(FIELD_ORDERS))
+    n = draw(st.integers(0, max_unknowns(q)))
+    unknowns = [f"x{i}" for i in range(n)]
+    letters = st.sampled_from(unknowns) if unknowns else st.nothing()
+    words = st.lists(letters, max_size=3 if unknowns else 0).map(tuple)
+    terms = st.lists(st.tuples(words, st.integers(0, q - 1)), max_size=5)
+    return q, unknowns, draw(st.lists(terms, max_size=4))
+
+
+@given(solver_systems())
+@settings(max_examples=300, deadline=None)
+@example((3, [], []))  # the empty system: one empty assignment
+@example((5, ["x0"], [[((), 2)]]))  # a nonzero constant: no solutions
+@example((4, ["x0", "x1"], [[(("x0",), 1), ((), 0)]]))  # x1 free, a zero constant
+@example((2, ["x0", "x1"], [[(("x0", "x0"), 1), (("x1",), 1), ((), 1)]]))
+def test_solver_matches_product_scan(system):
+    q, unknowns, equations = system
+    solutions = _backtrack(GF(q), unknowns, equations)
+    assert all(sorted(s) == sorted(unknowns) for s in solutions)
+    found = Counter(tuple(sorted(s.items())) for s in solutions)
+    assert found == product_scan(q, unknowns, equations)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +358,25 @@ def test_variety_points_reduce_huge_exponents(q):
     ):
         system = parse_polysystem(text)
         assert variety_points(system, q) == exhaustive_points(system, q), text
+
+
+@st.composite
+def high_power_systems(draw):
+    """A field order and a PolySystem whose exponents run past q - 1."""
+    q = draw(st.sampled_from(FIELD_ORDERS))
+    n = draw(st.integers(1, min(3, max_unknowns(q))))
+    names = tuple(f"v{i}" for i in range(n))
+    powers = st.lists(st.tuples(st.sampled_from(names), st.integers(1, 3 * q)),
+                      max_size=3, unique_by=lambda vp: vp[0]).map(lambda ps: tuple(sorted(ps)))
+    terms = st.lists(st.tuples(st.integers(-2 * q, 2 * q), powers), min_size=1, max_size=4)
+    return q, PolySystem(names, tuple(map(tuple, draw(st.lists(terms, max_size=3)))))
+
+
+@given(high_power_systems())
+@settings(max_examples=200, deadline=None)
+def test_variety_points_match_brute_force_at_high_powers(case):
+    q, system = case
+    assert variety_points(system, q) == exhaustive_points(system, q)
 
 
 def test_variety_points_have_no_variable_cap():

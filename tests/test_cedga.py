@@ -176,8 +176,10 @@ def test_finished_search_is_freed_without_the_cyclic_collector():
 def test_torus2_builtin():
     # the (2,n) family: torus2:3 is the trefoil, and #Aug over F2 is (2^(n+1) - 1)/3
     assert dump_dsl(build_dga(builtin("torus2:3"))) == dump_dsl(build_dga(trefoil_projection()))
-    dga = build_dga(builtin("torus2:5"))
-    assert len(enumerate_augmentations(dga, 2)) == (2 ** 6 - 1) // 3
+    for n in (3, 5, 7, 9, 11):
+        augs = enumerate_augmentations(build_dga(builtin(f"torus2:{n}")), 2)
+        assert len(augs) == (2 ** (n + 1) - 1) // 3, n
+        assert len(set(augs)) == len(augs), n
     for bad in ("torus2:1", "torus2:4", "torus2:0"):
         with pytest.raises(BuiltinError, match="odd n >= 3"):
             builtin(bad)

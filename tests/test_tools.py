@@ -37,9 +37,14 @@ def test_tracer_counts_a_traced_pipeline():
         trefoil = cedga.build_dga(cedga.trefoil_projection())
         for eps in augment.enumerate_augmentations(trefoil, 2):
             augment.linearized_complex(trefoil, eps)
+        twist = augment.parse_polysystem((REPO / "fixtures" / "twist_variety.sys").read_text())
+        assert augment.variety_points(twist, 4) == 3  # q - 1 points on ab = -1
     for metric in ("diagram.crossings", "cedga.disks", "linhom.field_rank_cells",
                    "linhom.snf_cells", "augment.solutions", "augment.conjugate_calls"):
         assert tracer.counts.get(metric, 0) > 0, metric
+    # both callers of the one solver keep a span, so its time stays attributed
+    names = {span[0] for span in tracer.spans}
+    assert {"augment.enumerate", "augment.variety_points"} <= names, names
 
 
 def test_m821_tool_polynomial_multiset():
