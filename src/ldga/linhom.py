@@ -2,13 +2,16 @@
 
 Matrices are lists of rows with exact entries (Python ints; finite-field
 entries use the table arithmetic from :mod:`ldga.algebra`).  Integer homology
-goes through Smith normal form with explicit unimodular transforms U, A, V
-so that U*A*V = D can be re-verified by the test suite.
+goes through a sparse Smith normal form, run once per distinct matrix of a
+complex (a spun complex repeats its knot's matrices).  It returns explicit
+unimodular transforms U and V, so that U*A*V = D is re-verified by the test
+suite; it is not re-verified at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping
 
 from .algebra import GF, FiniteField, IntegerRing, Ring, same_ring
@@ -22,10 +25,6 @@ Matrix = list[list[int]]
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix, gf: FiniteField | None = None) -> Matrix:
@@ -44,8 +43,9 @@ def mat_mul(a: Matrix, b: Matrix, gf: FiniteField | None = None) -> Matrix:
                     for j in range(m):
                         row[j] += x * row_b[j]
                 else:
+                    add, mul_x = gf.add_table, gf.mul_table[x]
                     for j in range(m):
-                        row[j] = gf.add(row[j], gf.mul(x, row_b[j]))
+                        row[j] = add[row[j]][mul_x[row_b[j]]]
     return out
 
 
@@ -96,90 +96,127 @@ class SmithForm:
 def smith_normal_form(a: Matrix) -> SmithForm:
     """Diagonalize an integer matrix: U*A*V = D with U, V unimodular.
 
-    Pivot = globally minimal nonzero absolute value (the scan stops at 1).
-    Each step reduces the whole pivot column, then the whole pivot row, by
-    euclidean division; a nonzero remainder is strictly smaller than the
-    pivot and forces a rescan, which gives termination.  A pivot is final
-    once its row and column are clear and it divides the rest of the
-    submatrix, which gives the divisibility chain d1 | d2 | ... in one pass.
+    Works on sparse rows: each row of D is a dict col -> value, ``at`` maps
+    a column to the rows with a nonzero there, U is kept as sparse rows and
+    V as sparse columns (the rows of V^T).  Pivot = an entry of least
+    nonzero absolute value, scanning the unfinished rows in index order and
+    stopping at 1.  Each step clears the pivot column by euclidean row
+    operations, then the pivot row; the column is clear by then, so a
+    column operation touches only the pivot row and V^T.  A nonzero
+    remainder is strictly smaller than the pivot and forces a rescan, which
+    gives termination.  A pivot is final once its row and column are clear
+    and it divides every unfinished row, which gives the divisibility chain
+    d1 | d2 | ... in one pass; a row it does not divide is added into the
+    pivot row, whose clearing then leaves a smaller remainder.  D, U and V
+    are built dense once at the end, with pivot t moved to (t, t) and the
+    diagonal made nonnegative.
     """
     rows, cols = mat_shape(a)
-    d = [row[:] for row in a]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    d = [{j: row[j] for j in compress(range(cols), row)} for row in a]
+    at: list[set[int]] = [set() for _ in range(cols)]
+    for i, row in enumerate(d):
+        for j in row:
+            at[j].add(i)
+    u = [{i: 1} for i in range(rows)]
+    vt = [{j: 1} for j in range(cols)]
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    def axpy(dst: dict[int, int], src: dict[int, int], mult: int) -> None:
+        for k, y in src.items():
+            x = dst.get(k, 0) + mult * y
+            if x:
+                dst[k] = x
+            else:
+                del dst[k]
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    def add_row(src: int, dst: int, mult: int) -> None:
+        row = d[dst]
+        for j, y in d[src].items():
+            x = row.get(j)
+            if x is None:
+                row[j] = mult * y
+                at[j].add(dst)
+            else:
+                x += mult * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    at[j].discard(dst)
+        axpy(u[dst], u[src], mult)
 
-    def add_row(src, dst, mult):
-        d[dst] = [x + mult * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
+    def clear_row(r: int, c: int, p: int) -> bool:
+        """Column operations against the cleared pivot column c; True on a remainder."""
+        prow = d[r]
+        remainder = False
+        for j in [j for j in prow if j != c]:
+            q, x = divmod(prow[j], p)
+            if x:
+                prow[j] = x
+                remainder = True
+            else:
+                del prow[j]
+                at[j].discard(r)
+            if q:
+                axpy(vt[j], vt[c], -q)
+        return remainder
 
-    def add_col(src, dst, mult):
-        for row in d:
-            row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
+    live = [i for i in range(rows) if d[i]]  # unfinished nonzero rows, in index order
+    pivots: list[tuple[int, int]] = []
+    while True:
         pivot = None
         best = 0
-        for i in range(t, rows):
-            row = d[i]
-            for j in range(t, cols):
-                x = abs(row[j])
-                if x and (not best or x < best):
-                    best, pivot = x, (i, j)
-                    if x == 1:
-                        break
+        for i in live:
+            for j, x in d[i].items():
+                if x == 1 or x == -1:
+                    pivot, best = (i, j), 1
+                    break
+                if not best or abs(x) < best:
+                    pivot, best = (i, j), abs(x)
             if best == 1:
                 break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        r, c = pivot
+        p = d[r][c]
 
-        p = d[t][t]
         remainder = False
-        for i in range(t + 1, rows):
-            if d[i][t]:
-                add_row(t, i, -(d[i][t] // p))
-                remainder = remainder or d[i][t] != 0
-        for j in range(t + 1, cols):
-            if d[t][j]:
-                add_col(t, j, -(d[t][j] // p))
-                remainder = remainder or d[t][j] != 0
-        if remainder:
+        for i in [i for i in at[c] if i != r]:
+            add_row(r, i, -(d[i][c] // p))
+            if c in d[i]:
+                remainder = True
+            elif not d[i]:
+                live.remove(i)
+        if remainder or clear_row(r, c, p):
             continue
 
         if best != 1:
-            bad_row = next(
-                (i for i in range(t + 1, rows)
-                 if any(d[i][j] % p for j in range(t + 1, cols))),
-                None,
-            )
-            if bad_row is not None:
-                add_row(bad_row, t, 1)
+            bad = next((i for i in live if i != r and any(x % p for x in d[i].values())), None)
+            if bad is not None:
+                add_row(bad, r, 1)
+                clear_row(r, c, p)
                 continue
-        t += 1
+        live.remove(r)
+        pivots.append((r, c))
 
-    for k in range(limit):
-        if d[k][k] < 0:
-            for row in d:
-                row[k] = -row[k]
-            for row in v:
-                row[k] = -row[k]
-    diag = [d[i][i] for i in range(limit)]
-    return SmithForm(d, u, v, diag)
+    pivot_rows = [r for r, _ in pivots]
+    pivot_cols = [c for _, c in pivots]
+    row_order = pivot_rows + sorted(set(range(rows)).difference(pivot_rows))
+    col_order = pivot_cols + sorted(set(range(cols)).difference(pivot_cols))
+    signs = [1 if d[r][c] > 0 else -1 for r, c in pivots]
+    diag = [abs(d[r][c]) for r, c in pivots] + [0] * (min(rows, cols) - len(pivots))
+    dd = zero_matrix(rows, cols)
+    for t, x in enumerate(diag):
+        dd[t][t] = x
+    uu = zero_matrix(rows, rows)
+    for t, r in enumerate(row_order):
+        sign = signs[t] if t < len(signs) else 1
+        for k, x in u[r].items():
+            uu[t][k] = sign * x
+    vv = zero_matrix(cols, cols)
+    for t, c in enumerate(col_order):
+        for k, x in vt[c].items():
+            vv[k][t] = x
+    return SmithForm(dd, uu, vv, diag)
 
 
 def is_unimodular(m: Matrix) -> bool:
@@ -265,12 +302,11 @@ class LinearizedComplex:
         return self.matrices.get(d, zero_matrix(self.dim(d - 1), self.dim(d)))
 
     def check_composition(self):
-        """Consecutive matrices must compose to zero."""
-        for d in self.degrees():
-            m1 = self.matrix(d)       # C_d -> C_{d-1}
-            m2 = self.matrix(d + 1)   # C_{d+1} -> C_d
-            gf = self.ring if isinstance(self.ring, FiniteField) else None
-            if any(x for row in mat_mul(m1, m2, gf) for x in row):
+        """Consecutive stored matrices must compose to zero; a missing one is zero."""
+        gf = self.ring if isinstance(self.ring, FiniteField) else None
+        for d, m1 in self.matrices.items():  # C_d -> C_{d-1}
+            m2 = self.matrices.get(d + 1)     # C_{d+1} -> C_d
+            if m2 is not None and any(x for row in mat_mul(m1, m2, gf) for x in row):
                 raise ValueError(f"differential does not square to zero at degree {d}")
 
     def shift(self, m: int) -> "LinearizedComplex":
@@ -403,7 +439,7 @@ def homology_field(cx: LinearizedComplex) -> GradedModule:
     if not isinstance(ring, FiniteField):
         raise ValueError("homology_field needs finite-field coefficients")
     cx.check_composition()
-    ranks = {d: field_rank(ring, cx.matrix(d)) for d in _relevant_degrees(cx)}
+    ranks = {d: field_rank(ring, m) for d, m in cx.matrices.items()}
     entries = {}
     for d in cx.degrees():
         dim = cx.dim(d)
@@ -422,11 +458,14 @@ def homology_integral(cx: LinearizedComplex) -> GradedModule:
     if not isinstance(cx.ring, IntegerRing):
         raise ValueError("homology_integral needs integer coefficients")
     cx.check_composition()
+    # A spun complex holds one copy of its knot's matrices per sphere stage.
+    by_content: dict[tuple[tuple[int, ...], ...], SmithForm] = {}
     snfs: dict[int, SmithForm] = {}
-    for d in _relevant_degrees(cx):
-        m = cx.matrix(d)
-        if mat_shape(m)[0] and mat_shape(m)[1]:
-            snfs[d] = smith_normal_form(m)
+    for d, m in cx.matrices.items():
+        key = tuple(map(tuple, m))
+        if key not in by_content:
+            by_content[key] = smith_normal_form(m)
+        snfs[d] = by_content[key]
     entries = {}
     for d in cx.degrees():
         dim = cx.dim(d)
@@ -440,11 +479,6 @@ def homology_integral(cx: LinearizedComplex) -> GradedModule:
         if free or torsion:
             entries[d] = (free, torsion)
     return GradedModule("Z", HOMOLOGICAL, entries)
-
-
-def _relevant_degrees(cx: LinearizedComplex) -> list[int]:
-    ds = set(cx.degrees())
-    return sorted(ds | {d + 1 for d in ds})
 
 
 def uct_dualize(h: GradedModule) -> GradedModule:

@@ -1,7 +1,11 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ldga import linhom
 from ldga.algebra import GF, ZZ
 from ldga.augment import linear_part
 from ldga.cedga import twist_linearized
@@ -18,34 +22,81 @@ from ldga.linhom import (
     integer_determinant,
     is_unimodular,
     mat_mul,
+    mat_shape,
     poincare,
     reduce_complex_mod_p,
     smith_normal_form,
     uct_dualize,
 )
+from ldga.spin import iterate_schedule
 
-matrices = st.lists(
+dense_matrices = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
     min_size=1,
     max_size=4,
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
-@given(matrices)
-@settings(max_examples=120)
+@st.composite
+def sparse_matrices(draw):
+    """Up to 10x10, mostly zeros, sometimes without a unit entry.
+
+    A matrix with no rows is [], so zero rows force zero columns.
+    """
+    rows = draw(st.integers(0, 10))
+    cols = draw(st.integers(0, 10)) if rows else 0
+    a = [[0] * cols for _ in range(rows)]
+    if rows and cols:
+        units = draw(st.booleans())
+        value = st.integers(-12, 12) if units else st.sampled_from(
+            [x for x in range(-12, 13) if abs(x) > 1]
+        )
+        cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                             max_size=2 * max(rows, cols)))
+        for i, j in cells:
+            a[i][j] = draw(value)
+    return a
+
+
+def determinantal_diagonal(a):
+    """Invariant factors as quotients of the gcds of the k x k minors."""
+    rows, cols = mat_shape(a)
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = gcd(*(
+            integer_determinant([[a[i][j] for j in cs] for i in rs])
+            for rs in combinations(range(rows), k)
+            for cs in combinations(range(cols), k)
+        ))
+        out.append(dk // prev if dk else 0)
+        prev = dk
+    return out
+
+
+@given(st.one_of(dense_matrices, sparse_matrices()))
+@example([])
+@example([[]])
+@example([[0, 0], [0, 0], [0, 0]])
+@settings(max_examples=300)
 def test_snf_certificates(a):
+    rows, cols = mat_shape(a)
     snf = smith_normal_form(a)
+    assert (mat_shape(snf.u), mat_shape(snf.v), mat_shape(snf.d)) == (
+        (rows, rows), (cols, cols), (rows, cols)
+    )
     assert is_unimodular(snf.u)
     assert is_unimodular(snf.v)
-    prod = mat_mul(mat_mul(snf.u, a), snf.v)
-    assert prod == snf.d
-    diag = [x for x in snf.diagonal if x]
-    for d1, d2 in zip(diag, diag[1:]):
-        assert d2 % d1 == 0
+    assert mat_mul(mat_mul(snf.u, a), snf.v) == snf.d
     for i, row in enumerate(snf.d):
         for j, x in enumerate(row):
             if i != j:
                 assert x == 0
+    assert snf.diagonal == [snf.d[i][i] for i in range(min(rows, cols))]
+    assert all(x >= 0 for x in snf.diagonal)
+    for d1, d2 in zip(snf.diagonal, snf.diagonal[1:]):
+        assert d2 % d1 == 0 if d1 else d2 == 0
+    if rows <= 4 and cols <= 4:
+        assert snf.diagonal == determinantal_diagonal(a)
 
 
 def test_snf_single_entry():
@@ -137,6 +188,36 @@ def test_composition_check_rejects_bad_complex():
     )
     with pytest.raises(ValueError):
         homology_integral(cx)
+
+
+def test_composition_check_pairs_only_stored_matrices():
+    bases = {0: ("w",), 1: ("x",), 2: ("y",), 3: ("z",)}
+    # degrees 1 and 3 are not consecutive, so nothing composes
+    LinearizedComplex(ZZ, bases, {1: [[1]], 3: [[1]]}).check_composition()
+    with pytest.raises(ValueError, match="degree 2"):
+        LinearizedComplex(ZZ, bases, {2: [[1]], 3: [[1]]}).check_composition()
+    with pytest.raises(ValueError, match="degree 2"):
+        LinearizedComplex(GF(4), bases, {2: [[2]], 3: [[2]]}).check_composition()
+    # x * (x + 1) = 1 in GF(4), so [x, 1] . [x + 1, 1] = 1 + 1 = 0
+    ok = LinearizedComplex(GF(4), {0: ("a",), 1: ("b", "c"), 2: ("e",)},
+                           {1: [[2, 1]], 2: [[3], [1]]})
+    ok.check_composition()
+
+
+def test_spun_complex_runs_one_snf_per_distinct_matrix(monkeypatch):
+    cx = linear_part(twist_linearized(9))
+    spun = iterate_schedule(cx, (3, 7))[-1].complex
+    assert len(spun.matrices) == 4
+    assert all(m == cx.matrices[1] for m in spun.matrices.values())
+    calls = []
+    real = linhom.smith_normal_form
+    monkeypatch.setattr(linhom, "smith_normal_form", lambda a: calls.append(a) or real(a))
+    h = homology_integral(spun)
+    assert len(calls) == 1
+    assert h.entries == {
+        **{d: (2, ()) for d in (0, 3, 7, 10)},
+        **{d: (1, ()) for d in (1, 4, 8, 11)},
+    }
 
 
 def test_field_rank_rank_nullity():

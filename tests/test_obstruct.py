@@ -221,6 +221,14 @@ def test_certify_class_b_all_parameters(n, m):
     assert "augvar.count_exceeds" in cert.verdict.codes()
 
 
+def test_certify_class_b_n201():
+    cert = certify_nongeometric("classB_twist", n=201, schedule=(3,), fields=(2, 4))
+    assert cert.verdict.obstructed
+    assert "augvar.count_exceeds" in cert.verdict.codes()
+    hom = next(e for e in cert.evidence if e["stage"] == "homology_integral")
+    assert hom["module"]["entries"] == {"0": [2, []], "1": [1, []]}
+
+
 def test_certify_rejects_bad_case():
     with pytest.raises(ObstructionStageError):
         certify_nongeometric("classC")
