@@ -3,14 +3,16 @@
 An augmentation assigns field values to the degree-0 generators (t, when
 present, is pinned to -1) so that eps(d g) = 0 for every generator.  The
 equations are one list per field DGA, ``DGA.augmentation_system``, shared by
-the solver, the recheck of every solution and ``conjugate``; the d^2 = 0
-tripwire still runs whole on every conjugated DGA.  The one solver,
-``_backtrack``, compiles the equations to integer-indexed terms and keeps a
-watch list per generator, so an assignment touches only the equations that
-mention it: one left with no free generator is evaluated, and one left with
-a single free generator, linear there, forces it.  The tests check it
-against a plain scan of every assignment.  Variety point counts of
-polynomial systems go through the same solver.
+the solver, the recheck of every solution and ``conjugate``.  ``conjugate``
+merges each conjugated d(g) in one dict through the field's tables and
+builds its ``Element`` once; the d^2 = 0 tripwire, ``validate``, still runs
+whole on every conjugated DGA and builds no ``Element`` unless it fails.
+The one solver, ``_backtrack``, compiles the equations to integer-indexed
+terms and keeps a watch list per generator, so an assignment touches only
+the equations that mention it: one left with no free generator is
+evaluated, and one left with a single free generator, linear there, forces
+it.  The tests check it against a plain scan of every assignment.  Variety
+point counts of polynomial systems go through the same solver.
 """
 
 from __future__ import annotations
@@ -224,22 +226,25 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     if not eps.is_valid(fdga):
         raise AugmentationError("augmentation does not satisfy eps after d = 0")
     ring = eps.field
+    add, mul = ring.add_table, ring.mul_table
     degs = fdga.degrees
-    shift = {name: v for name, v in eps.values if degs.get(name) == 0}
+    shift = {name: mul[v] for name, v in eps.values if v and degs.get(name) == 0}
     diff = {}
     for name, dg in fdga.differential.items():
-        pairs = []
+        acc = {}
         for word, coeff in dg.terms:
-            # expand the product of (letter + eps(letter)) over the word
+            # expand the product of (letter + eps(letter)) over the word;
+            # a letter with eps(letter) = 0 only stays
             expanded = [((), coeff)]
             for letter in word:
-                v = shift.get(letter)
+                times_v = shift.get(letter)
                 kept = [(w + (letter,), c) for w, c in expanded]
-                if v is not None:
-                    kept += [(w, ring.mul(c, v)) for w, c in expanded]
+                if times_v is not None:
+                    kept += [(w, times_v[c]) for w, c in expanded]
                 expanded = kept
-            pairs += expanded
-        diff[name] = Element.sum(ring, pairs)
+            for w, c in expanded:
+                acc[w] = add[acc[w]][c] if w in acc else c
+        diff[name] = Element(ring, tuple(sorted([kv for kv in acc.items() if kv[1]])))
     out = DGA(ring, fdga.generators, diff)
     report = validate(out)
     if not report.ok:
@@ -253,28 +258,27 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
 def linear_part(dga: DGA) -> LinearizedComplex:
     """Word-length-1 part of a differential with no constant terms."""
     ring = dga.ring
+    diffs = []
+    by_degree: dict[int, list[str]] = defaultdict(list)
     for g in dga.generators:
-        c = dga.diff_of(g.name).constant_term()
-        if not ring.is_zero(c):
-            raise AugmentationError(
-                f"d({g.name}) has constant term {c}; conjugate by an augmentation first"
-            )
-    degrees = sorted({g.degree for g in dga.generators})
-    bases = {d: tuple(sorted(dga.generators_of_degree(d))) for d in degrees}
-    bases = {d: b for d, b in bases.items() if b}
-    mats = {}
-    for d in sorted(bases):
-        cols = bases[d]
-        rows = bases.get(d - 1, ())
-        if not rows:
-            continue
-        rix = {name: i for i, name in enumerate(rows)}
-        m = [[0] * len(cols) for _ in rows]
-        for j, name in enumerate(cols):
-            for word, coeff in dga.diff_of(name).terms:
+        dg = dga.differential.get(g.name)
+        if dg is not None:
+            c = dg.constant_term()
+            if not ring.is_zero(c):
+                raise AugmentationError(
+                    f"d({g.name}) has constant term {c}; conjugate by an augmentation first"
+                )
+            diffs.append((g.degree, g.name, dg))
+        by_degree[g.degree].append(g.name)
+    bases = {d: tuple(sorted(by_degree[d])) for d in sorted(by_degree)}
+    index = {d: {name: i for i, name in enumerate(b)} for d, b in bases.items()}
+    mats = {d: [[0] * len(bases[d]) for _ in bases[d - 1]] for d in bases if d - 1 in bases}
+    for d, name, dg in diffs:
+        if d in mats:
+            m, rix, j = mats[d], index[d - 1], index[d][name]
+            for word, coeff in dg.terms:
                 if len(word) == 1:
                     m[rix[word[0]]][j] = coeff
-        mats[d] = m
     return LinearizedComplex(ring, bases, mats)
 
 

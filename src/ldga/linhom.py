@@ -277,7 +277,9 @@ class LinearizedComplex:
     """Per-degree bases with the degree-lowering differential d -> d-1.
 
     ``matrices[d]`` maps basis(d) to basis(d-1): shape (len(basis(d-1)),
-    len(basis(d))), columns indexed by degree-d generators.
+    len(basis(d))), columns indexed by degree-d generators.  No code writes
+    into a stored matrix (elimination works on copies), so ``shift`` shares
+    its matrices with the complex it shifts.
     """
 
     ring: Ring
@@ -313,7 +315,7 @@ class LinearizedComplex:
         return LinearizedComplex(
             self.ring,
             {d + m: b for d, b in self.bases.items()},
-            {d + m: [row[:] for row in mat] for d, mat in self.matrices.items()},
+            {d + m: mat for d, mat in self.matrices.items()},
         )
 
     def block_sum(self, other: "LinearizedComplex") -> "LinearizedComplex":
@@ -331,16 +333,9 @@ class LinearizedComplex:
             r2, c2 = len(other.bases.get(d - 1, ())), len(other.bases.get(d, ()))
             if (r1 + r2) == 0 or (c1 + c2) == 0:
                 continue
-            m1 = self.matrix(d)
-            m2 = other.matrix(d)
-            block = zero_matrix(r1 + r2, c1 + c2)
-            for i in range(r1):
-                for j in range(c1):
-                    block[i][j] = m1[i][j]
-            for i in range(r2):
-                for j in range(c2):
-                    block[r1 + i][c1 + j] = m2[i][j]
-            mats[d] = block
+            mats[d] = [row + [0] * c2 for row in self.matrix(d)] + [
+                [0] * c1 + row for row in other.matrix(d)
+            ]
         return LinearizedComplex(self.ring, bases, mats)
 
 

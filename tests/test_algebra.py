@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldga.algebra import (
@@ -283,6 +283,84 @@ def test_validate_catches_degree_violation():
     report = validate(dga)
     assert not report.ok
     assert any("degree" in v for v in report.violations)
+
+
+def sign_pin_dga(ring, extra=()):
+    # d x = 1, d w = x*x (plus extra words) with |x| = 1, |w| = 3
+    x = Element.generator(ring, "x")
+    dw = Element.sum(ring, multiply(x, x).terms + tuple((w, ring.one) for w in extra))
+    return DGA(ring, (Generator("x", 1), Generator("w", 3)), {"x": Element.unit(ring), "w": dw})
+
+
+@pytest.mark.parametrize("ring", [ZZ, ZT, GF(3), GF(9)], ids=str)
+def test_validate_sees_the_leibniz_sign(ring):
+    # d(d(w)) = (dx)x - x(dx) = x - x
+    dga = sign_pin_dga(ring)
+    x, dx = Element.generator(ring, "x"), Element.unit(ring)
+    assert validate(dga).ok
+    assert apply_differential(dga, dga.diff_of("w")).is_zero
+    # without the sign it would be 2x, which is not zero in these rings
+    assert not multiply(dx, x).add(multiply(x, dx)).is_zero
+
+
+def reference_violations(dga):
+    """validate's messages from word_degree and apply_differential alone."""
+    out = []
+    for g in dga.generators:
+        dg = dga.diff_of(g.name)
+        if dg.is_zero:
+            continue
+        for w, _ in dg.terms:
+            if dga.word_degree(w) != g.degree - 1:
+                out.append(f"d({g.name}) term {'*'.join(w) or '1'} has degree "
+                           f"{dga.word_degree(w)}, expected {g.degree - 1}")
+        dd = apply_differential(dga, dg)
+        if not dd.is_zero:
+            out.append(f"d(d({g.name})) = {dd} != 0")
+    return out
+
+
+@st.composite
+def small_dgas(draw):
+    """Three or four generators of degree -1..2 over Z, Z[t], GF(3) or GF(4),
+    each d(g) a few words of length 0-3 that may or may not be pure."""
+    ring = draw(st.sampled_from([ZZ, ZT, GF(3), GF(4)]))
+    names = ["a", "b", "c", "e"][: draw(st.integers(3, 4))]
+    gens = tuple(Generator(n, draw(st.integers(-1, 2))) for n in names)
+    word = st.lists(st.sampled_from(names), max_size=3).map(tuple)
+    diff = {
+        n: Element.sum(ring, draw(st.lists(st.tuples(word, coefficients(ring)), max_size=4)))
+        for n in draw(st.sets(st.sampled_from(names)))
+    }
+    return DGA(ring, gens, diff)
+
+
+@given(small_dgas())
+@example(sign_pin_dga(ZZ))
+@example(sign_pin_dga(ZT))
+@example(sign_pin_dga(GF(3)))
+@example(sign_pin_dga(GF(4), extra=[("x",), ("x", "x", "x")]))
+@settings(max_examples=300)
+def test_validate_matches_element_reference(dga):
+    assert validate(dga).violations == reference_violations(dga)
+
+
+def test_validate_builds_no_element_on_a_valid_dga(monkeypatch):
+    from ldga import algebra
+    from ldga.augment import conjugate, enumerate_augmentations
+    from ldga.cedga import build_dga, m821_grid
+    from ldga.diagram import grid_to_front, resolve
+
+    dga = build_dga(resolve(grid_to_front(m821_grid())))
+    conjugated = [conjugate(dga, eps) for q in (2, 4) for eps in enumerate_augmentations(dga, q)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate built an Element on a valid DGA")
+
+    monkeypatch.setattr(algebra, "apply_differential", forbidden)
+    monkeypatch.setattr(Element, "__init__", forbidden)
+    for checked in [dga, *conjugated]:
+        assert validate(checked).ok
 
 
 def test_every_diff_term_has_degree_minus_one():

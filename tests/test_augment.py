@@ -7,7 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ldga.algebra import DGA, Element, GF, Generator, ZZ, change_coefficients, multiply
+from ldga.algebra import (
+    DGA,
+    DGAValidationError,
+    Element,
+    GF,
+    Generator,
+    ZZ,
+    change_coefficients,
+    multiply,
+)
 from ldga.augment import (
     Augmentation,
     AugmentationError,
@@ -181,6 +190,23 @@ def test_conjugate_rejects_invalid_augmentation():
     dga = load_dsl("coeff F2\ngen e 1\ngen c 0\nd e = c\n")
     with pytest.raises(AugmentationError):
         conjugate(dga, Augmentation.build(GF(2), {"c": 1}))
+
+
+def test_conjugate_of_a_dga_with_nonzero_d_squared_fails_validation():
+    # built directly, so nothing checked it: |c| = 0, |e| = 1, |a| = 2 over
+    # GF(3), d e = c*c - c and d a = e*c, so d(d(a)) = c*c*c - c*c; eps(c) = 1
+    # is an augmentation, and conjugating by it keeps d^2 nonzero
+    ring = GF(3)
+    dga = DGA(
+        ring,
+        (Generator("c", 0), Generator("e", 1), Generator("a", 2)),
+        {"e": Element.build(ring, {("c", "c"): 1, ("c",): 2}),
+         "a": Element.build(ring, {("e", "c"): 1})},
+    )
+    eps = Augmentation.build(ring, {"c": 1})
+    assert eps.is_valid(dga)
+    with pytest.raises(DGAValidationError, match="conjugated DGA failed validation"):
+        conjugate(dga, eps)
 
 
 def test_conjugated_dga_admits_zero_augmentation():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldga.algebra import DGA, Element, GF, change_coefficients, multiply
+from ldga.algebra import DGA, Element, GF, Generator, ZZ, change_coefficients, multiply, validate
 from ldga.augment import conjugate, enumerate_augmentations, linear_part
 from ldga.cedga import build_dga, load_dsl, m821_grid, trefoil_projection, twist_linearized
 from ldga.cli import main
@@ -126,6 +126,34 @@ def test_conjugate_matches_substitution(m821_dga, knot, q):
     assert augs
     for eps in augs:
         assert conjugate(dga, eps) == conjugate_by_substitution(dga, eps)
+
+
+def signed_dga():
+    """Over Z, |b| = 0, |x| = 1, |w| = 3: d x = b - 1 and
+    d w = x*x + x*b*x - b*x*x - x*x*b, whose d^2 vanishes only through the
+    Leibniz sign; eps(b) = 1 is its one augmentation."""
+    words = {("x", "x"): 1, ("x", "b", "x"): 1, ("b", "x", "x"): -1, ("x", "x", "b"): -1}
+    return DGA(
+        ZZ,
+        (Generator("b", 0), Generator("x", 1), Generator("w", 3)),
+        {"x": Element.build(ZZ, {("b",): 1, (): -1}), "w": Element.build(ZZ, words)},
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_conjugate_matches_substitution_in_odd_characteristic(q):
+    dga = signed_dga()
+    assert validate(dga).ok
+    augs = enumerate_augmentations(dga, q)
+    assert [eps.values for eps in augs] == [(("b", 1),)]
+    conj = conjugate(dga, augs[0])
+    assert conj == conjugate_by_substitution(dga, augs[0])
+    # b -> b + 1: d x = b and d w = x*b*x - b*x*x - x*x*b
+    f, minus = GF(q), GF(q).from_int(-1)
+    assert conj.diff_of("x") == Element.generator(f, "b")
+    assert conj.diff_of("w") == Element.build(
+        f, {("x", "b", "x"): 1, ("b", "x", "x"): minus, ("x", "x", "b"): minus}
+    )
 
 
 def test_field_copy_is_made_once_per_dga_and_field(monkeypatch):

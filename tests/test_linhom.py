@@ -233,6 +233,51 @@ def test_block_sum_and_shift():
     assert h.entries == {0: (2, ()), 1: (1, ()), 3: (2, ()), 4: (1, ())}
 
 
+def block_sum_by_cells(a, b):
+    """Reference direct sum: each block copied cell by cell into a zero matrix."""
+    bases = {
+        d: tuple(a.bases.get(d, ())) + tuple(f"{n}^N" for n in b.bases.get(d, ()))
+        for d in sorted(set(a.bases) | set(b.bases))
+    }
+    mats = {}
+    for d in sorted(set(a.matrices) | set(b.matrices) | set(bases)):
+        r1, c1 = a.dim(d - 1), a.dim(d)
+        r2, c2 = b.dim(d - 1), b.dim(d)
+        if not (r1 + r2 and c1 + c2):
+            continue
+        block = [[0] * (c1 + c2) for _ in range(r1 + r2)]
+        for i in range(r1):
+            for j in range(c1):
+                block[i][j] = a.matrix(d)[i][j]
+        for i in range(r2):
+            for j in range(c2):
+                block[r1 + i][c1 + j] = b.matrix(d)[i][j]
+        mats[d] = block
+    return bases, mats
+
+
+@st.composite
+def small_complexes(draw):
+    """Bases of 0-3 names on a few degrees (empty ones included) and a
+    random subset of the matrices their shapes allow."""
+    degrees = draw(st.sets(st.integers(-2, 3), max_size=4))
+    bases = {d: tuple(f"g{d}_{i}" for i in range(draw(st.integers(0, 3)))) for d in degrees}
+    mats = {}
+    for d in degrees:
+        rows, cols = len(bases.get(d - 1, ())), len(bases[d])
+        if (rows or not cols) and draw(st.booleans()):
+            mats[d] = [[draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+    return LinearizedComplex(ZZ, bases, mats)
+
+
+@given(small_complexes(), small_complexes(), st.integers(0, 4))
+@settings(max_examples=200)
+def test_block_sum_matches_cell_copy(a, b, m):
+    for other in (b, a.shift(m)):
+        out = a.block_sum(other)
+        assert (out.bases, out.matrices) == block_sum_by_cells(a, other)
+
+
 def test_polynomial_multiply():
     p = PoincarePolynomial.from_dims({-1: 1, 0: 4, 1: 2})
     q = p.multiply_one_plus_tm(1)
