@@ -216,18 +216,19 @@ def cmd_spin(args):
         cx = augment.linearized_complex(dga, augs[0])
         stages.append({"stage": "conjugate", "augmentation": dict(augs[0].values)})
 
-    def measure(c):
+    def measure(h):
         """Each stage's homology: a module over Z, a polynomial over a field."""
         if args.integral:
-            h = linhom.homology_integral(c)
             return {"module": obstruct.module_to_jsonable(h)}, h.describe()
-        p = linhom.poincare(linhom.homology_field(c))
+        p = linhom.poincare(h)
         return {"polynomial": str(p)}, f"P = {p}"
 
-    result, summary = measure(cx)
+    h = linhom.homology_integral(cx) if args.integral else linhom.homology_field(cx)
+    result, summary = measure(h)
     stages.append({"stage": "start", **result})
     for st in spin.iterate_schedule(cx, schedule):
-        result, summary = measure(st.complex)
+        h = spin.spin_homology(h, st.sphere_dim)
+        result, summary = measure(h)
         if st.sphere_dim == 1:  # a circle is named after the S^1 Kunneth splitting
             stages.append({"stage": "kunneth_s1", **result})
             continue

@@ -2,8 +2,8 @@
 
 Matrices are lists of rows with exact entries (Python ints; finite-field
 entries use the table arithmetic from :mod:`ldga.algebra`).  Integer homology
-goes through a sparse Smith normal form, run once per distinct matrix of a
-complex (a spun complex repeats its knot's matrices).  It returns explicit
+goes through a sparse Smith normal form, once per stored matrix (spun
+homology comes from :mod:`ldga.spin`, not a spun complex).  It returns explicit
 unimodular transforms U and V, so that U*A*V = D is re-verified by the test
 suite; it is not re-verified at run time.
 """
@@ -453,14 +453,7 @@ def homology_integral(cx: LinearizedComplex) -> GradedModule:
     if not isinstance(cx.ring, IntegerRing):
         raise ValueError("homology_integral needs integer coefficients")
     cx.check_composition()
-    # A spun complex holds one copy of its knot's matrices per sphere stage.
-    by_content: dict[tuple[tuple[int, ...], ...], SmithForm] = {}
-    snfs: dict[int, SmithForm] = {}
-    for d, m in cx.matrices.items():
-        key = tuple(map(tuple, m))
-        if key not in by_content:
-            by_content[key] = smith_normal_form(m)
-        snfs[d] = by_content[key]
+    snfs = {d: smith_normal_form(m) for d, m in cx.matrices.items()}
     entries = {}
     for d in cx.degrees():
         dim = cx.dim(d)

@@ -354,10 +354,9 @@ def _certify_class_a(schedule, grid, budget, case) -> Certification:
     ev2, cx = class_a_homology(grid, budget=budget)
     evidence.extend(ev2)
     stages = spin.iterate_schedule(cx, schedule)
-    if not stages:
-        h = linhom.as_cohomological(linhom.homology_field(cx))
+    h = linhom.as_cohomological(linhom.homology_field(cx))
     for st in stages:
-        h = linhom.as_cohomological(linhom.homology_field(st.complex))
+        h = spin.spin_homology(h, st.sphere_dim)
         evidence.append(
             {
                 "stage": "kunneth_s1",
@@ -381,32 +380,28 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
     h_coh = linhom.uct_dualize(h_int)
     evidence.append({"stage": "uct", "module": module_to_jsonable(h_coh)})
     h_f2 = linhom.homology_field(linhom.reduce_complex_mod_p(cx, 2))
-    poly = linhom.poincare(h_f2)
-    evidence.append({"stage": "homology_f2", "polynomial": str(poly)})
+    evidence.append({"stage": "homology_f2", "polynomial": str(linhom.poincare(h_f2))})
 
     try:
         stages = spin.iterate_schedule(cx, schedule)
     except spin.SpinError as exc:
         raise ObstructionStageError("spin", str(exc)) from exc
-    spun_cx, leg_dim = (stages[-1].complex, stages[-1].legendrian_dimension) if stages else (cx, 1)
+    leg_dim = stages[-1].legendrian_dimension if stages else 1
     for st in stages:
-        poly = poly.multiply_one_plus_tm(st.sphere_dim)
+        h_coh = spin.spin_homology(h_coh, st.sphere_dim)
+        h_f2 = spin.spin_homology(h_f2, st.sphere_dim)
         evidence.append(
             {
                 "stage": "spin",
                 "sphere_dim": st.sphere_dim,
                 "bound": st.bound,
                 "legendrian_dimension": st.legendrian_dimension,
-                "polynomial_f2": str(poly),
+                "polynomial_f2": str(linhom.poincare(h_f2)),
             }
         )
-    h_spun = linhom.homology_integral(spun_cx)
-    h_spun_coh = linhom.uct_dualize(h_spun)
-    evidence.append(
-        {"stage": "spun_homology_integral", "module": module_to_jsonable(h_spun_coh)}
-    )
+    evidence.append({"stage": "spun_homology_integral", "module": module_to_jsonable(h_coh)})
 
-    verdict, profile = seidel_stage(h_spun_coh, leg_dim, evidence)
+    verdict, profile = seidel_stage(h_coh, leg_dim, evidence)
     if profile is None:
         return Certification(case, verdict, evidence)
     if leg_dim == 1:

@@ -1,23 +1,25 @@
-"""Front spinning of linearized complexes.
+"""Front spinning of linearized homology.
 
 Spinning a Legendrian around S^m multiplies its linearized homology by the
 free homology of the sphere: LCH(Sigma_{S^m} Lambda) = LCH(Lambda) (x) H_*(S^m)
 (Ekholm-Etnyre-Sullivan, "Non-isotopic Legendrian submanifolds in R^{2n+1}",
 J. Differential Geom. 2005; Golovko, "A note on the front spinning
 construction", Bull. London Math. Soc. 2014).  Here that is one operation on
-complexes, the block sum C + C[m] of a complex with its m-shifted copy, and
-`iterate_schedule` applies it stage by stage to a knot's complex.  Each
-`SpinStage` records the sphere dimension m, the spun complex and
-`legendrian_dimension`, the dimension of the spun Legendrian: 1 plus the
-sphere dimensions so far.  Each stage has a precondition:
+homology, `spin_homology`: H + H[m].  `iterate_schedule` checks a schedule
+against a knot's complex; each `SpinStage` records the sphere dimension m,
+its stable bound and `legendrian_dimension`, 1 plus the sphere dimensions so
+far.  Each stage has a precondition:
 
 - the sphere dimension m is at least 1;
-- a circle (m = 1) needs finite-field coefficients, where the block sum agrees
-  with the Kunneth splitting `kunneth_s1` at homology level; once a circle has
-  been spun, only circles may follow;
-- every other m must exceed the stable bound M - m_min + 1 of the current
-  complex's degrees, recomputed at each stage, so that the two copies occupy
-  disjoint degree ranges.
+- a circle (m = 1) needs finite-field coefficients; once a circle has been
+  spun, only circles may follow;
+- every other m must exceed the stable bound M - m_min + 1 of the spun
+  complex's degrees, so that the two copies occupy disjoint degree ranges.
+
+So torsion of one copy never meets torsion of the other in one degree, and
+H + H[m] is exactly the homology of the block sum C + C[m]
+(`spin_complex_stable`, the complex-level reference), invariant factors
+included.
 """
 
 from __future__ import annotations
@@ -46,29 +48,34 @@ def spin_complex_stable(cx: LinearizedComplex, m: int) -> LinearizedComplex:
     return cx.block_sum(cx.shift(m))
 
 
+def spin_homology(h: GradedModule, m: int) -> GradedModule:
+    """H + H[m]: free ranks add degreewise, torsion is carried over."""
+    out = dict(h.entries)
+    for d, (free, tor) in h.entries.items():
+        here, here_tor = out.get(d + m, (0, ()))
+        if tor and here_tor:
+            raise SpinError(f"torsion of both copies lands in degree {d + m}")
+        out[d + m] = (here + free, here_tor + tor)
+    return GradedModule(h.ring_tag, h.variance, out)
+
+
 def kunneth_s1(h: GradedModule) -> GradedModule:
     """Circle spinning at homology level: dim_out(i) = dim(i) + dim(i-1)."""
     if not h.is_field:
         raise SpinError("Kunneth splitting is implemented for field coefficients")
-    dims = h.dims()
-    out: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for d in sorted(set(dims) | {d + 1 for d in dims}):
-        total = dims.get(d, 0) + dims.get(d - 1, 0)
-        if total:
-            out[d] = (total, ())
-    return GradedModule(h.ring_tag, h.variance, out)
+    return spin_homology(h, 1)
 
 
 @dataclass(frozen=True)
 class SpinStage:
     sphere_dim: int
     bound: int | None  # None for a circle, which needs no stable bound
-    complex: LinearizedComplex
     legendrian_dimension: int  # of the spun knot: 1 plus the sphere dims so far
 
 
 def iterate_schedule(cx: LinearizedComplex, schedule: Sequence[int]) -> list[SpinStage]:
-    """Spin a knot's complex stage by stage, checking each stage's precondition first."""
+    """Check each stage's precondition; a stable stage never follows a circle,
+    so its bound is the knot's degree spread plus the sphere dims so far."""
     stages: list[SpinStage] = []
     circled = False
     dim = 1
@@ -81,12 +88,11 @@ def iterate_schedule(cx: LinearizedComplex, schedule: Sequence[int]) -> list[Spi
         elif circled:
             raise SpinError("complex-level spinning after a Kunneth stage")
         else:
-            bound = stable_bound_complex(cx)
+            bound = stable_bound_complex(cx) + dim - 1
             if m <= bound:
                 raise SpinError(
                     f"schedule stage {idx} (sphere dim {m}) violates the stable bound {bound}"
                 )
-        cx = spin_complex_stable(cx, m)
         dim += m
-        stages.append(SpinStage(m, bound, cx, dim))
+        stages.append(SpinStage(m, bound, dim))
     return stages

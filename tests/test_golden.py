@@ -77,6 +77,9 @@ CASES = {
         "obstruct", "--poly", "2 + t", "--dim", "1", "--tb", "1", "--counts", "2:1,4:3",
     ],
     "spin_f3dsl_s1.json": ["spin", "--dsl", "fixtures/f3.dga", "--spin", "1"],
+    "spin_torsion_s5_10_integral.json": [
+        "spin", "--dsl", "fixtures/torsion.dga", "--spin", "5,10", "--integral",
+    ],
 }
 
 TORUS_CASES = {f"dsl_torus2_{n}.dga": n for n in (3, 5, 7, 9, 11, 13, 15, 17)}

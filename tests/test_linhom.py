@@ -28,7 +28,7 @@ from ldga.linhom import (
     smith_normal_form,
     uct_dualize,
 )
-from ldga.spin import iterate_schedule
+from ldga.obstruct import certify_nongeometric
 
 dense_matrices = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
@@ -204,19 +204,17 @@ def test_composition_check_pairs_only_stored_matrices():
     ok.check_composition()
 
 
-def test_spun_complex_runs_one_snf_per_distinct_matrix(monkeypatch):
-    cx = linear_part(twist_linearized(9))
-    spun = iterate_schedule(cx, (3, 7))[-1].complex
-    assert len(spun.matrices) == 4
-    assert all(m == cx.matrices[1] for m in spun.matrices.values())
+def test_class_b_certificate_runs_one_snf(monkeypatch):
+    # the spun module is read off the knot's, so only the twist matrix is factored
     calls = []
     real = linhom.smith_normal_form
     monkeypatch.setattr(linhom, "smith_normal_form", lambda a: calls.append(a) or real(a))
-    h = homology_integral(spun)
-    assert len(calls) == 1
-    assert h.entries == {
-        **{d: (2, ()) for d in (0, 3, 7, 10)},
-        **{d: (1, ()) for d in (1, 4, 8, 11)},
+    cert = certify_nongeometric("classB_twist", n=9, schedule=(3, 7))
+    assert calls == [linear_part(twist_linearized(9)).matrices[1]]
+    (spun,) = [ev for ev in cert.evidence if ev["stage"] == "spun_homology_integral"]
+    assert spun["module"]["entries"] == {
+        **{str(d): [2, []] for d in (0, 3, 7, 10)},
+        **{str(d): [1, []] for d in (1, 4, 8, 11)},
     }
 
 

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ldga.algebra import DGA, Element, Generator, ZZ
+from ldga.algebra import DGA, GF, Element, Generator, ZZ
 from ldga.augment import conjugate, enumerate_augmentations, linear_part
 from ldga.cedga import build_dga, m821_grid, twist_linearized
 from ldga.diagram import grid_to_front, resolve
@@ -19,6 +21,7 @@ from ldga.spin import (
     iterate_schedule,
     kunneth_s1,
     spin_complex_stable,
+    spin_homology,
     stable_bound_complex,
 )
 
@@ -64,8 +67,9 @@ def test_spin_chords_small_sphere_allowed():
     cx = reduce_complex_mod_p(twist_complex(5), 2)
     (stage,) = iterate_schedule(cx, [1])
     assert stage.bound is None
-    assert stage.complex.degrees() == [0, 1, 2]
-    assert sum(stage.complex.dim(d) for d in stage.complex.degrees()) == 26
+    spun = spin_complex_stable(cx, stage.sphere_dim)
+    assert spun.degrees() == [0, 1, 2]
+    assert sum(spun.dim(d) for d in spun.degrees()) == 26
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +156,11 @@ def test_circle_stage_matches_kunneth_on_m821(q):
     for eps in augs:
         cx = linear_part(conjugate(dga, eps))
         h = homology_field(cx)
-        for st in iterate_schedule(cx, [1, 1, 1]):
+        spun = cx
+        for stage in iterate_schedule(cx, [1, 1, 1]):
             h = kunneth_s1(h)
-            assert homology_field(st.complex) == h
+            spun = spin_complex_stable(spun, stage.sphere_dim)
+            assert homology_field(spun) == h
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +195,22 @@ def test_spun_augmentation_count_is_preserved():
 # ---------------------------------------------------------------------------
 
 def test_iterate_single_stage():
-    stages = iterate_schedule(twist_complex(5), [3])
+    cx = twist_complex(5)
+    stages = iterate_schedule(cx, [3])
     assert len(stages) == 1
-    h = homology_integral(stages[0].complex)
-    assert h.entries == {0: (2, ()), 1: (1, ()), 3: (2, ()), 4: (1, ())}
+    want = {0: (2, ()), 1: (1, ()), 3: (2, ()), 4: (1, ())}
+    assert homology_integral(spin_complex_stable(cx, stages[0].sphere_dim)).entries == want
+    assert spin_homology(homology_integral(cx), stages[0].sphere_dim).entries == want
 
 
 def test_iterate_recomputes_bound():
-    stages = iterate_schedule(twist_complex(5), [3, 8])
+    cx = twist_complex(5)
+    stages = iterate_schedule(cx, [3, 8])
     assert stages[1].bound == 5
-    assert [st.legendrian_dimension for st in stages] == [4, 12]
-    degrees = sorted(stages[1].complex.bases)
+    assert [stage.legendrian_dimension for stage in stages] == [4, 12]
+    once = spin_complex_stable(cx, stages[0].sphere_dim)
+    assert stages[1].bound == stable_bound_complex(once)
+    degrees = sorted(spin_complex_stable(once, stages[1].sphere_dim).bases)
     assert degrees == [0, 1, 3, 4, 8, 9, 11, 12]
 
 
@@ -230,3 +241,97 @@ def test_iterate_rejects_complex_level_after_circle(schedule):
     cx = reduce_complex_mod_p(twist_complex(5), 2)
     with pytest.raises(SpinError, match="after a Kunneth stage"):
         iterate_schedule(cx, schedule)
+
+
+# ---------------------------------------------------------------------------
+# homology-level spinning against the complex-level reference
+# ---------------------------------------------------------------------------
+
+def test_spin_homology_carries_torsion():
+    h = GradedModule("Z", HOMOLOGICAL, {0: (1, (2,)), 1: (1, ())})
+    assert spin_homology(h, 1).entries == {0: (1, (2,)), 1: (2, (2,)), 2: (1, ())}
+    assert spin_homology(h, 3).entries == {
+        0: (1, (2,)), 1: (1, ()), 3: (1, (2,)), 4: (1, ()),
+    }
+
+
+def test_spin_homology_rejects_torsion_of_both_copies_in_one_degree():
+    # Z/3 + Z/2 in degree 1 would be listed as (2, 3), not as invariant factors
+    h = GradedModule("Z", HOMOLOGICAL, {0: (0, (2,)), 1: (0, (3,))})
+    with pytest.raises(SpinError, match="torsion of both copies lands in degree 1"):
+        spin_homology(h, 1)
+
+
+@st.composite
+def scrambled_complexes(draw, ring):
+    """A direct sum of elementary complexes in a mixed basis.
+
+    Degrees -1..2 get free generators (d = 0) and pairs e -> k*x, e one
+    degree above x; over Z a k with |k| > 1 leaves torsion Z/|k|.  Basis
+    changes I + c*E_ij in each degree then mix the summands: row i of the
+    incoming matrix gains c * row j, and column j of the outgoing matrix
+    loses c * column i, so d^2 = 0 still holds.
+    """
+    names: dict[int, list[str]] = {d: [] for d in range(-1, 3)}
+    for d in names:
+        names[d] += [f"z{d}_{i}" for i in range(draw(st.integers(0, 2)))]
+    pairs = []
+    if ring is ZZ:
+        coeff, mix = st.sampled_from([1, -1, 2, 3, -4, 6]), st.sampled_from([-2, -1, 1, 2])
+    else:
+        coeff = mix = st.integers(1, ring.q - 1)
+    for i in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(-1, 1))
+        names[d].append(f"x{i}")
+        names[d + 1].append(f"e{i}")
+        pairs.append((d + 1, len(names[d + 1]) - 1, len(names[d]) - 1, draw(coeff)))
+    names = {d: gens for d, gens in names.items() if gens}
+    assume(names)
+    mats = {d: [[0] * len(names[d]) for _ in names[d - 1]] for d in names if d - 1 in names}
+    for d, e, x, k in pairs:
+        mats[d][x][e] = k
+    for d, gens in names.items():
+        for _ in range(draw(st.integers(0, 3)) if len(gens) > 1 else 0):
+            i, j = draw(st.lists(st.integers(0, len(gens) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            c = draw(mix)
+            if d + 1 in mats:
+                m = mats[d + 1]
+                m[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(m[i], m[j])]
+            if d in mats:
+                for row in mats[d]:
+                    row[j] = ring.sub(row[j], ring.mul(c, row[i]))
+    return LinearizedComplex(ring, {d: tuple(g) for d, g in names.items()}, mats)
+
+
+@st.composite
+def complexes_and_schedules(draw, ring):
+    """Stable spheres over Z; over a field, stable spheres and then circles."""
+    cx = draw(scrambled_complexes(ring))
+    schedule, dim = [], 1
+    for _ in range(draw(st.integers(0 if ring is not ZZ else 1, 2))):
+        m = stable_bound_complex(cx) + dim + draw(st.integers(0, 2))
+        schedule.append(m)
+        dim += m
+    if ring is not ZZ:
+        schedule += [1] * draw(st.integers(0 if schedule else 1, 3))
+    return cx, schedule
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), GF(4)], ids=str)
+def test_spin_homology_matches_spun_complex(ring):
+    homology = homology_integral if ring is ZZ else homology_field
+
+    @given(complexes_and_schedules(ring))
+    @settings(max_examples=100, deadline=None)
+    def check(case):
+        cx, schedule = case
+        h, spun = homology(cx), cx
+        for stage in iterate_schedule(cx, schedule):
+            if stage.bound is not None:
+                assert stage.bound == stable_bound_complex(spun)
+            spun = spin_complex_stable(spun, stage.sphere_dim)
+            h = spin_homology(h, stage.sphere_dim)
+            assert h == homology(spun)
+
+    check()
