@@ -428,19 +428,44 @@ class DGA:
     differential: Mapping[str, Element] = field(default_factory=dict)
 
     def __post_init__(self):
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
-        unknown = sorted(set(self.differential) - set(names))
+        names = {g.name for g in self.generators}
+        if len(names) != len(self.generators):
+            raise ValueError(f"duplicate generator names in {[g.name for g in self.generators]}")
+        unknown = self.differential.keys() - names
         if unknown:
-            raise ValueError(f"differential of unknown generators {unknown}")
-        clean = {k: v for k, v in dict(self.differential).items() if not v.is_zero}
+            raise ValueError(f"differential of unknown generators {sorted(unknown)}")
+        clean = {k: v for k, v in self.differential.items() if v.terms}
         object.__setattr__(self, "differential", clean)
 
     @cached_property
     def degrees(self) -> dict[str, int]:
         """Name -> degree, built once per DGA (callers must not mutate it)."""
         return {g.name: g.degree for g in self.generators}
+
+    @cached_property
+    def layout(self) -> tuple[dict[int, tuple[str, ...]], dict[int, dict[str, int]]]:
+        """(bases, positions), built once per DGA (callers must not mutate it).
+
+        ``bases[d]`` is the degree-d basis sorted by name and ``positions[d]``
+        maps each name of degree d to its index there.
+        """
+        by_degree: dict[int, list[str]] = {}
+        for g in self.generators:
+            by_degree.setdefault(g.degree, []).append(g.name)
+        bases = {d: tuple(sorted(by_degree[d])) for d in sorted(by_degree)}
+        positions = {d: {name: i for i, name in enumerate(b)} for d, b in bases.items()}
+        return bases, positions
+
+    def with_differential(self, differential: Mapping[str, Element]) -> DGA:
+        """The same generators with another differential.
+
+        The result shares this DGA's ``degrees`` and ``layout``, which
+        depend on the generators alone; every other cache is its own.
+        """
+        out = DGA(self.ring, self.generators, differential)
+        # cached_property reads the instance dict first: seed the two shared caches
+        out.__dict__.update(degrees=self.degrees, layout=self.layout)
+        return out
 
     @cached_property
     def field_copies(self) -> dict[int, DGA]:
@@ -489,21 +514,32 @@ class DGA:
             raise KeyError(f"unknown generator {exc.args[0]!r} in word {w}") from exc
 
 
-def _leibniz(dga: DGA, terms: Iterable[tuple[Word, object]]) -> dict[Word, object]:
+def _leibniz(
+    dga: DGA, terms: Iterable[tuple[Word, object]], word_degrees: list[int] | None = None
+) -> dict[Word, object]:
     """d of a sum of terms by linearity and Leibniz, as word -> coefficient.
 
-    Like words are added with the ring's ``add``; zero sums are kept.  A term
-    none of whose letters has a differential contributes nothing and is
-    skipped whole.
+    Like words are added in the ring: through a finite field's
+    ``add_table``/``mul_table``/``neg_table``, through ``add``/``mul``/``neg``
+    for Z and Z[t].  Zero sums are kept.  A term none of whose letters has a
+    differential contributes nothing and is skipped whole.  Given a list
+    ``word_degrees``, the walk appends each term's word degree to it, in
+    order: the sign bookkeeping sums it for the terms it walks anyway.
     """
     ring = dga.ring
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    tables = isinstance(ring, FiniteField)
+    if tables:
+        add_t, mul_t, neg = ring.add_table, ring.mul_table, ring.neg_table.__getitem__
+    else:
+        add, mul, neg = ring.add, ring.mul, ring.neg
     degs = dga.degrees
     diff = dga.differential
     has_diff = diff.keys()
     acc: dict[Word, object] = {}
     for w, c in terms:
         if has_diff.isdisjoint(w):
+            if word_degrees is not None:
+                word_degrees.append(sum(map(degs.__getitem__, w)))
             continue
         prefix_deg = 0
         for i, g in enumerate(w):
@@ -511,11 +547,20 @@ def _leibniz(dga: DGA, terms: Iterable[tuple[Word, object]]) -> dict[Word, objec
             if dg is not None:
                 head, tail = w[:i], w[i + 1 :]
                 signed = neg(c) if prefix_deg % 2 else c
-                for wg, cg in dg.terms:
-                    key = head + wg + tail
-                    coeff = mul(signed, cg)
-                    acc[key] = add(acc[key], coeff) if key in acc else coeff
+                if tables:
+                    times = mul_t[signed]
+                    for wg, cg in dg.terms:
+                        key = head + wg + tail
+                        coeff = times[cg]
+                        acc[key] = add_t[acc[key]][coeff] if key in acc else coeff
+                else:
+                    for wg, cg in dg.terms:
+                        key = head + wg + tail
+                        coeff = mul(signed, cg)
+                        acc[key] = add(acc[key], coeff) if key in acc else coeff
             prefix_deg += degs[g]
+        if word_degrees is not None:
+            word_degrees.append(prefix_deg)
     return acc
 
 
@@ -551,28 +596,34 @@ class ValidationReport:
 def validate(dga: DGA) -> ValidationReport:
     """Check degree purity of every term of every d(g), and d(d(g)) = 0.
 
-    d(d(g)) is summed in a plain dict through the ring's own arithmetic and
-    tested for zero there; ``apply_differential`` builds an ``Element`` only
-    to print a violation.
+    One ``_leibniz`` walk per d(g) gives both: the degree of every term,
+    and d(d(g)) summed in a plain dict (on a finite field's tables), tested
+    for zero there.  ``apply_differential`` builds an ``Element`` only to
+    print a violation.  A conjugated DGA shares its degree table with the
+    DGA it came from.
     """
     violations = []
-    degs = dga.degrees
     is_zero = dga.ring.is_zero
     for g in dga.generators:
         dg = dga.differential.get(g.name)
         if dg is None:
             continue
-        for w, _ in dg.terms:
-            try:
-                wd = sum(map(degs.__getitem__, w))
-            except KeyError:
-                wd = dga.word_degree(w)  # raises, naming the letter and its word
-            if wd != g.degree - 1:
-                violations.append(
-                    f"d({g.name}) term {'*'.join(w) or '1'} has degree {wd}, "
-                    f"expected {g.degree - 1}"
-                )
-        if not all(map(is_zero, _leibniz(dga, dg.terms).values())):
+        target = g.degree - 1
+        word_degrees: list[int] = []
+        try:
+            dd = _leibniz(dga, dg.terms, word_degrees)
+        except KeyError:
+            for w, _ in dg.terms:
+                dga.word_degree(w)  # raises, naming the letter and its word
+            raise
+        if word_degrees.count(target) != len(word_degrees):
+            for (w, _), wd in zip(dg.terms, word_degrees):
+                if wd != target:
+                    violations.append(
+                        f"d({g.name}) term {'*'.join(w) or '1'} has degree {wd}, "
+                        f"expected {target}"
+                    )
+        if not all(map(is_zero, dd.values())):
             violations.append(f"d(d({g.name})) = {apply_differential(dga, dg)} != 0")
     return ValidationReport(violations)
 

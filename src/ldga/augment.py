@@ -1,12 +1,14 @@
 """Graded augmentations over finite fields and augmentation-variety counts.
 
 An augmentation assigns field values to the degree-0 generators (t, when
-present, is pinned to -1) so that eps(d g) = 0 for every generator.  The
-equations are one list per field DGA, ``DGA.augmentation_system``, shared by
-the solver, the recheck of every solution and ``conjugate``.  ``conjugate``
-merges each conjugated d(g) in one dict through the field's tables and
-builds its ``Element`` once; the d^2 = 0 tripwire, ``validate``, still runs
-whole on every conjugated DGA and builds no ``Element`` unless it fails.
+present, is pinned to -1) so that eps(d g) = 0 for every generator; a value
+on any other name is an error.  The equations are one list per field DGA,
+``DGA.augmentation_system``, shared by the solver, the recheck of every
+solution and ``conjugate``.  ``conjugate`` merges each conjugated d(g) in
+one dict through the field's tables and builds its ``Element`` once.  The
+conjugated DGA shares the field DGA's degrees and layout, so neither the
+d^2 = 0 tripwire, ``validate``, which still runs whole on every conjugated
+DGA, nor ``linear_part`` rebuilds them per augmentation.
 The one solver, ``_backtrack``, compiles the equations to integer-indexed
 terms and keeps a watch list per generator, so an assignment touches only
 the equations that mention it: one left with no free generator is
@@ -21,6 +23,7 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .algebra import (
@@ -68,7 +71,18 @@ class Augmentation:
         return _eval_terms(self.field, dga.degree_zero_monomials(el), values)
 
     def is_valid(self, dga: DGA) -> bool:
-        """eps(d g) = 0 for every generator, read off the DGA's cached system."""
+        """eps(d g) = 0 for every generator, read off the DGA's cached system.
+
+        A nonzero value on a name that is not a degree-0 generator of the
+        DGA raises ``AugmentationError``.
+        """
+        degs = dga.degrees
+        stray = [name for name, v in self.values if v and degs.get(name) != 0]
+        if stray:
+            raise AugmentationError(
+                f"augmentation gives values to {', '.join(stray)}, "
+                "which are not degree-0 generators"
+            )
         values = defaultdict(int, self.values)
         return not any(_eval_terms(self.field, eq, values) for eq in dga.augmentation_system)
 
@@ -221,14 +235,18 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
 # ---------------------------------------------------------------------------
 
 def conjugate(dga: DGA, eps: Augmentation) -> DGA:
-    """Differential conjugated by c -> c + eps(c); kills constant terms."""
+    """Differential conjugated by c -> c + eps(c); kills constant terms.
+
+    Each d(g) is merged in one dict through the field's tables, its constant
+    term read off the first sorted item, and its ``Element`` built once.  The
+    result shares the field DGA's generators, degrees and layout.
+    """
     fdga = _field_dga(dga, eps.field.q)
     if not eps.is_valid(fdga):
         raise AugmentationError("augmentation does not satisfy eps after d = 0")
     ring = eps.field
     add, mul = ring.add_table, ring.mul_table
-    degs = fdga.degrees
-    shift = {name: mul[v] for name, v in eps.values if v and degs.get(name) == 0}
+    shift = {name: mul[v] for name, v in eps.values if v}  # is_valid vetted the names
     diff = {}
     for name, dg in fdga.differential.items():
         acc = {}
@@ -244,22 +262,26 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
                 expanded = kept
             for w, c in expanded:
                 acc[w] = add[acc[w]][c] if w in acc else c
-        diff[name] = Element(ring, tuple(sorted([kv for kv in acc.items() if kv[1]])))
-    out = DGA(ring, fdga.generators, diff)
+        items = sorted(filter(itemgetter(1), acc.items()))
+        if items and not items[0][0]:
+            raise DGAValidationError("conjugation left a constant term")
+        diff[name] = Element(ring, tuple(items))
+    out = fdga.with_differential(diff)
     report = validate(out)
     if not report.ok:
         raise DGAValidationError(f"conjugated DGA failed validation: {report}")
-    for dg in out.differential.values():
-        if dg.constant_term() != ring.zero:
-            raise DGAValidationError("conjugation left a constant term")
     return out
 
 
 def linear_part(dga: DGA) -> LinearizedComplex:
-    """Word-length-1 part of a differential with no constant terms."""
+    """Word-length-1 part of a differential with no constant terms.
+
+    Bases and positions come from the DGA's cached ``layout``.
+    """
     ring = dga.ring
+    bases, positions = dga.layout
+    mats = {d: [[0] * len(b) for _ in bases[d - 1]] for d, b in bases.items() if d - 1 in bases}
     diffs = []
-    by_degree: dict[int, list[str]] = defaultdict(list)
     for g in dga.generators:
         dg = dga.differential.get(g.name)
         if dg is not None:
@@ -268,17 +290,13 @@ def linear_part(dga: DGA) -> LinearizedComplex:
                 raise AugmentationError(
                     f"d({g.name}) has constant term {c}; conjugate by an augmentation first"
                 )
-            diffs.append((g.degree, g.name, dg))
-        by_degree[g.degree].append(g.name)
-    bases = {d: tuple(sorted(by_degree[d])) for d in sorted(by_degree)}
-    index = {d: {name: i for i, name in enumerate(b)} for d, b in bases.items()}
-    mats = {d: [[0] * len(bases[d]) for _ in bases[d - 1]] for d in bases if d - 1 in bases}
+            if g.degree in mats:
+                diffs.append((g.degree, g.name, dg))
     for d, name, dg in diffs:
-        if d in mats:
-            m, rix, j = mats[d], index[d - 1], index[d][name]
-            for word, coeff in dg.terms:
-                if len(word) == 1:
-                    m[rix[word[0]]][j] = coeff
+        m, rix, j = mats[d], positions[d - 1], positions[d][name]
+        for word, coeff in dg.terms:
+            if len(word) == 1:
+                m[rix[word[0]]][j] = coeff
     return LinearizedComplex(ring, bases, mats)
 
 

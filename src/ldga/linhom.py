@@ -5,7 +5,9 @@ entries use the table arithmetic from :mod:`ldga.algebra`).  Integer homology
 goes through a sparse Smith normal form, once per stored matrix (spun
 homology comes from :mod:`ldga.spin`, not a spun complex).  It returns explicit
 unimodular transforms U and V, so that U*A*V = D is re-verified by the test
-suite; it is not re-verified at run time.
+suite; it is not re-verified at run time.  Homology over GF(p) of an
+integral complex follows from its integral homology by universal
+coefficients (``homology_mod_p``), with no second elimination.
 """
 
 from __future__ import annotations
@@ -483,6 +485,29 @@ def uct_dualize(h: GradedModule) -> GradedModule:
         if free or tor:
             entries[d] = (free, tor)
     return GradedModule("Z", COHOMOLOGICAL, entries)
+
+
+def homology_mod_p(h: GradedModule, p: int) -> GradedModule:
+    """H(C; F_p) of a free complex C from its integral homology H(C; Z).
+
+    Universal coefficients: dim H_d(C; F_p) = free rank of H_d + the number
+    of torsion orders of H_d divisible by p + the number of those of
+    H_{d-1} (the Tor term).  ``p`` must be prime.
+    """
+    if h.is_field or h.variance != HOMOLOGICAL:
+        raise ValueError("homology_mod_p expects an integral homology module")
+    if GF(p).s != 1:
+        raise ValueError(f"homology_mod_p needs a prime, got {p}")
+
+    def divisible(torsion: tuple[int, ...]) -> int:
+        return sum(1 for k in torsion if k % p == 0)
+
+    entries = {}
+    for d in sorted(set(h.degrees()) | {d + 1 for d in h.degrees()}):
+        dim = h.free_rank(d) + divisible(h.torsion(d)) + divisible(h.torsion(d - 1))
+        if dim:
+            entries[d] = (dim, ())
+    return GradedModule(f"F{p}", HOMOLOGICAL, entries)
 
 
 def as_cohomological(h: GradedModule) -> GradedModule:

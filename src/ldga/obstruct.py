@@ -260,9 +260,9 @@ TARGET_M821_POLY = PoincarePolynomial.from_dims({-1: 1, 0: 4, 1: 2})
 def class_a_homology(grid: diagram.GridDiagram, budget=None):
     """Grid -> front -> projection -> DGA -> distinguished linearized complex.
 
-    Returns (evidence, F2 complex) for the augmentation whose Poincare
-    polynomial has a negative-degree class; fails loudly if the fixture does
-    not produce it.
+    Returns (evidence, F2 complex, its homology) for the augmentation whose
+    Poincare polynomial has a negative-degree class; fails loudly if the
+    fixture does not produce it.
     """
     evidence = []
     front = diagram.grid_to_front(grid)
@@ -300,10 +300,11 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
     polys, chosen = [], None
     for eps in augment.enumerate_augmentations(dga, 2):
         cx = augment.linearized_complex(dga, eps)
-        p = linhom.poincare(linhom.homology_field(cx))
+        h = linhom.homology_field(cx)
+        p = linhom.poincare(h)
         polys.append(str(p))
         if chosen is None and p.as_dict() == TARGET_M821_POLY.as_dict():
-            chosen = eps, cx
+            chosen = eps, cx, h
     if not polys:
         raise ObstructionStageError("augment", "no graded augmentations over F2")
     polys.sort()
@@ -313,7 +314,7 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
             "augment",
             f"no augmentation with polynomial {TARGET_M821_POLY}; got {polys}",
         )
-    eps, cx = chosen
+    eps, cx, h = chosen
     evidence.append(
         {
             "stage": "distinguished_augmentation",
@@ -321,7 +322,7 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
             "polynomial": str(TARGET_M821_POLY),
         }
     )
-    return evidence, cx
+    return evidence, cx, h
 
 
 def certify_nongeometric(
@@ -351,10 +352,10 @@ def certify_nongeometric(
 def _certify_class_a(schedule, grid, budget, case) -> Certification:
     grid = grid or cedga.m821_grid()
     evidence = [{"stage": "grid", "size": grid.size}]
-    ev2, cx = class_a_homology(grid, budget=budget)
+    ev2, cx, h = class_a_homology(grid, budget=budget)
     evidence.extend(ev2)
     stages = spin.iterate_schedule(cx, schedule)
-    h = linhom.as_cohomological(linhom.homology_field(cx))
+    h = linhom.as_cohomological(h)
     for st in stages:
         h = spin.spin_homology(h, st.sphere_dim)
         evidence.append(
@@ -379,7 +380,7 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
     evidence.append({"stage": "homology_integral", "module": module_to_jsonable(h_int)})
     h_coh = linhom.uct_dualize(h_int)
     evidence.append({"stage": "uct", "module": module_to_jsonable(h_coh)})
-    h_f2 = linhom.homology_field(linhom.reduce_complex_mod_p(cx, 2))
+    h_f2 = linhom.homology_mod_p(h_int, 2)
     evidence.append({"stage": "homology_f2", "polynomial": str(linhom.poincare(h_f2))})
 
     try:

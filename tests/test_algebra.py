@@ -1,3 +1,7 @@
+import itertools
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -343,6 +347,122 @@ def small_dgas(draw):
 @settings(max_examples=300)
 def test_validate_matches_element_reference(dga):
     assert validate(dga).violations == reference_violations(dga)
+
+
+def dd_by_products(dga, name):
+    """d(d(name)) through ``multiply`` and ``Element.add`` alone.
+
+    d of a word is the sum over its letters of (-1)^(degree of the letters
+    before it) prefix * d(letter) * suffix; shares no code with ``_leibniz``.
+    """
+    ring = dga.ring
+    total = Element.zero(ring)
+    for word, coeff in dga.diff_of(name).terms:
+        before = 0
+        for i, letter in enumerate(word):
+            prefix = Element.build(ring, {word[:i]: ring.neg(coeff) if before % 2 else coeff})
+            suffix = Element.build(ring, {word[i + 1 :]: ring.one})
+            total = total.add(multiply(multiply(prefix, dga.diff_of(letter)), suffix))
+            before += dga.degrees[letter]
+    return total
+
+
+def flagged(report):
+    """(generators with a d^2 violation, generators with a degree violation)."""
+    dd = {m[1] for v in report.violations if (m := re.match(r"d\(d\((\w+)\)\) = ", v))}
+    deg = {m[1] for v in report.violations if (m := re.match(r"d\((\w+)\) term ", v))}
+    return dd, deg
+
+
+def expected_flags(dga):
+    dd = {g.name for g in dga.generators if not dd_by_products(dga, g.name).is_zero}
+    deg = {
+        g.name
+        for g in dga.generators
+        for w, _ in dga.diff_of(g.name).terms
+        if sum(dga.degrees[x] for x in w) != g.degree - 1
+    }
+    return dd, deg
+
+
+@st.composite
+def field_dgas(draw):
+    """Three or four generators of degree -1..2 over any supported GF(q).
+
+    Each d(g) draws words of degree |g| - 1 (length 0-3), so d^2 = 0 holds
+    or fails by chance; a drawn number of them also gets a planted word of
+    another degree."""
+    ring = GF(draw(st.sampled_from(SUPPORTED_ORDERS)))
+    names = ["a", "b", "c", "e"][: draw(st.integers(3, 4))]
+    gens = tuple(Generator(n, draw(st.integers(-1, 2))) for n in names)
+    degs = {g.name: g.degree for g in gens}
+    words = [w for k in range(4) for w in itertools.product(names, repeat=k)]
+    coeff = st.sampled_from(list(ring.elements())[1:])
+    diff = {}
+    for g in gens:
+        pure = [w for w in words if sum(degs[x] for x in w) == g.degree - 1]
+        terms = draw(st.lists(st.tuples(st.sampled_from(pure), coeff), max_size=3)) if pure else []
+        if draw(st.booleans()):
+            impure = [w for w in words if sum(degs[x] for x in w) != g.degree - 1]
+            terms.append((draw(st.sampled_from(impure)), draw(coeff)))
+        diff[g.name] = Element.sum(ring, terms)
+    return DGA(ring, gens, diff)
+
+
+@given(field_dgas())
+@example(sign_pin_dga(GF(3)))
+@example(sign_pin_dga(GF(5), extra=[("x",)]))
+@example(sign_pin_dga(GF(16), extra=[("x", "x", "x")]))
+@settings(max_examples=300)
+def test_validate_flags_exactly_the_faulty_generators(dga):
+    assert flagged(validate(dga)) == expected_flags(dga)
+
+
+@pytest.mark.parametrize("walked", [False, True])
+def test_validate_names_an_unknown_letter_and_its_word(walked):
+    # the word degree comes from the Leibniz walk or, for a word with no
+    # letter of nonzero differential, from a plain sum: both name the letter
+    ring = GF(3)
+    word = ("e", "zzz") if walked else ("zzz",)
+    dga = DGA(
+        ring,
+        (Generator("c", 0), Generator("e", 1), Generator("a", 2)),
+        {"e": Element.generator(ring, "c"), "a": Element.build(ring, {word: 1})},
+    )
+    with pytest.raises(KeyError, match=re.escape(f"unknown generator 'zzz' in word {word}")):
+        validate(dga)
+
+
+def planted(dga, extra_gens=(), extra_terms=()):
+    """dga with more generators and more terms (name, word, int coefficient)."""
+    diff = dict(dga.differential)
+    for name, word, c in extra_terms:
+        terms = diff[name].terms if name in diff else ()
+        diff[name] = Element.sum(dga.ring, terms + ((word, dga.ring.from_int(c)),))
+    return DGA(dga.ring, dga.generators + tuple(extra_gens), diff)
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "fixture, gens, terms, dd, deg",
+    [
+        ("torsion.dga", (), (), set(), set()),
+        # d y = e makes d(d y) = 2x and d(d f) = 4e
+        ("torsion.dga", (), (("y", ("e",), 1),), {"y", "f"}, set()),
+        ("torsion.dga", (), (("f", ("x",), 1),), set(), {"f"}),
+        ("zt_linear.dga", (), (), set(), set()),
+        # d c = a with |c| = 2 makes d(d c) = t*b
+        ("zt_linear.dga", (Generator("c", 2),), (("c", ("a",), 1),), {"c"}, set()),
+        ("zt_linear.dga", (), (("a", ("a", "b"), 1),), {"a"}, {"a"}),
+    ],
+)
+def test_validate_flags_planted_faults_in_dsl_fixtures(fixture, gens, terms, dd, deg):
+    from ldga.cedga import load_dsl
+
+    dga = planted(load_dsl((FIXTURES / fixture).read_text()), gens, terms)
+    assert flagged(validate(dga)) == expected_flags(dga) == (dd, deg)
 
 
 def test_validate_builds_no_element_on_a_valid_dga(monkeypatch):

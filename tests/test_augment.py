@@ -33,6 +33,7 @@ from ldga.augment import (
 )
 from ldga.cedga import (
     build_dga,
+    builtin,
     load_dsl,
     m821_grid,
     trefoil_projection,
@@ -236,10 +237,36 @@ def conjugated_by_products(fdga: DGA, eps: Augmentation, name: str) -> Element:
     return total
 
 
-@pytest.mark.parametrize("knot, q, count", [("trefoil", 16, 257), ("m821", 4, 120)])
+# A lift of the trefoil's F2 DGA to Z (d^2 = 0 for any signs: the degree-0
+# generators have d = 0).  It has q^2 + 1 augmentations over every GF(q):
+# 1 + x + z + xyz = 0 has (q - 1)^2 solutions with xz != 0 and 2q with xz = 0.
+TREFOIL_Z = """coeff Z
+gen c1 0
+gen c2 0
+gen c3 0
+gen e1 1
+gen e2 1
+d e1 = 1 + c1 + c3 + c1*c2*c3
+d e2 = -1 - c1 - c3 - c3*c2*c1
+"""
+
+
+def test_trefoil_z_lift_reduces_to_the_disk_search_dga():
+    lift = change_coefficients(load_dsl(TREFOIL_Z), GF(2))
+    assert lift == build_dga(trefoil_projection())
+
+
+@pytest.mark.parametrize(
+    "knot, q, count",
+    [("m821", 4, 120)]
+    + [("trefoil", q, q * q + 1) for q in FIELD_ORDERS]
+    + [(f"torus2:{n}", 2, (2 ** (n + 1) - 1) // 3) for n in (3, 5, 7, 9)],
+)
 def test_conjugate_matches_product_expansion(knot, q, count):
-    proj = trefoil_projection() if knot == "trefoil" else resolve(grid_to_front(m821_grid()))
-    dga = build_dga(proj)
+    if knot == "trefoil":  # the disk-search DGA over characteristic 2, else its Z lift
+        dga = build_dga(trefoil_projection()) if q % 2 == 0 else load_dsl(TREFOIL_Z)
+    else:
+        dga = build_dga(resolve(grid_to_front(m821_grid())) if knot == "m821" else builtin(knot))
     fdga = change_coefficients(dga, GF(q))
     augs = enumerate_augmentations(dga, q)
     assert len(augs) == count
@@ -247,6 +274,41 @@ def test_conjugate_matches_product_expansion(knot, q, count):
         conj = conjugate(dga, eps)
         for g in dga.generators:
             assert conj.diff_of(g.name) == conjugated_by_products(fdga, eps, g.name), g.name
+
+
+def test_stray_augmentation_values_are_rejected():
+    # values live on degree-0 generators only; a nonzero value anywhere else
+    # would otherwise be carried along in eps.values without effect
+    dga = build_dga(trefoil_projection())
+    eps = Augmentation.build(GF(2), {"c3": 1})
+    assert eps.is_valid(dga)
+    assert dga.degrees["e1"] == 1
+    for stray in ("zzz", "e1"):
+        bad = Augmentation.build(GF(2), {"c3": 1, stray: 1})
+        with pytest.raises(AugmentationError, match=f"{stray}, which are not degree-0"):
+            bad.is_valid(dga)
+        with pytest.raises(AugmentationError, match=stray):
+            conjugate(dga, bad)
+    # zero values name nothing and stay allowed
+    zeros = Augmentation(GF(2), (("c3", 1), ("e1", 0), ("zzz", 0)))
+    assert zeros.is_valid(dga)
+    assert conjugate(dga, zeros).differential == conjugate(dga, eps).differential
+
+
+def test_linear_part_of_a_conjugate_matches_a_rebuilt_dga():
+    # the conjugate shares the field DGA's degrees and layout, nothing else
+    dga = build_dga(resolve(grid_to_front(m821_grid())))
+    for q in (2, 4, 8):
+        for eps in enumerate_augmentations(dga, q):
+            conj = conjugate(dga, eps)
+            rebuilt = DGA(conj.ring, conj.generators, dict(conj.differential))
+            assert linear_part(conj) == linear_part(rebuilt)
+            assert conj.degrees == rebuilt.degrees and conj.layout == rebuilt.layout
+            assert conj.augmentation_system == rebuilt.augmentation_system
+    field_dga = dga.field_copies[8]
+    assert conj.degrees is field_dga.degrees and conj.layout is field_dga.layout
+    assert conj.generators is field_dga.generators
+    assert conj.augmentation_system is not field_dga.augmentation_system
 
 
 def test_is_valid_matches_per_generator_definition():

@@ -268,3 +268,19 @@ def test_twist_variety_counts():
     assert {q: variety_points(TWIST_VARIETY, q) for q in (2, 4, 8, 16)} == {
         2: 1, 4: 3, 8: 7, 16: 15
     }
+
+
+def test_each_homology_is_computed_once(monkeypatch):
+    # class A reuses the distinguished augmentation's homology; class B reads
+    # its F2 homology off the integral module by universal coefficients
+    from ldga import linhom
+
+    calls = []
+    real = linhom.homology_field
+    monkeypatch.setattr(linhom, "homology_field", lambda cx: calls.append(cx) or real(cx))
+    cert = certify_nongeometric("classA_spun")
+    (stage,) = [e for e in cert.evidence if e["stage"] == "augment"]
+    assert len(calls) == stage["count"] == 16
+    calls.clear()
+    certify_nongeometric("classB_twist", n=5, schedule=[3])
+    assert calls == []

@@ -28,7 +28,7 @@ def test_trace_layers_resolve_to_library_functions():
 def test_tracer_counts_a_traced_pipeline():
     # `--trace 1` reads these counters off the traced calls' arguments and
     # results; a change to a traced return type must fail here, not there
-    from ldga import augment, cedga, diagram, obstruct
+    from ldga import augment, cedga, diagram, linhom, obstruct
 
     tracer = load_by_path(TRACING).Tracer()
     with tracer.installed():
@@ -36,7 +36,8 @@ def test_tracer_counts_a_traced_pipeline():
         obstruct.certify_nongeometric("classB_twist", n=5, schedule=[3])
         trefoil = cedga.build_dga(cedga.trefoil_projection())
         for eps in augment.enumerate_augmentations(trefoil, 2):
-            augment.linearized_complex(trefoil, eps)
+            # class B no longer ranks over F2, so the field ranks come from here
+            linhom.homology_field(augment.linearized_complex(trefoil, eps))
         twist = augment.parse_polysystem((REPO / "fixtures" / "twist_variety.sys").read_text())
         assert augment.variety_points(twist, 4) == 3  # q - 1 points on ab = -1
     for metric in ("diagram.crossings", "cedga.disks", "linhom.field_rank_cells",
@@ -75,3 +76,69 @@ def test_m821_tool_bracket_invariant_pinned():
     assert tool.grid_invariant(m821_grid()) == (
         (-22, -2), (-14, -1), (-6, 1), (2, 1), (6, -1),
     )
+
+
+AB_BENCH = REPO / "tools" / "ab_bench.py"
+
+
+def result_line(correct, pass_s, setup_s=0.2):
+    """One canned last line of perfbench/run.py."""
+    return (
+        f'{{"correct": {"true" if correct else "false"}, "attempted": 10, "failed": 0, '
+        f'"metrics": {{"setup_s": {{"value": {setup_s}, "unit": "s"}}, '
+        f'"pass_s.ref": {{"value": {pass_s}, "unit": "s"}}}}}}'
+    )
+
+
+def test_ab_bench_summary_of_canned_pairs():
+    import json
+
+    tool = load_by_path(AB_BENCH)
+    metrics = tool.end_to_end_metrics()
+    assert metrics == ["setup_s", "pass_s.ref", "ops_per_s.ref", "peak_rss_mb"]
+    pairs = [
+        (json.loads(result_line(True, a)), json.loads(result_line(True, b)))
+        for a, b in [(0.30, 0.27), (0.31, 0.28), (0.32, 0.33)]
+    ]
+    lines, ok = tool.summarize(pairs, metrics)
+    assert ok
+    by_metric = {line.split(":")[0]: line for line in lines}
+    # ratios 0.9, 0.9032, 1.03125: the median is the middle one
+    assert by_metric["pass_s.ref"] == (
+        "pass_s.ref: A 0.31 [0.3, 0.32], B 0.28 [0.27, 0.33]; "
+        "median B/A 0.9032 over 3 pairs, B below A in 2"
+    )
+    assert by_metric["setup_s"].endswith("median B/A 1.0000 over 3 pairs, B below A in 0")
+    assert by_metric["peak_rss_mb"] == "peak_rss_mb: no pairs"
+    assert "pass_s.ref 0.3 -> 0.27" in tool.pair_line("pair 0", *pairs[0], metrics)
+
+
+def test_ab_bench_fails_on_an_incorrect_or_missing_side():
+    import json
+
+    tool = load_by_path(AB_BENCH)
+    good = json.loads(result_line(True, 0.3))
+    bad = json.loads(result_line(False, 0.2))
+    assert not tool.summarize([(good, good), (good, bad)], ["pass_s.ref"])[1]
+    assert not tool.summarize([(None, good)], ["pass_s.ref"])[1]
+    assert "B NOT CORRECT" in tool.pair_line("pair 1", good, bad, ["pass_s.ref"])
+    assert tool.summarize([(good, good)], ["pass_s.ref"])[1]
+
+
+def test_ab_bench_keeps_a_zero_on_side_a():
+    import json
+
+    tool = load_by_path(AB_BENCH)
+    pairs = [
+        (json.loads(result_line(True, a)), json.loads(result_line(True, b)))
+        for a, b in [(0.0, 0.1), (0.2, 0.1), (0.4, 0.2)]
+    ]
+    (line,), ok = tool.summarize(pairs, ["pass_s.ref"])
+    assert ok
+    # quartiles over all three pairs; ratios only where A is nonzero
+    assert line.startswith("pass_s.ref: A 0.2 [0, 0.4], B 0.1 [0.1, 0.2]; ")
+    assert line.endswith(
+        "median B/A 0.5000 over 2 pairs, B below A in 2 (1 pairs with A = 0 have no ratio)"
+    )
+    (line,), _ = tool.summarize(pairs[:1], ["pass_s.ref"])
+    assert line.endswith("no ratio (1 pairs with A = 0 have no ratio)")

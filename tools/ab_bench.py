@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Compare two revisions on one benchmark workload, in alternating pairs.
+
+Each revision is exported with ``git archive`` into its own fresh temporary
+directory, so neither side starts with compiled bytecode and both pay the
+same compile cost.  Pair i runs ``perfbench/run.py`` with seed SEED + i on
+both sides, one after the other, A first in even pairs and B first in odd
+ones.  Each pair is printed; then, for every end-to-end metric named in
+``BENCHMARK.json``, each side's median and quartiles and the median B/A
+ratio.  Exits 1 when either side reports ``correct: false`` (or prints no
+result), 0 otherwise.
+
+    python tools/ab_bench.py a842997 HEAD --workload m821-fields --pairs 10 --seconds 10
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def end_to_end_metrics(benchmark: Path = REPO / "BENCHMARK.json") -> list[str]:
+    return [m["name"] for m in json.loads(benchmark.read_text())["end_to_end"]]
+
+
+def export(rev: str, dest: Path) -> Path:
+    """Write the tree of ``rev`` into dest with git archive."""
+    dest.mkdir()
+    archive = subprocess.run(
+        ["git", "-C", str(REPO), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """The result object of one run: the JSON on the last line of stdout.
+
+    None when the run exits nonzero or prints no such line.
+    """
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        print(f"{tree.name}: perfbench exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+        return None
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return None
+
+
+def is_correct(result: dict | None) -> bool:
+    return bool(result and result.get("correct"))
+
+
+def value(result: dict | None, metric: str) -> float | None:
+    return (result or {}).get("metrics", {}).get(metric, {}).get("value")
+
+
+def pair_line(label: str, a: dict | None, b: dict | None, metrics: list[str]) -> str:
+    cells = [f"{side} {'correct' if is_correct(r) else 'NOT CORRECT'}"
+             for side, r in (("A", a), ("B", b))]
+    for m in metrics:
+        va, vb = value(a, m), value(b, m)
+        if va is not None and vb is not None:
+            cells.append(f"{m} {va:.4g} -> {vb:.4g}")
+    return f"{label}: " + ", ".join(cells)
+
+
+def quartiles(values: list[float]) -> str:
+    """'median [q1, q3]' of the values (one value is its own quartiles)."""
+    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[str]):
+    """(summary lines, ok) for a list of (A result, B result) pairs.
+
+    ``ok`` is False when any result is missing or not correct.  A metric's
+    quartiles are over the pairs in which both sides report it; its ratio
+    is B/A per such pair with A nonzero (a pair with A = 0 is counted in a
+    note), and its line gives the median ratio and how many pairs have B
+    below A.
+    """
+    ok = all(is_correct(a) and is_correct(b) for a, b in pairs)
+    lines = []
+    for m in metrics:
+        both = [(va, vb) for a, b in pairs
+                if (va := value(a, m)) is not None and (vb := value(b, m)) is not None]
+        if not both:
+            lines.append(f"{m}: no pairs")
+            continue
+        sides = [quartiles([v[i] for v in both]) for i in (0, 1)]
+        r = [vb / va for va, vb in both if va]
+        line = f"{m}: A {sides[0]}, B {sides[1]}; "
+        if r:
+            line += (f"median B/A {statistics.median(r):.4f} over {len(r)} pairs, "
+                     f"B below A in {sum(x < 1 for x in r)}")
+        else:
+            line += "no ratio"
+        if len(r) < len(both):
+            line += f" ({len(both) - len(r)} pairs with A = 0 have no ratio)"
+        lines.append(line)
+    if not ok:
+        lines.append("some run was not correct")
+    return lines, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev_a")
+    parser.add_argument("rev_b")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=41, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    metrics = end_to_end_metrics()
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        tree_a = export(args.rev_a, Path(tmp) / "a")
+        tree_b = export(args.rev_b, Path(tmp) / "b")
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            if i % 2:
+                b = run_side(tree_b, args.workload, seed, args.seconds)
+                a = run_side(tree_a, args.workload, seed, args.seconds)
+            else:
+                a = run_side(tree_a, args.workload, seed, args.seconds)
+                b = run_side(tree_b, args.workload, seed, args.seconds)
+            pairs.append((a, b))
+            print(pair_line(f"pair {i} (seed {seed})", a, b, metrics), flush=True)
+    lines, ok = summarize(pairs, metrics)
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
