@@ -42,12 +42,9 @@ from __future__ import annotations
 from collections import Counter
 
 from .diagram import LCUSP, RCUSP, ProjectionDiagram
+from .errors import DiskBudgetExceeded
 
 DEFAULT_DISK_BUDGET = 500_000
-
-
-class DiskBudgetExceeded(RuntimeError):
-    """The disk search ran past its step budget."""
 
 
 class _Search:

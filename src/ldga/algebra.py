@@ -8,18 +8,16 @@ normal form so that equality is a plain syntactic comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+
+from ._record import Record, set_field, set_fields
+from .errors import CoefficientError, DGAValidationError
 
 
 # ---------------------------------------------------------------------------
 # Coefficient rings
 # ---------------------------------------------------------------------------
-
-class CoefficientError(ValueError):
-    """Raised on arithmetic between elements of different rings."""
-
 
 # Fixed irreducible polynomials (low-degree coefficients first, over F_p)
 # realizing GF(p^s).  One fixed choice per (p, s); see docs/fields.md.
@@ -83,11 +81,13 @@ class IntegerRing(Ring):
         return n
 
 
-@dataclass(frozen=True)
-class Laurent:
+class Laurent(Record, frozen=True):
     """Finitely supported integer map exponent -> coefficient, as sorted pairs."""
 
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...]):
+        set_field(self, "terms", terms)
 
     @staticmethod
     def from_dict(d: Mapping[int, int]) -> "Laurent":
@@ -312,15 +312,17 @@ def same_ring(r1: Ring, r2: Ring) -> bool:
 Word = tuple[str, ...]  # ordered generator names; () is the unit
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record, frozen=True):
     """Normal-form sum of words: mapping word -> nonzero coefficient.
 
     Coefficients are elements of ``ring`` and are stored as given.
     """
 
-    ring: Ring
-    terms: tuple[tuple[Word, object], ...]
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: Ring, terms: tuple[tuple[Word, object], ...]):
+        set_field(self, "ring", ring)
+        set_field(self, "terms", terms)
 
     @staticmethod
     def build(ring: Ring, data: Mapping[Word, object]) -> "Element":
@@ -409,33 +411,34 @@ def multiply(x: Element, y: Element) -> Element:
 # DGAs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
+class Generator(Record, frozen=True):
+    __slots__ = ("name", "degree")
+
+    def __init__(self, name: str, degree: int):
+        set_fields(self, name, degree)
 
 
-@dataclass(frozen=True)
-class DGA:
+class DGA(Record, frozen=True):
     """Free noncommutative unital graded algebra with a differential.
 
     The differential is recorded on generators and extended by linearity and
     the graded Leibniz rule d(vw) = (dv)w + (-1)^|v| v(dw).
     """
 
-    ring: Ring
-    generators: tuple[Generator, ...]
-    differential: Mapping[str, Element] = field(default_factory=dict)
+    __slots__ = ("ring", "generators", "differential", "__dict__")  # __dict__: the caches
 
-    def __post_init__(self):
-        names = {g.name for g in self.generators}
-        if len(names) != len(self.generators):
-            raise ValueError(f"duplicate generator names in {[g.name for g in self.generators]}")
-        unknown = self.differential.keys() - names
+    def __init__(self, ring: Ring, generators: tuple[Generator, ...],
+                 differential: Mapping[str, Element] | None = None):
+        differential = {} if differential is None else differential
+        names = {g.name for g in generators}
+        if len(names) != len(generators):
+            raise ValueError(f"duplicate generator names in {[g.name for g in generators]}")
+        unknown = differential.keys() - names
         if unknown:
             raise ValueError(f"differential of unknown generators {sorted(unknown)}")
-        clean = {k: v for k, v in self.differential.items() if v.terms}
-        object.__setattr__(self, "differential", clean)
+        set_field(self, "ring", ring)
+        set_field(self, "generators", generators)
+        set_field(self, "differential", {k: v for k, v in differential.items() if v.terms})
 
     @cached_property
     def degrees(self) -> dict[str, int]:
@@ -574,14 +577,11 @@ def apply_differential(dga: DGA, x: Element) -> Element:
     return Element.build(dga.ring, _leibniz(dga, x.terms))
 
 
-class DGAValidationError(ValueError):
-    """A DGA that violates degree purity or d^2 = 0, or an internal check on
-    a computed DGA or augmentation that failed."""
+class ValidationReport(Record):
+    __slots__ = ("violations",)
 
-
-@dataclass
-class ValidationReport:
-    violations: list[str]
+    def __init__(self, violations: list[str]):
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

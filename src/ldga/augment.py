@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import itemgetter
-from typing import Sequence
 
+from ._record import Record, set_field, set_fields
 from .algebra import (
     DGA,
     DGAValidationError,
@@ -35,20 +35,24 @@ from .algebra import (
     change_coefficients,
     validate,
 )
+from .errors import AugmentationError
 from .linhom import LinearizedComplex
 
 
-class AugmentationError(ValueError):
-    pass
+class Augmentation(Record, frozen=True):
+    """Values on degree-0 generators; everything else is sent to zero.
 
+    ``values`` are sorted by generator name; ``t_value`` is -1 in the field
+    when t exists upstream.
+    """
 
-@dataclass(frozen=True)
-class Augmentation:
-    """Values on degree-0 generators; everything else is sent to zero."""
+    __slots__ = ("field", "values", "t_value")
 
-    field: FiniteField
-    values: tuple[tuple[str, int], ...]  # sorted by generator name
-    t_value: int | None = None  # -1 in the field, when t exists upstream
+    def __init__(self, field: FiniteField, values: tuple[tuple[str, int], ...],
+                 t_value: int | None = None):
+        set_field(self, "field", field)
+        set_field(self, "values", values)
+        set_field(self, "t_value", t_value)
 
     @staticmethod
     def build(field: FiniteField, values: dict[str, int], t_value: int | None = None):
@@ -309,26 +313,26 @@ def linearized_complex(dga: DGA, eps: Augmentation) -> LinearizedComplex:
 # Polynomial systems and variety point counts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(Record, frozen=True):
     """Polynomial equations over a finite field in named variables.
 
     Each equation is a sum of terms (coefficient, ((var, power), ...)); the
     coefficient is an integer reduced into the field at evaluation time.
     """
 
-    variables: tuple[str, ...]
-    equations: tuple[tuple[tuple[int, tuple[tuple[str, int], ...]], ...], ...]
+    __slots__ = ("variables", "equations")
 
-    def __post_init__(self):
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
-            raise AugmentationError(f"variable declared twice in {self.variables}")
-        for eq in self.equations:
+    def __init__(self, variables: tuple[str, ...],
+                 equations: tuple[tuple[tuple[int, tuple[tuple[str, int], ...]], ...], ...]):
+        declared = set(variables)
+        if len(declared) != len(variables):
+            raise AugmentationError(f"variable declared twice in {variables}")
+        for eq in equations:
             for _, powers in eq:
                 for var, _ in powers:
                     if var not in declared:
                         raise AugmentationError(f"equation uses undeclared variable {var!r}")
+        set_fields(self, variables, equations)
 
 
 def parse_polysystem(text: str) -> PolySystem:
@@ -420,11 +424,13 @@ def torus_point_count(free_rank: int, torsion: Sequence[int], q: int) -> int:
 # Variety dimension from point counts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimensionEstimate:
-    estimate: float  # -inf for empty varieties
-    stable: bool
-    slopes: tuple[float, ...]
+class DimensionEstimate(Record, frozen=True):
+    """``estimate`` is -inf for an empty variety."""
+
+    __slots__ = ("estimate", "stable", "slopes")
+
+    def __init__(self, estimate: float, stable: bool, slopes: tuple[float, ...]):
+        set_fields(self, estimate, stable, slopes)
 
 
 def dimension_estimate(counts: dict[int, int]) -> DimensionEstimate:

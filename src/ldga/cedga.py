@@ -16,7 +16,6 @@ with ``build_dga(..., budget=)`` or the CLI's ``--budget``.
 from __future__ import annotations
 
 import re
-from importlib import resources
 
 from ._diskcore import DEFAULT_DISK_BUDGET, DiskBudgetExceeded, boundary_words
 from .algebra import (
@@ -40,6 +39,7 @@ from .diagram import (
     parse_grid,
     resolve,
 )
+from .errors import BuiltinError, DiskSearchError, DSLError
 
 __all__ = [
     "BuiltinError",
@@ -48,6 +48,7 @@ __all__ = [
     "DiskSearchError",
     "DSLError",
     "DGAValidationError",
+    "FAMILY_MAX_N",
     "boundary_words",
     "build_dga",
     "builtin",
@@ -60,10 +61,6 @@ __all__ = [
     "unknot_dsl_dga",
     "unknot_projection",
 ]
-
-
-class DiskSearchError(RuntimeError):
-    """A diagram's disks break the index identity or d^2 = 0 (convention tripwire)."""
 
 
 def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
@@ -94,17 +91,6 @@ def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
 # ---------------------------------------------------------------------------
 # DGA DSL
 # ---------------------------------------------------------------------------
-
-class DSLError(ValueError):
-    def __init__(self, line: int, col: int, message: str):
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
-
-
-class BuiltinError(ValueError):
-    """An unknown builtin name or a family parameter out of range."""
-
 
 _COEFF_NAMES = {"Z": ZZ, "Z[t]": ZT, "Z[t,t-1]": ZT}
 # field orders by name; GF(q) builds its tables on first use, not at import
@@ -326,6 +312,11 @@ def _dsl_term(coefficient: int, t_exp: int | None, word: tuple[str, ...]) -> str
 # Builtin families
 # ---------------------------------------------------------------------------
 
+# The largest n of twist:n and torus2:n, checked before anything is built: a
+# family's size grows with n, and the disk sweep recurses once per front event.
+FAMILY_MAX_N = 501
+
+
 def twist_linearized(n: int) -> DGA:
     """Integral linearized twist-knot DGA: chords a, b, c1..cn, e0..en.
 
@@ -335,6 +326,8 @@ def twist_linearized(n: int) -> DGA:
     """
     if n % 2 == 0 or n <= 3:
         raise BuiltinError(f"twist family needs odd n > 3, got {n}")
+    if n > FAMILY_MAX_N:
+        raise BuiltinError(f"twist family needs n <= {FAMILY_MAX_N}, got {n}")
     gens = [Generator("a", 0), Generator("b", 0)]
     gens += [Generator(f"c{i}", 0) for i in range(1, n + 1)]
     gens += [Generator(f"e{i}", 1) for i in range(0, n + 1)]
@@ -360,6 +353,8 @@ def torus2_projection(n: int) -> ProjectionDiagram:
     """
     if n % 2 == 0 or n < 3:
         raise BuiltinError(f"torus2 family needs odd n >= 3, got {n}")
+    if n > FAMILY_MAX_N:
+        raise BuiltinError(f"torus2 family needs n <= {FAMILY_MAX_N}, got {n}")
     events = [(LCUSP, 0), (LCUSP, 2)] + [(CROSS, 1)] * n + [(RCUSP, 2), (RCUSP, 0)]
     return resolve(FrontDiagram(events))
 
@@ -369,6 +364,7 @@ def trefoil_projection() -> ProjectionDiagram:
 
 
 def m821_grid() -> GridDiagram:
+    from importlib import resources
     text = resources.files("ldga.fixtures").joinpath("m821.json").read_text()
     return parse_grid(text)
 

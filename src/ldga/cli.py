@@ -10,41 +10,26 @@ the same inputs differ only there.  Exit codes: 0 ok, 2 parse error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
 import time
 from pathlib import Path
 
-from . import __version__, augment, cedga, diagram, linhom, obstruct, spin
-from .algebra import (
-    GF,
-    ZZ,
-    CoefficientError,
-    DGAValidationError,
-    FiniteField,
-    change_coefficients,
-)
-from .augment import AugmentationError
-from .cedga import BuiltinError, DSLError, DiskBudgetExceeded, DiskSearchError
-from .diagram import DiagramError
-from .obstruct import ObstructionStageError
-from .spin import SpinError
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_VALIDATE = 3
-EXIT_STAGE = 4
+# Each subcommand imports the ldga modules it runs: a process loads, and
+# compiles, no more of ldga than its command needs.
+from . import __version__
+from .errors import EXIT_OK, EXIT_PARSE, EXIT_VALIDATE, LdgaError, ObstructionStageError
 
 
-class CliError(Exception):
+class CliError(LdgaError):
     def __init__(self, message: str, code: int):
         super().__init__(message)
-        self.code = code
+        self.exit_code = code
 
 
 def _digest(path: str) -> dict:
+    import hashlib
     data = Path(path).read_bytes()
     return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
@@ -77,6 +62,7 @@ def _write_report(
 
 def _load_dga(args, inputs: dict):
     """One of --grid / --dsl / --builtin; grids go through the F2 pipeline."""
+    from . import cedga, diagram
     sources = [s for s in ("grid", "dsl", "builtin") if getattr(args, s, None)]
     if len(sources) != 1:
         raise CliError("exactly one of --grid/--dsl/--builtin is required", EXIT_PARSE)
@@ -98,6 +84,7 @@ def _load_dga(args, inputs: dict):
 
 
 def _parse_fields(spec: str) -> list[int]:
+    from .algebra import GF, CoefficientError
     try:
         fields = [int(x) for x in spec.split(",")]
     except ValueError:
@@ -117,6 +104,7 @@ _COUNT_PAIR = re.compile(r"\s*(\d+)\s*:\s*(\d+)\s*")
 
 def _parse_counts(spec: str) -> dict[int, int]:
     """`q:c,...` with q a supported field order and c a point count >= 0."""
+    from .algebra import GF, CoefficientError
     counts = {}
     for pair in spec.split(","):
         m = _COUNT_PAIR.fullmatch(pair)
@@ -155,6 +143,7 @@ def _parse_schedule(spec: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_dga(args) -> int:
+    from . import cedga
     dga = _load_dga(args, {})
     text = cedga.dump_dsl(dga)
     if args.out:
@@ -166,6 +155,7 @@ def cmd_dga(args) -> int:
 
 
 def cmd_augs(args):
+    from . import augment
     inputs: dict = {"field": args.field}
     dga = _load_dga(args, inputs)
     augs = augment.enumerate_augmentations(dga, args.field)
@@ -178,6 +168,7 @@ def cmd_augs(args):
 
 
 def cmd_linpoly(args):
+    from . import augment, linhom
     inputs: dict = {"field": args.field, "all_augs": args.all_augs}
     dga = _load_dga(args, inputs)
     augs = augment.enumerate_augmentations(dga, args.field)
@@ -193,6 +184,8 @@ def cmd_linpoly(args):
 
 
 def cmd_spin(args):
+    from . import augment, linhom, spin
+    from .algebra import GF, ZZ, FiniteField, change_coefficients
     inputs: dict = {"spin": args.spin, "integral": args.integral, "field": None}
     schedule = _parse_schedule(args.spin)
     dga = _load_dga(args, inputs)
@@ -206,7 +199,7 @@ def cmd_spin(args):
         dga = change_coefficients(dga, GF(q))
     try:
         cx = augment.linear_part(dga)
-    except AugmentationError:
+    except augment.AugmentationError:
         if args.integral:
             raise CliError("--integral needs a DGA without constant terms", EXIT_VALIDATE)
         # diagram DGAs carry constant terms; linearize at the first augmentation
@@ -219,7 +212,7 @@ def cmd_spin(args):
     def measure(h):
         """Each stage's homology: a module over Z, a polynomial over a field."""
         if args.integral:
-            return {"module": obstruct.module_to_jsonable(h)}, h.describe()
+            return {"module": linhom.module_to_jsonable(h)}, h.describe()
         p = linhom.poincare(h)
         return {"polynomial": str(p)}, f"P = {p}"
 
@@ -240,6 +233,7 @@ def cmd_spin(args):
 
 
 def cmd_augvar(args):
+    from . import augment
     inputs: dict = {"system": _digest(args.system), "fields": args.fields}
     system = augment.parse_polysystem(Path(args.system).read_text())
     fields = _parse_fields(args.fields)
@@ -258,7 +252,9 @@ def cmd_augvar(args):
 _POLY_TERM = re.compile(r"^\s*(\d+)?\s*\*?\s*(t(?:\^(-?\d+))?)?\s*$")
 
 
-def parse_poly_text(text: str) -> linhom.PoincarePolynomial:
+def parse_poly_text(text: str):
+    """A Poincare polynomial such as "t^-1 + 4 + 2*t"; a zero one is bad input."""
+    from .linhom import PoincarePolynomial
     dims: dict[int, int] = {}
     protected = text.replace("^-", "^~")
     for chunk in protected.replace("-", "+-").split("+"):
@@ -276,10 +272,14 @@ def parse_poly_text(text: str) -> linhom.PoincarePolynomial:
         else:
             deg = int(m.group(3) or 1)
         dims[deg] = dims.get(deg, 0) + coeff
-    return linhom.PoincarePolynomial.from_dims(dims)
+    poly = PoincarePolynomial.from_dims(dims)
+    if not poly.coeffs:
+        raise CliError(f"polynomial {text!r} is zero; linearized cohomology never is", EXIT_PARSE)
+    return poly
 
 
 def cmd_obstruct(args):
+    from . import linhom, obstruct
     inputs: dict = {"poly": args.poly, "dim": args.dim, "tb": args.tb, "counts": args.counts}
     poly = parse_poly_text(args.poly)
     counts = _parse_counts(args.counts) if args.counts else None
@@ -303,6 +303,7 @@ def cmd_obstruct(args):
 
 
 def cmd_certify(args):
+    from . import diagram, obstruct
     case_map = {
         "classA": "classA_m821",
         "classA-spun": "classA_spun",
@@ -314,6 +315,8 @@ def cmd_certify(args):
         "spin": args.spin,
         "fields": args.fields,
     }
+    if args.case == "classB" and args.n is None:
+        raise CliError("certify classB needs --n", EXIT_PARSE)
     grid = None
     if args.grid:
         inputs["grid"] = _digest(args.grid)
@@ -335,9 +338,12 @@ def cmd_certify(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
+# The numbers in the --budget and --builtin help are cedga.DEFAULT_DISK_BUDGET
+# and cedga.FAMILY_MAX_N, written out so that building the parser imports no
+# cedga; a test pins them.
 _BUDGET_HELP = (
     "disk search budget: finger-sweep steps per DGA build, memo hits included "
-    f"(default {cedga.DEFAULT_DISK_BUDGET})"
+    "(default 500000)"
 )
 
 
@@ -346,7 +352,8 @@ def _add_source_args(p):
     p.add_argument("--dsl", help="DGA DSL file")
     p.add_argument(
         "--builtin",
-        help="builtin id: twist:N, torus2:N, m821_grid, unknot, trefoil, unknot_dsl",
+        help="builtin id: twist:N, torus2:N (N odd, at most 501), m821_grid, unknot, "
+             "trefoil, unknot_dsl",
     )
     p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
 
@@ -412,11 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(prefix: str, exc: Exception, code: int) -> int:
-    """Report a failure as one stderr line, its message's lines joined."""
+def _fail(exc: LdgaError | OSError) -> int:
+    """Report a failure as one stderr line, its message's lines joined, and
+    return its exit code; an unreadable input file is a parse error."""
     message = " ".join(line.strip() for line in str(exc).splitlines())
-    print(f"{prefix}: {message}", file=sys.stderr)
-    return code
+    print(f"{getattr(exc, 'prefix', 'parse error')}: {message}", file=sys.stderr)
+    return getattr(exc, "exit_code", EXIT_PARSE)
 
 
 def main(argv=None) -> int:
@@ -431,16 +439,8 @@ def main(argv=None) -> int:
         if args.subcommand == "dga":  # writes DSL text, not a report
             return args.func(args)
         return _write_report(args, started, *args.func(args))
-    except CliError as exc:
-        return _fail("error", exc, exc.code)
-    except (BuiltinError, CoefficientError) as exc:
-        return _fail("error", exc, EXIT_PARSE)
-    except (DSLError, DiagramError, AugmentationError, json.JSONDecodeError, OSError) as exc:
-        return _fail("parse error", exc, EXIT_PARSE)
-    except (DGAValidationError, DiskSearchError) as exc:
-        return _fail("validation error", exc, EXIT_VALIDATE)
-    except (ObstructionStageError, SpinError, DiskBudgetExceeded) as exc:
-        return _fail("stage error", exc, EXIT_STAGE)
+    except (LdgaError, OSError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -19,36 +19,31 @@ loop closes it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-
-class DiagramError(ValueError):
-    """Malformed grid/front input or an unsupported diagram shape."""
+from ._record import Record, set_fields
+from .errors import DiagramError
 
 
 # ---------------------------------------------------------------------------
 # Grid diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridDiagram:
+class GridDiagram(Record, frozen=True):
     """X and O both give the column of the marker in each row (rows bottom-up)."""
 
-    size: int
-    X: tuple[int, ...]
-    O: tuple[int, ...]
+    __slots__ = ("size", "X", "O")
 
-    def __post_init__(self):
-        n = self.size
-        if n < 2:
-            raise DiagramError(f"grid size must be >= 2, got {n}")
-        for name, perm in (("X", self.X), ("O", self.O)):
-            if len(perm) != n or sorted(perm) != list(range(n)):
-                raise DiagramError(f"{name} is not a permutation of 0..{n - 1}: {perm}")
-        for i in range(n):
-            if self.X[i] == self.O[i]:
+    def __init__(self, size: int, X: tuple[int, ...], O: tuple[int, ...]):
+        if size < 2:
+            raise DiagramError(f"grid size must be >= 2, got {size}")
+        for name, perm in (("X", X), ("O", O)):
+            if len(perm) != size or sorted(perm) != list(range(size)):
+                raise DiagramError(f"{name} is not a permutation of 0..{size - 1}: {perm}")
+        for i in range(size):
+            if X[i] == O[i]:
                 raise DiagramError(f"X and O collide in row {i}")
+        set_fields(self, size, X, O)
 
     def row_of_x(self, col: int) -> int:
         return self.X.index(col)
@@ -105,13 +100,13 @@ RCUSP = "rcusp"
 CROSS = "cross"
 
 
-@dataclass(frozen=True)
-class FrontEvent:
-    kind: str
-    level: int
-    # arc tokens, assigned during replay: (upper, lower) entering the event
-    upper_arc: int = -1
-    lower_arc: int = -1
+class FrontEvent(Record, frozen=True):
+    """The arc tokens (upper, lower) entering the event are assigned during replay."""
+
+    __slots__ = ("kind", "level", "upper_arc", "lower_arc")
+
+    def __init__(self, kind: str, level: int, upper_arc: int = -1, lower_arc: int = -1):
+        set_fields(self, kind, level, upper_arc, lower_arc)
 
 
 class FrontDiagram:
@@ -320,22 +315,24 @@ def grid_to_front(grid: GridDiagram) -> FrontDiagram:
 # Resolution: the crossings of the Lagrangian projection, with their degrees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Crossing:
-    name: str
-    degree: int
+class Crossing(Record, frozen=True):
+    __slots__ = ("name", "degree")
+
+    def __init__(self, name: str, degree: int):
+        set_fields(self, name, degree)
 
 
-@dataclass(frozen=True)
-class ProjectionDiagram:
+class ProjectionDiagram(Record, frozen=True):
     """Resolved diagram: a front and its graded crossings.
 
     crossings are in event order, one per front crossing (c1, c2, ...) or
     right cusp (e1, e2, ...); left cusps are smoothed and carry none.
     """
 
-    front: FrontDiagram
-    crossings: tuple[Crossing, ...]
+    __slots__ = ("front", "crossings")
+
+    def __init__(self, front: FrontDiagram, crossings: tuple[Crossing, ...]):
+        set_fields(self, front, crossings)
 
 
 def resolve(front: FrontDiagram) -> ProjectionDiagram:

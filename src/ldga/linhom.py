@@ -12,10 +12,10 @@ coefficients (``homology_mod_p``), with no second elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from itertools import compress
-from typing import Mapping
 
+from ._record import Record, set_field
 from .algebra import GF, FiniteField, IntegerRing, Ring, same_ring
 
 Matrix = list[list[int]]
@@ -83,12 +83,14 @@ def integer_determinant(a: Matrix) -> int:
 # Smith normal form over Z
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SmithForm:
-    d: Matrix
-    u: Matrix  # rows transform
-    v: Matrix  # columns transform
-    diagonal: list[int]
+class SmithForm(Record):
+    __slots__ = ("d", "u", "v", "diagonal")
+
+    def __init__(self, d: Matrix, u: Matrix, v: Matrix, diagonal: list[int]):
+        self.d = d
+        self.u = u  # rows transform
+        self.v = v  # columns transform
+        self.diagonal = diagonal
 
     @property
     def rank(self) -> int:
@@ -274,8 +276,7 @@ HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
 
 
-@dataclass(frozen=True)
-class LinearizedComplex:
+class LinearizedComplex(Record, frozen=True):
     """Per-degree bases with the degree-lowering differential d -> d-1.
 
     ``matrices[d]`` maps basis(d) to basis(d-1): shape (len(basis(d-1)),
@@ -284,17 +285,18 @@ class LinearizedComplex:
     its matrices with the complex it shifts.
     """
 
-    ring: Ring
-    bases: Mapping[int, tuple[str, ...]]
-    matrices: Mapping[int, Matrix]
+    __slots__ = ("ring", "bases", "matrices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bases", dict(self.bases))
-        object.__setattr__(self, "matrices", dict(self.matrices))
-        for d, m in self.matrices.items():
-            want = (len(self.bases.get(d - 1, ())), len(self.bases.get(d, ())))
+    def __init__(self, ring: Ring, bases: Mapping[int, tuple[str, ...]],
+                 matrices: Mapping[int, Matrix]):
+        bases, matrices = dict(bases), dict(matrices)
+        for d, m in matrices.items():
+            want = (len(bases.get(d - 1, ())), len(bases.get(d, ())))
             if mat_shape(m) != want:
                 raise ValueError(f"matrix at degree {d} has shape {mat_shape(m)}, expected {want}")
+        set_field(self, "ring", ring)
+        set_field(self, "bases", bases)
+        set_field(self, "matrices", matrices)
 
     def degrees(self) -> list[int]:
         return sorted(self.bases)
@@ -341,21 +343,21 @@ class LinearizedComplex:
         return LinearizedComplex(self.ring, bases, mats)
 
 
-@dataclass(frozen=True)
-class GradedModule:
-    """Per-degree free rank and torsion orders, with a variance tag."""
+class GradedModule(Record, frozen=True):
+    """Per-degree free rank and torsion orders, with a variance tag.
 
-    ring_tag: str  # "Z" or "F<q>"
-    variance: str  # HOMOLOGICAL or COHOMOLOGICAL
-    entries: Mapping[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
+    ``ring_tag`` is "Z" or "F<q>", ``variance`` HOMOLOGICAL or COHOMOLOGICAL.
+    """
 
-    def __post_init__(self):
-        clean = {
-            d: (free, tuple(tor))
-            for d, (free, tor) in dict(self.entries).items()
-            if free or tor
-        }
-        object.__setattr__(self, "entries", clean)
+    __slots__ = ("ring_tag", "variance", "entries")
+
+    def __init__(self, ring_tag: str, variance: str,
+                 entries: Mapping[int, tuple[int, tuple[int, ...]]] | None = None):
+        items = dict(entries or ()).items()
+        clean = {d: (free, tuple(tor)) for d, (free, tor) in items if free or tor}
+        set_field(self, "ring_tag", ring_tag)
+        set_field(self, "variance", variance)
+        set_field(self, "entries", clean)
 
     @property
     def is_field(self) -> bool:
@@ -393,11 +395,13 @@ class GradedModule:
         return ", ".join(parts)
 
 
-@dataclass(frozen=True)
-class PoincarePolynomial:
+class PoincarePolynomial(Record, frozen=True):
     """Laurent polynomial in t with nonnegative integer coefficients."""
 
-    coeffs: tuple[tuple[int, int], ...]  # (degree, coefficient), sorted
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[int, int], ...]):  # (degree, coefficient), sorted
+        set_field(self, "coeffs", coeffs)
 
     @staticmethod
     def from_dims(dims: Mapping[int, int]) -> "PoincarePolynomial":
@@ -424,6 +428,14 @@ class PoincarePolynomial:
                 tp = "t" if d == 1 else f"t^{d}"
                 parts.append(tp if c == 1 else f"{c}{tp}")
         return " + ".join(parts)
+
+
+def module_to_jsonable(h: GradedModule):
+    return {
+        "ring": h.ring_tag,
+        "variance": h.variance,
+        "entries": {str(d): [f, list(t)] for d, (f, t) in sorted(h.entries.items())},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -18,42 +18,44 @@ variety counts.  Reason codes are stable strings and part of the contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
+from functools import lru_cache
 
-from . import augment, cedga, diagram, linhom, spin
-from .augment import (
-    dimension_estimate,
-    parse_polysystem,
-    torus_point_count,
-    variety_points,
-)
-from .linhom import COHOMOLOGICAL, GradedModule, PoincarePolynomial
+from . import linhom
+from ._record import Record, set_fields
+from .errors import ObstructionStageError
+from .linhom import COHOMOLOGICAL, GradedModule, PoincarePolynomial, module_to_jsonable
 
-
-class ObstructionStageError(RuntimeError):
-    """A pipeline stage's precondition failed; carries the stage id."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
+@lru_cache(maxsize=None)
+def _twist_variety():
+    """The Legendrian-side augmentation variety of the twist knots, a fixed
+    polynomial system (two coordinates with product -1), parsed on first use
+    by class B or by reading ``TWIST_VARIETY``, never at import."""
+    from .augment import parse_polysystem
+    return parse_polysystem("var a b; eq a*b + 1;")
 
 
-# The Legendrian-side augmentation variety of the twist knots, supplied as a
-# fixed polynomial system (two coordinates with product -1).
-TWIST_VARIETY = parse_polysystem("var a b; eq a*b + 1;")
+def __getattr__(name: str):
+    if name == "TWIST_VARIETY":
+        return _twist_variety()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 FEASIBLE = "feasible"
 OBSTRUCTED = "obstructed"
 
 
-@dataclass(frozen=True)
-class FillingProfile:
-    """Hypothesized filling homology H_0..H_{n+1} read off through Seidel."""
+class FillingProfile(Record, frozen=True):
+    """Hypothesized filling homology H_0..H_{n+1} read off through Seidel.
 
-    ring_tag: str
-    dimension: int  # n, the Legendrian dimension; the filling is (n+1)-dim
-    entries: dict[int, tuple[int, tuple[int, ...]]]
+    ``dimension`` is n, the Legendrian dimension; the filling is (n+1)-dim.
+    """
+
+    __slots__ = ("ring_tag", "dimension", "entries")
+
+    def __init__(self, ring_tag: str, dimension: int,
+                 entries: dict[int, tuple[int, tuple[int, ...]]]):
+        set_fields(self, ring_tag, dimension, entries)
 
     def rank(self, i: int) -> int:
         return self.entries.get(i, (0, ()))[0]
@@ -72,14 +74,13 @@ class FillingProfile:
         }
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    status: str
-    reasons: tuple[tuple[str, str], ...] = ()
+class ObstructionVerdict(Record, frozen=True):
+    __slots__ = ("status", "reasons")
 
-    def __post_init__(self):
-        if self.status == OBSTRUCTED and not self.reasons:
+    def __init__(self, status: str, reasons: tuple[tuple[str, str], ...] = ()):
+        if status == OBSTRUCTED and not reasons:
             raise ValueError("obstructed verdicts must carry at least one reason")
+        set_fields(self, status, reasons)
 
     @property
     def obstructed(self) -> bool:
@@ -93,14 +94,6 @@ class ObstructionVerdict:
             "status": self.status,
             "reasons": [{"code": c, "detail": d} for c, d in self.reasons],
         }
-
-
-def module_to_jsonable(h: GradedModule):
-    return {
-        "ring": h.ring_tag,
-        "variance": h.variance,
-        "entries": {str(d): [f, list(t)] for d, (f, t) in sorted(h.entries.items())},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +196,7 @@ def aug_injectivity_test(
     as corroborating evidence (slope estimates from finite tables are not
     monotone in the counts, so they never decide feasibility by themselves).
     """
+    from .augment import dimension_estimate, torus_point_count
     if not legendrian_counts:
         raise ValueError("empty count table")
     if profile.ring_tag != "Z":
@@ -247,11 +241,14 @@ def aug_injectivity_test(
 # End-to-end pipelines
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Certification:
-    case: str
-    verdict: ObstructionVerdict
-    evidence: list[dict] = field(default_factory=list)
+class Certification(Record):
+    __slots__ = ("case", "verdict", "evidence")
+
+    def __init__(self, case: str, verdict: ObstructionVerdict,
+                 evidence: list[dict] | None = None):
+        self.case = case
+        self.verdict = verdict
+        self.evidence = [] if evidence is None else evidence
 
 
 TARGET_M821_POLY = PoincarePolynomial.from_dims({-1: 1, 0: 4, 1: 2})
@@ -264,6 +261,7 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
     Poincare polynomial has a negative-degree class; fails loudly if the
     fixture does not produce it.
     """
+    from . import augment, cedga, diagram
     evidence = []
     front = diagram.grid_to_front(grid)
     rot = front.rotation_number
@@ -350,6 +348,7 @@ def certify_nongeometric(
 
 
 def _certify_class_a(schedule, grid, budget, case) -> Certification:
+    from . import cedga, spin
     grid = grid or cedga.m821_grid()
     evidence = [{"stage": "grid", "size": grid.size}]
     ev2, cx, h = class_a_homology(grid, budget=budget)
@@ -371,6 +370,7 @@ def _certify_class_a(schedule, grid, budget, case) -> Certification:
 
 
 def _certify_class_b(n, schedule, fields, case) -> Certification:
+    from . import augment, cedga, spin
     evidence = []
     dga = cedga.twist_linearized(n)
     evidence.append({"stage": "builtin", "n": n, "generators": len(dga.generators)})
@@ -411,7 +411,7 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
             {"stage": "euler_tb", "tb": tb, "verdict": euler_tb_check(profile, tb).to_jsonable()}
         )
 
-    counts = {q: variety_points(TWIST_VARIETY, q) for q in fields}
+    counts = {q: augment.variety_points(_twist_variety(), q) for q in fields}
     evidence.append({"stage": "variety_counts", "counts": {str(q): c for q, c in counts.items()}})
     verdict = aug_injectivity_test(profile, counts)
     evidence.append({"stage": "aug_injectivity", "verdict": verdict.to_jsonable()})

@@ -24,15 +24,12 @@ included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import Record, set_fields
 from .algebra import FiniteField
+from .errors import SpinError
 from .linhom import GradedModule, LinearizedComplex
-
-
-class SpinError(ValueError):
-    pass
 
 
 def stable_bound_complex(cx: LinearizedComplex) -> int:
@@ -66,11 +63,14 @@ def kunneth_s1(h: GradedModule) -> GradedModule:
     return spin_homology(h, 1)
 
 
-@dataclass(frozen=True)
-class SpinStage:
-    sphere_dim: int
-    bound: int | None  # None for a circle, which needs no stable bound
-    legendrian_dimension: int  # of the spun knot: 1 plus the sphere dims so far
+class SpinStage(Record, frozen=True):
+    """``bound`` is None for a circle, which needs no stable bound, and
+    ``legendrian_dimension`` that of the spun knot: 1 plus the sphere dims so far."""
+
+    __slots__ = ("sphere_dim", "bound", "legendrian_dimension")
+
+    def __init__(self, sphere_dim: int, bound: int | None, legendrian_dimension: int):
+        set_fields(self, sphere_dim, bound, legendrian_dimension)
 
 
 def iterate_schedule(cx: LinearizedComplex, schedule: Sequence[int]) -> list[SpinStage]:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -329,6 +331,62 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_certify_class_b_without_n_names_the_option(capsys):
+    code, _, err = run(capsys, "certify", "classB")
+    assert (code, err) == (2, "error: certify classB needs --n\n")
+
+
+@pytest.mark.parametrize("poly", ["", " + ", "0", "0*t"])
+def test_zero_polynomial_is_bad_input(capsys, poly):
+    code, _, err = run(capsys, "obstruct", "--poly", poly, "--dim", "1")
+    assert code == 2
+    assert err == f"error: polynomial {poly!r} is zero; linearized cohomology never is\n"
+
+
+HUGE_FAMILY_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a missing bound fails, not the host
+sys.path.insert(0, sys.argv[1])
+from ldga.cli import main
+for argv in (["dga", "--builtin", "twist:99999999999"],
+             ["dga", "--builtin", "torus2:99999999999"],
+             ["certify", "classB", "--n", "99999999999"]):
+    start = time.perf_counter()
+    code = main(argv)
+    print(code, time.perf_counter() - start, file=sys.stdout)
+"""
+
+
+def test_huge_family_sizes_exit_2_before_allocating():
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_FAMILY_CHILD, str(REPO / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [line.split() for line in proc.stdout.splitlines()]
+    assert [code for code, _ in results] == ["2", "2", "2"], proc.stderr
+    assert all(float(seconds) < 0.5 for _, seconds in results), results
+    assert proc.stderr.splitlines() == [
+        f"error: twist family needs n <= {cedga.FAMILY_MAX_N}, got 99999999999",
+        f"error: torus2 family needs n <= {cedga.FAMILY_MAX_N}, got 99999999999",
+        f"error: twist family needs n <= {cedga.FAMILY_MAX_N}, got 99999999999",
+    ]
+
+
+def test_family_bound_is_inclusive():
+    assert len(cedga.twist_linearized(cedga.FAMILY_MAX_N).generators) == 2 * cedga.FAMILY_MAX_N + 3
+    with pytest.raises(cedga.BuiltinError, match="needs n <="):
+        cedga.builtin(f"torus2:{cedga.FAMILY_MAX_N + 2}")
+
+
+def test_help_shows_the_library_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["dga", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {cedga.DEFAULT_DISK_BUDGET})" in text
+    assert f"at most {cedga.FAMILY_MAX_N})" in text
 
 
 MISSING = str(FIXTURES / "missing.json")
