@@ -61,53 +61,63 @@ class _Search:
         self.dead: set[tuple[int, int, int]] = set()
 
     def run(self) -> None:
-        """Enumerate the disks of every crossing into ``found``."""
-        for idx, ev in enumerate(self.events):
-            if ev.kind == LCUSP:
-                self._dfs(idx + 1, ev.level, ev.level + 1, (), ())
+        """Enumerate the disks of every crossing into ``found``.
 
-    def _dfs(self, idx: int, bottom: int, top: int,
-             tops: tuple[str, ...], bottoms: tuple[str, ...]) -> None:
-        """Carry the interval (bottom, top) across event idx.
-
-        ``tops`` and ``bottoms`` are the negative corners taken so far on each
-        side, from west to east.
+        A state is (event, bottom, top, tops, bottoms), its corners listed west
+        to east.  The sweep keeps its own stack, so a long front meets the
+        budget, not Python's recursion limit: it carries a state on to its
+        first child and pushes the second, above the state's marker (None,
+        key, disks found so far, None, None).  Popped, the marker marks the
+        state dead if the state's subtree found no disk.
         """
-        self.steps += 1
-        if self.steps > self.budget:
-            per = Counter(name for name, _ in self.found)
-            at = ", ".join(f"{name}: {k}" for name, k in sorted(per.items()))
-            raise DiskBudgetExceeded(
-                f"disk search exceeded its budget of {self.budget} steps at sweep "
-                f"event {idx} of {len(self.events)}; disks found so far: "
-                f"{len(self.found)}{f' ({at})' if at else ''}; raise --budget to search further"
-            )
-        key = (idx, bottom, top)
-        if key in self.dead:
-            return
-        found = len(self.found)
-        ev, name = self.events[idx], self.names[idx]
-        i = ev.level
-        if ev.kind == LCUSP:
-            self._dfs(idx + 1, bottom + 2 if bottom >= i else bottom,
-                      top + 2 if top >= i else top, tops, bottoms)
-        elif (bottom, top) == (i, i + 1):
-            self.found.append((name, tops[::-1] + bottoms))
-        elif ev.kind == RCUSP:
-            if top < i or bottom > i + 1 or (bottom < i and top > i + 1):
-                self._dfs(idx + 1, bottom - 2 if bottom > i else bottom,
-                          top - 2 if top > i else top, tops, bottoms)
-        elif top == i:
-            self._dfs(idx + 1, bottom, i + 1, tops, bottoms)
-            self._dfs(idx + 1, bottom, i, tops + (name,), bottoms)
-        elif bottom == i + 1:
-            self._dfs(idx + 1, i, top, tops, bottoms)
-            self._dfs(idx + 1, i + 1, top, tops, bottoms + (name,))
-        else:  # an end at a crossing just inside follows its strand
-            self._dfs(idx + 1, i + 1 if bottom == i else bottom,
-                      i if top == i + 1 else top, tops, bottoms)
-        if len(self.found) == found:
-            self.dead.add(key)
+        events, names, found, dead = self.events, self.names, self.found, self.dead
+        budget, steps = self.budget, self.steps
+        stack = [(idx + 1, ev.level, ev.level + 1, (), ())
+                 for idx, ev in reversed(list(enumerate(events))) if ev.kind == LCUSP]
+        push, pop = stack.append, stack.pop
+        while stack:
+            idx, bottom, top, tops, bottoms = pop()
+            if tops is None:  # a marker: bottom is the state's key, top the disks before it
+                if len(found) == top:
+                    dead.add(bottom)
+                continue
+            while True:
+                steps += 1
+                if steps > budget:
+                    self.steps = steps
+                    per = Counter(name for name, _ in found)
+                    at = ", ".join(f"{name}: {k}" for name, k in sorted(per.items()))
+                    raise DiskBudgetExceeded(
+                        f"disk search exceeded its budget of {budget} steps at sweep event "
+                        f"{idx} of {len(events)}; disks found so far: {len(found)}"
+                        f"{f' ({at})' if at else ''}; raise --budget to search further"
+                    )
+                key = (idx, bottom, top)
+                if key in dead:
+                    break
+                ev, name = events[idx], names[idx]
+                kind, i = ev.kind, ev.level
+                if bottom == i and top == i + 1 and kind != LCUSP:
+                    found.append((name, tops[::-1] + bottoms))
+                    break
+                if kind == RCUSP and not (top < i or bottom > i + 1 or (bottom < i and top > i + 1)):
+                    dead.add(key)
+                    break
+                push((None, key, len(found), None, None))
+                idx += 1
+                if kind == LCUSP:
+                    bottom, top = bottom + 2 * (bottom >= i), top + 2 * (top >= i)
+                elif kind == RCUSP:
+                    bottom, top = bottom - 2 * (bottom > i), top - 2 * (top > i)
+                elif top == i:  # the end follows its strand first, then turns
+                    push((idx, bottom, i, tops + (name,), bottoms))
+                    top = i + 1
+                elif bottom == i + 1:
+                    push((idx, i + 1, top, tops, bottoms + (name,)))
+                    bottom = i
+                else:  # an end at a crossing just inside follows its strand
+                    bottom, top = i + 1 if bottom == i else bottom, i if top == i + 1 else top
+        self.steps = steps
 
 
 def boundary_words(

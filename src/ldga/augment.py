@@ -20,11 +20,11 @@ point counts of polynomial systems go through the same solver.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from operator import itemgetter
 
+from ._polytext import parse_poly, tokenize
 from ._record import Record, set_field, set_fields
 from .algebra import (
     DGA,
@@ -337,50 +337,43 @@ class PolySystem(Record, frozen=True):
 
 def parse_polysystem(text: str) -> PolySystem:
     """Parse `var a b; eq a*b + 1; eq ...;` system files; # comments allowed."""
-    body = " ".join(line.split("#", 1)[0] for line in text.splitlines())
-    statements = [s.strip() for s in body.split(";")]
+
+    def error(line, col, message):
+        return AugmentationError(f"line {line}, column {col}: {message}")
+
+    tokens = tokenize(text, error)
     variables: list[str] = []
     equations = []
-    for stmt in statements:
-        if not stmt or stmt.startswith("#"):
-            continue
-        if stmt.startswith("var "):
-            for name in stmt[4:].split():
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-                    raise AugmentationError(f"bad variable name {name!r}")
-                variables.append(name)
-        elif stmt.startswith("eq "):
-            equations.append(_parse_equation(stmt[3:]))
-        else:
-            raise AugmentationError(f"bad statement {stmt!r} (want var/eq)")
+    i = 0
+    while tokens[i][2]:
+        line, col, head = tokens[i]
+        if head == "var":
+            start = i = i + 1
+            while tokens[i][2].isidentifier():
+                i += 1
+            if i == start:
+                raise error(line, col, "expected: var <name> {<name>}")
+            variables += [name for _, _, name in tokens[start:i]]
+        elif head == "eq":
+            terms, i = parse_poly(tokens, i + 1, error, stop=(";", ""))
+            equations.append(tuple(_monomial(c, powers, error) for c, powers in terms))
+        elif head != ";":
+            raise error(line, col, f"bad statement {head!r} (want var/eq)")
+        line, col, end = tokens[i]
+        if end not in (";", ""):
+            raise error(line, col, f"expected ';', got {end!r}")
+        i += end == ";"
     return PolySystem(tuple(variables), tuple(equations))
 
 
-def _parse_equation(text: str):
-    text = text.replace("-", "+-")
-    terms = []
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        coeff = 1
-        if chunk.startswith("-"):
-            coeff = -1
-            chunk = chunk[1:].strip()
-        powers: dict[str, int] = {}
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise AugmentationError(f"empty factor in equation term {chunk!r}")
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?", factor)
-            if m:
-                powers[m.group(1)] = powers.get(m.group(1), 0) + int(m.group(2) or 1)
-            elif re.fullmatch(r"-?\d+", factor):
-                coeff *= int(factor)
-            else:
-                raise AugmentationError(f"bad factor {factor!r}")
-        terms.append((coeff, tuple(sorted(powers.items()))))
-    return tuple(terms)
+def _monomial(coeff: int, powers, error):
+    """A term of a system, its names folded into commutative powers."""
+    exponents: dict[str, int] = {}
+    for line, col, name, k in powers:
+        if k is not None and k < 0:
+            raise error(line, col, f"negative exponent on {name!r}")
+        exponents[name] = exponents.get(name, 0) + (1 if k is None else k)
+    return coeff, tuple(sorted(exponents.items()))
 
 
 def variety_points(system: PolySystem, q: int) -> int:

@@ -16,8 +16,11 @@ with ``build_dga(..., budget=)`` or the CLI's ``--budget``.
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import itemgetter
 
 from ._diskcore import DEFAULT_DISK_BUDGET, DiskBudgetExceeded, boundary_words
+from ._polytext import integer, natural, parse_poly, tokenize
 from .algebra import (
     DGA,
     DGAValidationError,
@@ -96,88 +99,54 @@ _COEFF_NAMES = {"Z": ZZ, "Z[t]": ZT, "Z[t,t-1]": ZT}
 # field orders by name; GF(q) builds its tables on first use, not at import
 _FIELD_NAMES = {f"F{q}": q for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)}
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\^-?\d+|\d+|[+\-*=\[\],])")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-
-
-def _tokenize(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN.match(line, pos)
-            if not m:
-                if line[pos:].strip():
-                    raise DSLError(lineno, pos + 1, f"unexpected character {line[pos]!r}")
-                break
-            yield lineno, m.start(1) + 1, m.group(1)
-            pos = m.end()
-        yield lineno, len(raw) + 1, "\n"
-
 
 def load_dsl(text: str) -> DGA:
     """Parse the DGA description language; validation failures are errors."""
-    lines: dict[int, list[tuple[int, str]]] = {}
-    for lineno, col, tok in _tokenize(text):
-        if tok != "\n":
-            lines.setdefault(lineno, []).append((col, tok))
     ring: Ring | None = None
-    gens: list[Generator] = []
-    seen: dict[str, int] = {}
-    diffs: dict[str, list[tuple[int, str]]] = {}
-    order: list[str] = []
-    for lineno in sorted(lines):
-        toks = lines[lineno]
-        head = toks[0][1]
+    seen: dict[str, int] = {}  # generator degrees, in declaration order
+    diffs: dict[str, list] = {}
+    for lineno, line in groupby(tokenize(text, DSLError)[:-1], key=itemgetter(0)):
+        toks = [*line]
+        (_, col, head), (_, last, tail) = toks[0], toks[-1]
+        toks.append((lineno, last + len(tail), ""))  # the end of the line
         if head == "coeff":
             if ring is not None:
-                raise DSLError(lineno, toks[0][0], "duplicate coeff line")
-            spec = "".join(t for _, t in toks[1:])
-            # allow Z [ t ] to arrive as separate tokens
-            spec = spec.replace(" ", "")
+                raise DSLError(lineno, col, "duplicate coeff line")
+            spec = "".join(t for _, _, t in toks[1:])
             if spec in _COEFF_NAMES:
                 ring = _COEFF_NAMES[spec]
             elif spec in _FIELD_NAMES:
                 ring = GF(_FIELD_NAMES[spec])
             else:
-                raise DSLError(lineno, toks[0][0], f"unknown coefficient ring {spec!r}")
+                raise DSLError(lineno, col, f"unknown coefficient ring {spec!r}")
         elif head == "gen":
-            if len(toks) not in (3, 4):
-                raise DSLError(lineno, toks[0][0], "expected: gen <name> <degree>")
-            name = toks[1][1]
-            if not _NAME.match(name) or name == "t":
-                raise DSLError(lineno, toks[1][0], f"bad generator name {name!r}")
+            if len(toks) < 4:
+                raise DSLError(lineno, col, "expected: gen <name> <degree>")
+            _, at, name = toks[1]
+            if not name.isidentifier() or name == "t":
+                raise DSLError(lineno, at, f"bad generator name {name!r}")
             if name in seen:
-                raise DSLError(lineno, toks[1][0], f"duplicate generator {name!r}")
-            if len(toks) == 4:
-                if toks[2][1] != "-" or not toks[3][1].isdigit():
-                    raise DSLError(lineno, toks[2][0], "bad degree")
-                degree = -int(toks[3][1])
-            else:
-                if not (toks[2][1].isdigit() or toks[2][1].lstrip("-").isdigit()):
-                    raise DSLError(lineno, toks[2][0], "bad degree")
-                degree = int(toks[2][1])
+                raise DSLError(lineno, at, f"duplicate generator {name!r}")
+            degree, end = integer(toks, 2, DSLError)
+            if toks[end][2]:
+                raise DSLError(lineno, toks[2][1], "bad degree")
             seen[name] = degree
-            gens.append(Generator(name, degree))
         elif head == "d":
-            if len(toks) < 4 or toks[2][1] != "=":
-                raise DSLError(lineno, toks[0][0], "expected: d <name> = <poly>")
-            name = toks[1][1]
+            if len(toks) < 5 or toks[2][2] != "=":
+                raise DSLError(lineno, col, "expected: d <name> = <poly>")
+            _, at, name = toks[1]
             if name not in seen:
-                raise DSLError(lineno, toks[1][0], f"differential of unknown generator {name!r}")
+                raise DSLError(lineno, at, f"differential of unknown generator {name!r}")
             if name in diffs:
-                raise DSLError(lineno, toks[1][0], f"duplicate differential for {name!r}")
-            diffs[name] = [(lineno, col, t) for col, t in toks[3:]]
-            order.append(name)
+                raise DSLError(lineno, at, f"duplicate differential for {name!r}")
+            diffs[name] = toks
         else:
-            raise DSLError(lineno, toks[0][0], f"unknown directive {head!r}")
+            raise DSLError(lineno, col, f"unknown directive {head!r}")
     if ring is None:
         raise DSLError(1, 1, "missing coeff line")
-
-    differential = {}
-    for name in order:
-        differential[name] = _parse_poly(ring, seen, diffs[name], name)
-    return _validated(DGA(ring, tuple(gens), differential))
+    differential = {name: _element(ring, seen, name, toks) for name, toks in diffs.items()}
+    gens = tuple(Generator(name, degree) for name, degree in seen.items())
+    return _validated(DGA(ring, gens, differential))
 
 
 def _validated(dga: DGA) -> DGA:
@@ -187,72 +156,23 @@ def _validated(dga: DGA) -> DGA:
     return dga
 
 
-def _parse_poly(
-    ring: Ring, gens: dict[str, int], toks: list[tuple[int, int, str]], where: str
-) -> Element:
-    terms: list[list[tuple[int, int, str]]] = [[]]
-    signs = [1]
-    sign_pending = 1
-    expect_factor = True
-    for line, col, tok in toks:
-        if tok in "+-":
-            if expect_factor:
-                sign_pending = -sign_pending if tok == "-" else sign_pending
-            else:
-                terms.append([])
-                signs.append(1 if tok == "+" else -1)
-                expect_factor = True
-            continue
-        if tok == "*":
-            if expect_factor:
-                raise DSLError(line, col, f"misplaced '*' in d {where}")
-            expect_factor = True
-            continue
-        if tok.startswith("^"):
-            # exponent binds to the preceding t without an operator
-            if expect_factor or not terms[-1] or terms[-1][-1][2] != "t":
-                raise DSLError(line, col, "dangling exponent")
-            terms[-1].append((line, col, tok))
-            continue
-        if expect_factor:
-            if sign_pending == -1:
-                signs[-1] = -signs[-1]
-                sign_pending = 1
-            terms[-1].append((line, col, tok))
-            expect_factor = False
-        else:
-            raise DSLError(line, col, f"missing operator before {tok!r} in d {where}")
+def _element(ring: Ring, gens: dict[str, int], where: str, toks) -> Element:
+    """The poly of a d line: t^k is in Z[t], any other name a generator."""
     pairs = []
-    for sign, factors in zip(signs, terms):
-        if not factors:
-            raise DSLError(toks[0][0] if toks else 1, 1, f"empty term in d {where}")
-        coeff = ring.from_int(sign)
-        word: list[str] = []
-        pending_power = False
-        for line, col, tok in factors:
-            if tok.isdigit():
-                coeff = ring.mul(coeff, ring.from_int(int(tok)))
-            elif tok == "t" or tok.startswith("^"):
+    for coeff, powers in parse_poly(toks, 3, DSLError)[0]:
+        c, word = ring.from_int(coeff), []
+        for line, col, name, exponent in powers:
+            if name == "t":
                 if ring is not ZT:
                     raise DSLError(line, col, "t requires coeff Z[t]")
-                if tok == "t":
-                    pending_power = True
-                    continue
-                if not pending_power:
-                    raise DSLError(line, col, "dangling exponent")
-                coeff = ring.mul(coeff, ZT.t_power(int(tok[1:])))
-                pending_power = False
-                continue
-            elif tok in gens:
-                word.append(tok)
+                c = ZT.mul(c, ZT.t_power(1 if exponent is None else exponent))
+            elif name not in gens:
+                raise DSLError(line, col, f"unknown factor {name!r} in d {where}")
+            elif exponent is not None:
+                raise DSLError(line, col, f"only t takes an exponent, not {name!r}")
             else:
-                raise DSLError(line, col, f"unknown factor {tok!r} in d {where}")
-            if pending_power:
-                coeff = ring.mul(coeff, ZT.t)
-                pending_power = False
-        if pending_power:
-            coeff = ring.mul(coeff, ZT.t)
-        pairs.append((tuple(word), coeff))
+                word.append(name)
+        pairs.append((tuple(word), c))
     return Element.sum(ring, pairs)
 
 
@@ -264,13 +184,7 @@ def dump_dsl(dga: DGA) -> str:
     ValueError rather than dumping text that loads as a different DGA.
     """
     ring = dga.ring
-    if ring is ZZ:
-        coeff = "Z"
-    elif ring is ZT:
-        coeff = "Z[t]"
-    else:
-        coeff = f"F{ring.q}"
-    out = [f"coeff {coeff}"]
+    out = [f"coeff {ring.name}"]
     for g in dga.generators:
         out.append(f"gen {g.name} {g.degree}")
     for g in dga.generators:
@@ -313,7 +227,7 @@ def _dsl_term(coefficient: int, t_exp: int | None, word: tuple[str, ...]) -> str
 # ---------------------------------------------------------------------------
 
 # The largest n of twist:n and torus2:n, checked before anything is built: a
-# family's size grows with n, and the disk sweep recurses once per front event.
+# family's size grows with n.
 FAMILY_MAX_N = 501
 
 
@@ -377,12 +291,11 @@ def unknot_dsl_dga() -> DGA:
 def builtin(name: str):
     """Builtin families: twist_linearized(n) / twist:n, torus2:n, m821_grid, unknot,
     trefoil, unknot_dsl."""
-    m = re.fullmatch(r"twist:(\d+)|twist_linearized\((\d+)\)", name)
+    m = re.fullmatch(r"twist:([0-9]+)|twist_linearized\(([0-9]+)\)|torus2:([0-9]+)", name)
     if m:
-        return twist_linearized(int(m.group(1) or m.group(2)))
-    m = re.fullmatch(r"torus2:(\d+)", name)
-    if m:
-        return torus2_projection(int(m.group(1)))
+        n = natural((1, 1, m[1] or m[2] or m[3]),
+                    lambda line, col, message: BuiltinError(f"bad family size: {message}"))
+        return torus2_projection(n) if m[3] else twist_linearized(n)
     if name == "m821_grid":
         return m821_grid()
     if name == "unknot":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from pathlib import Path
@@ -69,10 +68,10 @@ def _load_dga(args, inputs: dict):
     src = sources[0]
     if src == "dsl":
         inputs["dsl"] = _digest(args.dsl)
-        return cedga.load_dsl(Path(args.dsl).read_text())
+        return cedga.load_dsl(Path(args.dsl).read_text(encoding="utf-8"))
     if src == "grid":
         inputs["grid"] = _digest(args.grid)
-        obj = diagram.parse_grid(Path(args.grid).read_text())
+        obj = diagram.parse_grid(Path(args.grid).read_text(encoding="utf-8"))
     else:
         inputs["builtin"] = args.builtin
         obj = cedga.builtin(args.builtin)
@@ -83,12 +82,19 @@ def _load_dga(args, inputs: dict):
     return obj
 
 
+def _naturals(items, what: str) -> list[int]:
+    """Each item, stripped, through the one integer reader; a bad one is a parse error."""
+    from ._polytext import natural
+
+    def bad(line, col, message):
+        return CliError(f"bad {what}: {message}", EXIT_PARSE)
+
+    return [natural((1, 1, item.strip()), bad) for item in items]
+
+
 def _parse_fields(spec: str) -> list[int]:
     from .algebra import GF, CoefficientError
-    try:
-        fields = [int(x) for x in spec.split(",")]
-    except ValueError:
-        raise CliError(f"bad field list {spec!r}: want a comma list of field orders", EXIT_PARSE)
+    fields = _naturals(spec.split(","), f"field list {spec!r}")
     for q in fields:
         try:
             GF(q)
@@ -99,21 +105,13 @@ def _parse_fields(spec: str) -> list[int]:
     return fields
 
 
-_COUNT_PAIR = re.compile(r"\s*(\d+)\s*:\s*(\d+)\s*")
-
-
 def _parse_counts(spec: str) -> dict[int, int]:
     """`q:c,...` with q a supported field order and c a point count >= 0."""
     from .algebra import GF, CoefficientError
     counts = {}
     for pair in spec.split(","):
-        m = _COUNT_PAIR.fullmatch(pair)
-        if not m:
-            raise CliError(
-                f"bad --counts pair {pair!r}: want q:c with a field order q and c >= 0",
-                EXIT_PARSE,
-            )
-        q, c = int(m[1]), int(m[2])
+        q, _, c = pair.partition(":")
+        q, c = _naturals((q, c), "--counts pair (want q:c)")
         try:
             GF(q)
         except CoefficientError as exc:
@@ -127,12 +125,7 @@ def _parse_counts(spec: str) -> dict[int, int]:
 def _parse_schedule(spec: str) -> list[int]:
     if not spec:
         return []
-    try:
-        schedule = [int(x) for x in spec.split(",")]
-    except ValueError:
-        raise CliError(
-            f"bad spin schedule {spec!r}: want a comma list of sphere dimensions", EXIT_PARSE
-        )
+    schedule = _naturals(spec.split(","), f"spin schedule {spec!r}")
     if any(m < 1 for m in schedule):
         raise CliError(f"bad spin schedule {spec!r}: sphere dimensions start at 1", EXIT_PARSE)
     return schedule
@@ -235,7 +228,7 @@ def cmd_spin(args):
 def cmd_augvar(args):
     from . import augment
     inputs: dict = {"system": _digest(args.system), "fields": args.fields}
-    system = augment.parse_polysystem(Path(args.system).read_text())
+    system = augment.parse_polysystem(Path(args.system).read_text(encoding="utf-8"))
     fields = _parse_fields(args.fields)
     counts = {q: augment.variety_points(system, q) for q in fields}
     result = {"counts": {str(q): c for q, c in sorted(counts.items())}}
@@ -249,32 +242,30 @@ def cmd_augvar(args):
     return inputs, [], result, f"counts: {result['counts']}"
 
 
-_POLY_TERM = re.compile(r"^\s*(\d+)?\s*\*?\s*(t(?:\^(-?\d+))?)?\s*$")
-
-
 def parse_poly_text(text: str):
-    """A Poincare polynomial such as "t^-1 + 4 + 2*t"; a zero one is bad input."""
+    """A Poincare polynomial such as "t^-1 + 4 + 2t"; a zero one is bad input."""
+    from ._polytext import parse_poly, tokenize
     from .linhom import PoincarePolynomial
+
+    def error(line, col, message):
+        return CliError(f"bad polynomial at column {col}: {message}", EXIT_PARSE)
+
+    zero = CliError(f"polynomial {text!r} is zero; linearized cohomology never is", EXIT_PARSE)
+    if not text.replace("+", " ").strip():  # no term at all, as in "" or " + "
+        raise zero
     dims: dict[int, int] = {}
-    protected = text.replace("^-", "^~")
-    for chunk in protected.replace("-", "+-").split("+"):
-        chunk = chunk.replace("^~", "^-").strip()
-        if not chunk:
-            continue
-        if chunk.startswith("-"):
+    for coeff, powers in parse_poly(tokenize(text, error), 0, error)[0]:
+        if coeff < 0:
             raise CliError("Poincare polynomials have nonnegative coefficients", EXIT_PARSE)
-        m = _POLY_TERM.match(chunk)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise CliError(f"bad polynomial term {chunk!r}", EXIT_PARSE)
-        coeff = int(m.group(1) or 1)
-        if m.group(2) is None:
-            deg = 0
-        else:
-            deg = int(m.group(3) or 1)
+        deg = 0
+        for line, col, name, k in powers:
+            if name != "t":
+                raise error(line, col, f"unknown variable {name!r}; the variable is t")
+            deg += 1 if k is None else k
         dims[deg] = dims.get(deg, 0) + coeff
     poly = PoincarePolynomial.from_dims(dims)
     if not poly.coeffs:
-        raise CliError(f"polynomial {text!r} is zero; linearized cohomology never is", EXIT_PARSE)
+        raise zero
     return poly
 
 
@@ -320,7 +311,7 @@ def cmd_certify(args):
     grid = None
     if args.grid:
         inputs["grid"] = _digest(args.grid)
-        grid = diagram.parse_grid(Path(args.grid).read_text())
+        grid = diagram.parse_grid(Path(args.grid).read_text(encoding="utf-8"))
     cert = obstruct.certify_nongeometric(
         case_map[args.case],
         n=args.n,
@@ -419,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(exc: LdgaError | OSError) -> int:
+def _fail(exc: LdgaError | OSError | UnicodeDecodeError) -> int:
     """Report a failure as one stderr line, its message's lines joined, and
-    return its exit code; an unreadable input file is a parse error."""
+    return its exit code; an unreadable or non-UTF-8 input file is a parse error."""
     message = " ".join(line.strip() for line in str(exc).splitlines())
     print(f"{getattr(exc, 'prefix', 'parse error')}: {message}", file=sys.stderr)
     return getattr(exc, "exit_code", EXIT_PARSE)
@@ -439,7 +430,7 @@ def main(argv=None) -> int:
         if args.subcommand == "dga":  # writes DSL text, not a report
             return args.func(args)
         return _write_report(args, started, *args.func(args))
-    except (LdgaError, OSError) as exc:
+    except (LdgaError, OSError, UnicodeDecodeError) as exc:
         return _fail(exc)
 
 

@@ -76,7 +76,7 @@ def parse_grid(text: str) -> GridDiagram:
     """Parse the {"size": N, "X": [..], "O": [..]} grid file format."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # an integer of over 4300 digits, deep nesting
         raise DiagramError(f"grid file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DiagramError("grid file must contain a single JSON object")

@@ -119,6 +119,14 @@ def test_memo_key_is_event_bottom_and_top():
     assert all(len(key) == 3 for key in search(9).dead)
 
 
+def test_long_front_meets_the_budget_not_the_recursion_limit():
+    # the sweep keeps its own stack: the (2,1001) torus front is far deeper
+    # than Python's recursion limit, and its search still ends at the budget
+    events = [(LCUSP, 0), (LCUSP, 2)] + [(CROSS, 1)] * 1001 + [(RCUSP, 2), (RCUSP, 0)]
+    with pytest.raises(DiskBudgetExceeded, match="budget of 500000 steps"):
+        boundary_words(resolve(FrontDiagram(events)))
+
+
 def _differential_projections():
     projs = {"unknot": unknot_projection(), "m821": resolve(grid_to_front(m821_grid()))}
     projs.update({f"torus2_{n}": torus2_projection(n) for n in (3, 5, 7, 9)})

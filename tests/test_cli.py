@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ldga import augment, cedga
+from ldga._polytext import MAX_DIGITS
 from ldga.algebra import ValidationReport
 from ldga.cli import main, parse_poly_text
 
@@ -324,6 +325,9 @@ def test_reports_deterministic_modulo_timing(capsys, argv):
         ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:1,2:5,4:3"],
         ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "2,4,2"],
         ["certify", "classB", "--n", "5", "--fields", "4,2,4"],
+        # int() reads these as 16 and 3; the integer reader takes digits only
+        ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "1_6"],
+        ["spin", "--builtin", "twist:5", "--spin", "+3", "--integral"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -373,6 +377,54 @@ def test_huge_family_sizes_exit_2_before_allocating():
         f"error: torus2 family needs n <= {cedga.FAMILY_MAX_N}, got 99999999999",
         f"error: twist family needs n <= {cedga.FAMILY_MAX_N}, got 99999999999",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dga", "--builtin", "twist:" + "9" * 5000],
+        ["dga", "--builtin", "torus2:" + "9" * 5000],
+        ["dga", "--builtin", f"twist_linearized({'9' * 5000})"],
+        ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:" + "9" * 5000],
+        ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "9" * 5000 + ":1"],
+    ],
+)
+def test_over_long_integers_exit_2(capsys, argv):
+    # past int()'s 4300-digit limit: a bad parameter, not a ValueError
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"at most {MAX_DIGITS} are read" in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dga", "--grid"],
+        ["dga", "--dsl"],
+        ["augvar", "--system"],
+        ["certify", "classA", "--grid"],
+    ],
+)
+def test_non_utf8_input_files_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("parse error: ") and "utf-8" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"size": 2, "X": [' + "9" * 5000 + ', 1], "O": [1, 0]}', "[" * 100000 + "]" * 100000],
+)
+def test_grid_json_past_the_reader_limits_exits_2(tmp_path, capsys, text):
+    # an integer past int()'s 4300 digits, and nesting past the recursion limit
+    path = tmp_path / "grid.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "dga", "--grid", str(path))
+    assert code == 2
+    assert err.startswith("parse error: grid file is not valid JSON") and err.count("\n") == 1
 
 
 def test_family_bound_is_inclusive():

@@ -45,6 +45,7 @@ NOT_LOADED = {
     "linpoly": {"ldga.spin", "ldga.obstruct"},
     "spin": {"ldga.obstruct"},
     "augvar": {"ldga.cedga", "ldga.diagram", "ldga._diskcore"},
+    "obstruct": {"ldga.cedga", "ldga.augment", "ldga.diagram"},
 }
 
 

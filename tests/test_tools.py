@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 from ldga.cedga import m821_grid
@@ -142,3 +143,24 @@ def test_ab_bench_keeps_a_zero_on_side_a():
     )
     (line,), _ = tool.summarize(pairs[:1], ["pass_s.ref"])
     assert line.endswith("no ratio (1 pairs with A = 0 have no ratio)")
+
+
+def test_ab_bench_runs_write_no_bytecode(monkeypatch, tmp_path):
+    # every run compiles what it imports, as a run from a fresh checkout
+    # does: none may start from bytecode that an earlier run left in its tree
+    import subprocess
+    import types
+
+    tool = load_by_path(AB_BENCH)
+    seen = {}
+
+    def fake_run(cmd, **kwargs):
+        seen.update(kwargs)
+        return types.SimpleNamespace(returncode=0, stdout=result_line(True, 0.3), stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert tool.run_side(tmp_path, "cli-small", 1, 1.0)["correct"]
+    assert seen["cwd"] == tmp_path
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert seen["env"]["PATH"] == os.environ["PATH"]

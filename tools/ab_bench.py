@@ -2,13 +2,14 @@
 """Compare two revisions on one benchmark workload, in alternating pairs.
 
 Each revision is exported with ``git archive`` into its own fresh temporary
-directory, so neither side starts with compiled bytecode and both pay the
-same compile cost.  Pair i runs ``perfbench/run.py`` with seed SEED + i on
-both sides, one after the other, A first in even pairs and B first in odd
-ones.  Each pair is printed; then, for every end-to-end metric named in
-``BENCHMARK.json``, each side's median and quartiles and the median B/A
-ratio.  Exits 1 when either side reports ``correct: false`` (or prints no
-result), 0 otherwise.
+directory, and every run sets ``PYTHONDONTWRITEBYTECODE=1``, so no run starts
+from bytecode that an earlier one wrote: each pays the compile cost of the
+modules it imports, as a run from a fresh checkout does.  Pair i runs
+``perfbench/run.py`` with seed SEED + i on both sides, one after the other,
+A first in even pairs and B first in odd ones.  Each pair is printed; then,
+for every end-to-end metric named in ``BENCHMARK.json``, each side's median
+and quartiles and the median B/A ratio.  Exits 1 when either side reports
+``correct: false`` (or prints no result), 0 otherwise.
 
     python tools/ab_bench.py a842997 HEAD --workload m821-fields --pairs 10 --seconds 10
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -50,6 +52,7 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict | Non
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     if proc.returncode:
         print(f"{tree.name}: perfbench exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
