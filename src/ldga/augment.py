@@ -9,12 +9,12 @@ one dict through the field's tables and builds its ``Element`` once.  The
 conjugated DGA shares the field DGA's degrees and layout, so neither the
 d^2 = 0 tripwire, ``validate``, which still runs whole on every conjugated
 DGA, nor ``linear_part`` rebuilds them per augmentation.
-The one solver, ``_backtrack``, compiles the equations to integer-indexed
-terms and keeps a watch list per generator, so an assignment touches only
-the equations that mention it: one left with no free generator is
-evaluated, and one left with a single free generator, linear there, forces
-it.  The tests check it against a plain scan of every assignment.  Variety
-point counts of polynomial systems go through the same solver.
+The one solver, ``_backtrack``, takes the generators in one fixed order and
+files each equation under the last of its generators there, where the
+equation either solves that generator, when linear in it, or is evaluated;
+one iterator per depth replaces recursion.  The tests check it against a
+plain scan of every assignment.  Variety point counts of polynomial systems
+go through the same solver.
 """
 
 from __future__ import annotations
@@ -134,46 +134,30 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
     """Every assignment of the unknowns that zeroes every equation.
 
     Variables are indexed in order of how many equations mention them, ties
-    by name; each keeps a watch list of those equations, and each equation
-    a count of its unassigned variables.  Assigning a variable touches only
-    its watch list: an equation left with no free variable is evaluated, and
-    one left with a single free variable y, linear there as c*y + d, forces
-    y = -d/c.  An undo trail restores the counts on backtracking.
+    by name, and each equation is filed under the last of its variables.
+    Depth i takes the values of x_i that zero every equation filed there:
+    the first one linear in x_i at the values so far, c*x_i + d, solves
+    x_i = -d/c (c = 0 leaves every value if d = 0, none otherwise), and the
+    rest are evaluated.  One candidate iterator per depth drives the search.
     """
     add, neg, mul, inv = ring.add_table, ring.neg_table, ring.mul_table, ring.inv_table
     mentions = [{g for word, _ in eq for g in word} for eq in equations]
     counts = Counter(g for names in mentions for g in names)
     order = sorted(unknowns, key=lambda u: (-counts[u], u))
     index = {u: i for i, u in enumerate(order)}
-    eqs = [[(tuple(index[g] for g in word), coeff) for word, coeff in eq] for eq in equations]
-    letters = [tuple(index[g] for g in names) for names in mentions]
-    watch: list[list[int]] = [[] for _ in order]
-    for e, ls in enumerate(letters):
-        for x in ls:
-            watch[x].append(e)
-    free = [len(ls) for ls in letters]
-    vals: list[int | None] = [None] * len(order)
-    trail: list[int] = []
-    sols: list[dict[str, int]] = []
+    vals = [0] * len(order)
+    filed: list[list] = [[] for _ in order]
+    for names, eq in zip(mentions, equations):
+        terms = [(tuple(index[g] for g in word), coeff) for word, coeff in eq]
+        if names:
+            filed[max(index[g] for g in names)].append(terms)
+        elif _eval_terms(ring, terms, vals):
+            return []  # a nonzero constant equation
 
-    def assign(x: int, v: int, pending: list[int], solved: int = -1) -> bool:
-        """Set x = v, queue x's equations left with one free variable and
-        evaluate those left with none, but ``solved``, which forced x."""
-        vals[x] = v
-        trail.append(x)
-        ok = True
-        for e in watch[x]:
-            free[e] -= 1
-            if free[e] == 1:
-                pending.append(e)
-            elif not free[e] and e != solved and _eval_terms(ring, eqs[e], vals):
-                ok = False
-        return ok
-
-    def split(e: int, y: int) -> tuple[int, int] | None:
-        """(c, d) with equation e = c*y + d at vals, or None if y is not linear."""
+    def split(terms, y: int) -> tuple[int, int] | None:
+        """(c, d) with terms = c*y + d at vals, or None if y is not linear."""
         c = d = 0
-        for word, coeff in eqs[e]:
+        for word, coeff in terms:
             prod, hits = coeff, 0
             for x in word:
                 if x == y:
@@ -189,48 +173,36 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
                     d = add[d][prod]
         return c, d
 
-    def propagate(pending: list[int]) -> bool:
-        """Force the free variable of each queued linear equation; False on a conflict."""
-        while pending:
-            e = pending.pop()
-            if free[e] != 1:
-                continue  # its last variable was assigned since, and assign() checked it
-            y = next(x for x in letters[e] if vals[x] is None)
-            cd = split(e, y)
-            if cd is None:
-                continue
-            c, d = cd
-            if c:
-                if not assign(y, mul[inv[c]][neg[d]], pending, e):
-                    return False
-            elif d:
-                return False
-        return True
+    def candidates(i: int):
+        """The values of x_i that zero every equation filed under it."""
+        checks, options = filed[i], ring.elements()
+        for k, terms in enumerate(checks):
+            if (cd := split(terms, i)) is not None:
+                c, d = cd
+                if c:
+                    options = (mul[inv[c]][neg[d]],)
+                elif d:
+                    return
+                checks = checks[:k] + checks[k + 1:]
+                break
+        for v in options:
+            vals[i] = v
+            if not any(_eval_terms(ring, terms, vals) for terms in checks):
+                yield v
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            x = trail.pop()
-            vals[x] = None
-            for e in watch[x]:
-                free[e] += 1
-
-    def recurse(i: int) -> None:
-        while i < len(order) and vals[i] is not None:
-            i += 1
-        if i == len(order):
+    if not order:
+        return [{}]
+    sols: list[dict[str, int]] = []
+    its = [candidates(0)]
+    while its:
+        i = len(its) - 1
+        vals[i] = next(its[i], None)
+        if vals[i] is None:
+            its.pop()
+        elif i + 1 < len(order):
+            its.append(candidates(i + 1))
+        else:
             sols.append(dict(zip(order, vals)))
-            return
-        for v in ring.elements():
-            mark = len(trail)
-            pending: list[int] = []
-            if assign(i, v, pending) and propagate(pending):
-                recurse(i + 1)
-            undo(mark)
-
-    constants_hold = not any(not n and _eval_terms(ring, eq, vals) for n, eq in zip(free, eqs))
-    if constants_hold and propagate([e for e, n in enumerate(free) if n == 1]):
-        recurse(0)
-    del recurse  # a self-reference: it would hold every array until a gc pass
     return sols
 
 

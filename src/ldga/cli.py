@@ -179,6 +179,8 @@ def cmd_linpoly(args):
 def cmd_spin(args):
     from . import augment, linhom, spin
     from .algebra import GF, ZZ, FiniteField, change_coefficients
+    if args.integral and args.field is not None:
+        raise CliError("--integral and --field exclude each other", EXIT_PARSE)
     inputs: dict = {"spin": args.spin, "integral": args.integral, "field": None}
     schedule = _parse_schedule(args.spin)
     dga = _load_dga(args, inputs)
@@ -271,6 +273,8 @@ def parse_poly_text(text: str):
 
 def cmd_obstruct(args):
     from . import linhom, obstruct
+    if args.tb is not None and args.dim != 1:
+        raise CliError(f"--tb needs --dim 1, got --dim {args.dim}", EXIT_PARSE)
     inputs: dict = {"poly": args.poly, "dim": args.dim, "tb": args.tb, "counts": args.counts}
     poly = parse_poly_text(args.poly)
     counts = _parse_counts(args.counts) if args.counts else None
@@ -280,7 +284,7 @@ def cmd_obstruct(args):
     stages: list[dict] = []
     verdict, profile = obstruct.seidel_stage(h, args.dim, stages)
     if profile is not None:
-        if args.tb is not None and args.dim == 1:
+        if args.tb is not None:
             verdict = obstruct.euler_tb_check(profile, args.tb)
             stages.append({"stage": "euler_tb", "verdict": verdict.to_jsonable()})
         if counts and not verdict.obstructed:
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--field", type=int, default=None,
         help="homology over GF(q) with this q (default: the DGA's own field, else 2); "
-             "ignored with --integral",
+             "not with --integral",
     )
     p.add_argument("--out")
     p.set_defaults(func=cmd_spin)
@@ -393,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstruct", help="run obstruction tests on a polynomial")
     p.add_argument("--poly", required=True, help='e.g. "t^-1 + 4 + 2*t"')
     p.add_argument("--dim", type=int, required=True, help="Legendrian dimension n")
-    p.add_argument("--tb", type=int, default=None)
+    p.add_argument("--tb", type=int, default=None,
+                   help="Thurston-Bennequin number for the Euler/tb check; needs --dim 1")
     p.add_argument("--counts", default=None, help='variety counts "2:1,4:3"')
     p.add_argument("--out")
     p.set_defaults(func=cmd_obstruct)

@@ -158,6 +158,17 @@ def test_solver_matches_product_scan(system):
     assert found == product_scan(q, unknowns, equations)
 
 
+def test_solver_depth_is_not_bounded_by_the_recursion_limit():
+    # 1100 degree-0 generators, each with the one root x = 2 of
+    # x^2 + 2x + 1 over F3: more branching variables than Python frames
+    n = 1100
+    text = "coeff F3\n" + "".join(
+        f"gen x{i} 0\ngen y{i} 1\nd y{i} = x{i}*x{i} + 2*x{i} + 1\n" for i in range(n)
+    )
+    (eps,) = enumerate_augmentations(load_dsl(text), 3)
+    assert eps.as_dict() == {f"x{i}": 2 for i in range(n)}
+
+
 # ---------------------------------------------------------------------------
 # conjugation and linearization
 # ---------------------------------------------------------------------------

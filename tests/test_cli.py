@@ -157,7 +157,7 @@ def test_spin_field_follows_the_dga(capsys):
         (["--dsl", str(FIXTURES / "zt_linear.dga")], 2),
         (["--builtin", "twist:5"], 2),
         (["--builtin", "trefoil", "--field", "4"], 4),
-        (["--builtin", "twist:5", "--integral", "--field", "3"], None),
+        (["--builtin", "twist:5", "--integral"], None),
     ],
 )
 def test_spin_reports_the_field_it_used(capsys, source, field):
@@ -172,6 +172,18 @@ def test_augvar_counts(capsys):
     )
     assert report["result"]["counts"] == {"2": 1, "4": 3, "8": 7, "16": 15}
     assert report["result"]["dimension"]["estimate"] == pytest.approx(1.0995, abs=1e-3)
+
+
+def test_augvar_solves_more_variables_than_the_recursion_limit(capsys, tmp_path):
+    # one root, x = 2, of x^2 + 2x + 1 over F3 per variable, 1100 variables
+    n = 1100
+    system = tmp_path / "deep.sys"
+    system.write_text(
+        "var " + " ".join(f"x{i}" for i in range(n)) + ";\n"
+        + "".join(f"eq x{i}*x{i} + 2*x{i} + 1;\n" for i in range(n))
+    )
+    report, _ = run_json(capsys, "augvar", "--system", str(system), "--fields", "3")
+    assert report["result"]["counts"] == {"3": 1}
 
 
 def test_obstruct_command(capsys):
@@ -328,6 +340,10 @@ def test_reports_deterministic_modulo_timing(capsys, argv):
         # int() reads these as 16 and 3; the integer reader takes digits only
         ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "1_6"],
         ["spin", "--builtin", "twist:5", "--spin", "+3", "--integral"],
+        # options that would otherwise be ignored
+        ["spin", "--builtin", "twist:5", "--integral", "--field", "3"],
+        ["spin", "--builtin", "twist:5", "--integral", "--field", "6"],
+        ["obstruct", "--poly", "t^2", "--dim", "2", "--tb", "7"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

@@ -126,6 +126,26 @@ def test_ab_bench_fails_on_an_incorrect_or_missing_side():
     assert tool.summarize([(good, good)], ["pass_s.ref"])[1]
 
 
+def test_ab_bench_fails_when_b_fails_a_larger_share_of_ops():
+    # an op that raises counts as failed but leaves `correct` true
+    import json
+
+    tool = load_by_path(AB_BENCH)
+    clean = json.loads(result_line(True, 0.3))
+    raising = {**clean, "failed": 3}
+    pairs = [(clean, clean), (clean, raising)]
+    assert all(tool.is_correct(r) for pair in pairs for r in pair)
+    lines, ok = tool.summarize(pairs, ["pass_s.ref"])
+    assert not ok
+    assert lines[-1] == "B fails a larger share of its ops than A: 3/20 against 0/20"
+    assert tool.failed_ops(pairs) == [(0, 20), (3, 20)]
+    assert "A correct failed 0/10, B correct failed 3/10" in tool.pair_line(
+        "pair 1", *pairs[1], ["pass_s.ref"])
+    # the same share on both sides, or fewer failures on B, passes
+    assert tool.summarize([(raising, raising)], ["pass_s.ref"])[1]
+    assert tool.summarize([(raising, clean)], ["pass_s.ref"])[1]
+
+
 def test_ab_bench_keeps_a_zero_on_side_a():
     import json
 

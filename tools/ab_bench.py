@@ -8,8 +8,10 @@ modules it imports, as a run from a fresh checkout does.  Pair i runs
 ``perfbench/run.py`` with seed SEED + i on both sides, one after the other,
 A first in even pairs and B first in odd ones.  Each pair is printed; then,
 for every end-to-end metric named in ``BENCHMARK.json``, each side's median
-and quartiles and the median B/A ratio.  Exits 1 when either side reports
-``correct: false`` (or prints no result), 0 otherwise.
+and quartiles and the median B/A ratio, and each side's failed ops out of
+those attempted.  Exits 1 when either side reports ``correct: false`` (or
+prints no result) or when side B fails a larger share of its ops than side
+A (an op that raises counts as failed, not as wrong), 0 otherwise.
 
     python tools/ab_bench.py a842997 HEAD --workload m821-fields --pairs 10 --seconds 10
 """
@@ -72,9 +74,16 @@ def value(result: dict | None, metric: str) -> float | None:
     return (result or {}).get("metrics", {}).get(metric, {}).get("value")
 
 
+def failed_ops(pairs) -> list[tuple[int, int]]:
+    """(failed, attempted) ops of side A and of side B, summed over the pairs."""
+    return [(sum((r or {}).get("failed", 0) for r in side),
+             sum((r or {}).get("attempted", 0) for r in side))
+            for side in ([a for a, _ in pairs], [b for _, b in pairs])]
+
+
 def pair_line(label: str, a: dict | None, b: dict | None, metrics: list[str]) -> str:
-    cells = [f"{side} {'correct' if is_correct(r) else 'NOT CORRECT'}"
-             for side, r in (("A", a), ("B", b))]
+    cells = [f"{side} {'correct' if is_correct(r) else 'NOT CORRECT'} failed {f}/{n}"
+             for side, r, (f, n) in zip("AB", (a, b), failed_ops([(a, b)]))]
     for m in metrics:
         va, vb = value(a, m), value(b, m)
         if va is not None and vb is not None:
@@ -91,7 +100,8 @@ def quartiles(values: list[float]) -> str:
 def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[str]):
     """(summary lines, ok) for a list of (A result, B result) pairs.
 
-    ``ok`` is False when any result is missing or not correct.  A metric's
+    ``ok`` is False when any result is missing or not correct, or when B
+    fails a larger share of its attempted ops than A.  A metric's
     quartiles are over the pairs in which both sides report it; its ratio
     is B/A per such pair with A nonzero (a pair with A = 0 is counted in a
     note), and its line gives the median ratio and how many pairs have B
@@ -118,6 +128,10 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[str]):
         lines.append(line)
     if not ok:
         lines.append("some run was not correct")
+    (fa, na), (fb, nb) = failed_ops(pairs)
+    if fb / max(nb, 1) > fa / max(na, 1):
+        lines.append(f"B fails a larger share of its ops than A: {fb}/{nb} against {fa}/{na}")
+        ok = False
     return lines, ok
 
 
@@ -146,6 +160,8 @@ def main(argv=None) -> int:
             pairs.append((a, b))
             print(pair_line(f"pair {i} (seed {seed})", a, b, metrics), flush=True)
     lines, ok = summarize(pairs, metrics)
+    (fa, na), (fb, nb) = failed_ops(pairs)
+    print(f"failed ops: A {fa}/{na}, B {fb}/{nb}")
     print("\n".join(lines))
     return 0 if ok else 1
 
