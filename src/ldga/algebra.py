@@ -493,6 +493,33 @@ class DGA(Record, frozen=True):
                 system.append(terms)
         return system
 
+    @cached_property
+    def suffix_dag(self) -> tuple[list[tuple[object, tuple[tuple[str, int], ...]]], dict[str, int]]:
+        """Every nonzero d(g) as one hash-consed suffix DAG: (nodes, roots).
+
+        The trie of d(g)'s words is interned bottom-up by (coefficient of the
+        word ending at a node, sorted (letter, child id) pairs) into one node
+        table, children first; ``roots[name]`` is d(name)'s root.  Built once
+        per DGA for ``augment.conjugate``; ``with_differential`` shares none.
+        """
+        zero, ids, roots = self.ring.zero, {}, {}
+        for name, dg in self.differential.items():
+            trie = [zero, {}]
+            for word, coeff in dg.terms:
+                node = trie
+                for letter in word:
+                    node = node[1].setdefault(letter, [zero, {}])
+                node[0] = coeff
+            order, stack = [], [trie]
+            while stack:  # a parent is listed before its children
+                order.append(node := stack.pop())
+                stack.extend(node[1].values())
+            for node in reversed(order):
+                key = (node[0], tuple(sorted((g, child[2]) for g, child in node[1].items())))
+                node.append(ids.setdefault(key, len(ids)))
+            roots[name] = trie[2]
+        return list(ids), roots
+
     def generators_of_degree(self, d: int) -> list[str]:
         return [g.name for g in self.generators if g.degree == d]
 

@@ -4,11 +4,11 @@ An augmentation assigns field values to the degree-0 generators (t, when
 present, is pinned to -1) so that eps(d g) = 0 for every generator; a value
 on any other name is an error.  The equations are one list per field DGA,
 ``DGA.augmentation_system``, shared by the solver, the recheck of every
-solution and ``conjugate``.  ``conjugate`` merges each conjugated d(g) in
-one dict through the field's tables and builds its ``Element`` once.  The
-conjugated DGA shares the field DGA's degrees and layout, so neither the
-d^2 = 0 tripwire, ``validate``, which still runs whole on every conjugated
-DGA, nor ``linear_part`` rebuilds them per augmentation.
+solution and ``conjugate``.  ``conjugate`` evaluates ``DGA.suffix_dag``, the
+field DGA's differentials as one hash-consed DAG of shared suffixes, once
+per augmentation, so a suffix common to many words is expanded once.  The
+conjugated DGA shares the field DGA's degrees and layout; the d^2 = 0
+tripwire, ``validate``, still runs whole on every conjugated DGA.
 The one solver, ``_backtrack``, takes the generators in one fixed order and
 files each equation under the last of its generators there, where the
 equation either solves that generator, when linear in it, or is evaluated;
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from operator import itemgetter
 
 from ._polytext import parse_poly, tokenize
 from ._record import Record, set_field, set_fields
@@ -213,9 +212,12 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
 def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     """Differential conjugated by c -> c + eps(c); kills constant terms.
 
-    Each d(g) is merged in one dict through the field's tables, its constant
-    term read off the first sorted item, and its ``Element`` built once.  The
-    result shares the field DGA's generators, degrees and layout.
+    Walks the field DGA's ``suffix_dag`` children first.  A node's value is
+    its constant plus, for each (letter, child), the child's words with the
+    letter prepended and, if eps(letter) = v != 0, the child's words times v,
+    merged through the field's tables: a shared suffix is expanded once.
+    Each root gives one d(g) ``Element``; the result shares the field DGA's
+    generators, degrees and layout.
     """
     fdga = _field_dga(dga, eps.field.q)
     if not eps.is_valid(fdga):
@@ -223,25 +225,23 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     ring = eps.field
     add, mul = ring.add_table, ring.mul_table
     shift = {name: mul[v] for name, v in eps.values if v}  # is_valid vetted the names
+    nodes, roots = fdga.suffix_dag
+    values: list[dict] = []
+    for const, children in nodes:
+        acc = {(): const} if const else {}  # then distinct first letters: no collisions
+        acc.update({(g,) + w: c for g, child in children for w, c in values[child].items()})
+        for g, child in children:
+            if (times_v := shift.get(g)) is not None:
+                for w, c in values[child].items():
+                    acc[w] = s = add[acc[w]][times_v[c]] if w in acc else times_v[c]
+                    if not s:
+                        del acc[w]
+        values.append(acc)
     diff = {}
-    for name, dg in fdga.differential.items():
-        acc = {}
-        for word, coeff in dg.terms:
-            # expand the product of (letter + eps(letter)) over the word;
-            # a letter with eps(letter) = 0 only stays
-            expanded = [((), coeff)]
-            for letter in word:
-                times_v = shift.get(letter)
-                kept = [(w + (letter,), c) for w, c in expanded]
-                if times_v is not None:
-                    kept += [(w, times_v[c]) for w, c in expanded]
-                expanded = kept
-            for w, c in expanded:
-                acc[w] = add[acc[w]][c] if w in acc else c
-        items = sorted(filter(itemgetter(1), acc.items()))
-        if items and not items[0][0]:
+    for name, root in roots.items():
+        if () in values[root]:
             raise DGAValidationError("conjugation left a constant term")
-        diff[name] = Element(ring, tuple(items))
+        diff[name] = Element(ring, tuple(sorted(values[root].items())))
     out = fdga.with_differential(diff)
     report = validate(out)
     if not report.ok:

@@ -68,8 +68,8 @@ def _load_dga(args, inputs: dict):
     src = sources[0]
     if src == "dsl":
         inputs["dsl"] = _digest(args.dsl)
-        return cedga.load_dsl(Path(args.dsl).read_text(encoding="utf-8"))
-    if src == "grid":
+        obj = cedga.load_dsl(Path(args.dsl).read_text(encoding="utf-8"))
+    elif src == "grid":
         inputs["grid"] = _digest(args.grid)
         obj = diagram.parse_grid(Path(args.grid).read_text(encoding="utf-8"))
     else:
@@ -79,6 +79,9 @@ def _load_dga(args, inputs: dict):
         obj = diagram.resolve(diagram.grid_to_front(obj))
     if isinstance(obj, diagram.ProjectionDiagram):
         return cedga.build_dga(obj, budget=args.budget)
+    if args.budget is not None:
+        raise CliError(f"--budget bounds the disk search, which --{src} "
+                       f"{getattr(args, src)} does not run", EXIT_PARSE)
     return obj
 
 
@@ -304,14 +307,14 @@ def cmd_certify(args):
         "classA-spun": "classA_spun",
         "classB": "classB_twist",
     }
-    inputs: dict = {
-        "case": args.case,
-        "n": args.n,
-        "spin": args.spin,
-        "fields": args.fields,
-    }
+    fields = "2,4" if args.fields is None else args.fields
+    inputs: dict = {"case": args.case, "n": args.n, "spin": args.spin, "fields": fields}
     if args.case == "classB" and args.n is None:
         raise CliError("certify classB needs --n", EXIT_PARSE)
+    unused = ("grid", "budget") if args.case == "classB" else ("n", "fields")
+    unused = [f"--{name}" for name in unused if getattr(args, name) is not None]
+    if unused:
+        raise CliError(f"certify {args.case} does not use {', '.join(unused)}", EXIT_PARSE)
     grid = None
     if args.grid:
         inputs["grid"] = _digest(args.grid)
@@ -320,7 +323,7 @@ def cmd_certify(args):
         case_map[args.case],
         n=args.n,
         schedule=_parse_schedule(args.spin),
-        fields=tuple(_parse_fields(args.fields)),
+        fields=tuple(_parse_fields(fields)),
         grid=grid,
         budget=args.budget,
     )
@@ -405,11 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="full non-fillability certification pipelines")
     p.add_argument("case", choices=["classA", "classA-spun", "classB"])
-    p.add_argument("--n", type=int, default=None, help="twist parameter (classB)")
+    p.add_argument("--n", type=int, default=None, help="twist parameter (classB only)")
     p.add_argument("--spin", default="", help="spin schedule")
-    p.add_argument("--fields", default="2,4")
-    p.add_argument("--grid", default=None, help="override the grid fixture")
-    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
+    p.add_argument("--fields", default=None, help="field orders (classB only; default 2,4)")
+    p.add_argument("--grid", default=None, help="override the grid fixture (class A only)")
+    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP + "; class A only")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
     return parser

@@ -233,19 +233,22 @@ def test_conjugated_dga_admits_zero_augmentation():
 def conjugated_by_products(fdga: DGA, eps: Augmentation, name: str) -> Element:
     """d(name) with every letter replaced by letter + eps(letter), multiplied out.
 
-    The reference for ``conjugate``: one ``multiply`` per letter and one
-    ``Element.add`` per word, sharing no code with its expansion.
+    The reference for ``conjugate``: one ``multiply`` per letter, and one
+    ``Element.sum`` over the products of all words, sharing no code with its
+    evaluation of the suffix DAG.
     """
     ring = fdga.ring
-    total = Element.zero(ring)
+    factors: dict[str, Element] = {}
+    pairs = []
     for word, coeff in fdga.diff_of(name).terms:
         prod = Element.unit(ring, coeff)
         for letter in word:
-            shift = eps.value(letter) if fdga.degrees[letter] == 0 else 0
-            factor = Element.generator(ring, letter).add(Element.unit(ring, shift))
-            prod = multiply(prod, factor)
-        total = total.add(prod)
-    return total
+            if letter not in factors:
+                shift = eps.value(letter) if fdga.degrees[letter] == 0 else 0
+                factors[letter] = Element.generator(ring, letter).add(Element.unit(ring, shift))
+            prod = multiply(prod, factors[letter])
+        pairs += prod.terms
+    return Element.sum(ring, pairs)
 
 
 # A lift of the trefoil's F2 DGA to Z (d^2 = 0 for any signs: the degree-0
@@ -271,9 +274,11 @@ def test_trefoil_z_lift_reduces_to_the_disk_search_dga():
     "knot, q, count",
     [("m821", 4, 120)]
     + [("trefoil", q, q * q + 1) for q in FIELD_ORDERS]
-    + [(f"torus2:{n}", 2, (2 ** (n + 1) - 1) // 3) for n in (3, 5, 7, 9)],
+    + [(f"torus2:{n}", 2, (2 ** (n + 1) - 1) // 3) for n in (3, 5, 7, 9, 11)],
 )
 def test_conjugate_matches_product_expansion(knot, q, count):
+    # the reference multiplies out about 18 ms per augmentation of torus2:11: every 10th
+    stride = 10 if knot == "torus2:11" else 1
     if knot == "trefoil":  # the disk-search DGA over characteristic 2, else its Z lift
         dga = build_dga(trefoil_projection()) if q % 2 == 0 else load_dsl(TREFOIL_Z)
     else:
@@ -281,10 +286,93 @@ def test_conjugate_matches_product_expansion(knot, q, count):
     fdga = change_coefficients(dga, GF(q))
     augs = enumerate_augmentations(dga, q)
     assert len(augs) == count
-    for eps in augs:
+    for eps in augs[::stride]:
         conj = conjugate(dga, eps)
         for g in dga.generators:
             assert conj.diff_of(g.name) == conjugated_by_products(fdga, eps, g.name), g.name
+
+
+DEGREE_0 = ("c0", "c1", "c2")
+_words = st.lists(st.sampled_from(DEGREE_0), max_size=4).map(tuple)
+_polys = st.lists(st.tuples(st.integers(1, 3), _words), min_size=1, max_size=6)
+
+
+@st.composite
+def conjugation_cases(draw):
+    """(eps0, d(e_j) term lists, d(x) terms): the DGA of ``conjugation_case_text``.
+
+    e_j has degree 1 and d(e_j) is a sum of words in c0, c1, c2; x has degree
+    2 and d(x) is a sum of words with one b (degree 1, d b = 0) among them.
+    Words up to 4 letters over 3 share prefixes and suffixes and repeat
+    letters; e_0's differential may appear twice.
+    """
+    eps0 = draw(st.tuples(*[st.integers(0, 2)] * len(DEGREE_0)))
+    diffs = draw(st.lists(_polys, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        diffs.append(diffs[0])
+    x_terms = draw(st.lists(st.tuples(st.integers(1, 3), _words, _words), max_size=4))
+    return eps0, diffs, x_terms
+
+
+def conjugation_case_text(q: int, eps0, diffs, x_terms) -> str:
+    """DSL text over GF(q) in which eps0 (integers, read mod p) is an augmentation.
+
+    Each d(e_j) gets the constant term -eps0(rest of d(e_j)), so eps0 cancels
+    it whenever eps0 sees the rest.
+    """
+    p = GF(q).p
+    lines = [f"coeff F{q}", *(f"gen {c} 0" for c in DEGREE_0), "gen b 1", "gen x 2"]
+    for j, terms in enumerate(diffs):
+        seen = sum(c * math.prod(eps0[DEGREE_0.index(g)] for g in w) for c, w in terms)
+        constant = [(-seen % p, ())] if seen % p else []
+        body = " + ".join("*".join((str(c), *w)) for c, w in constant + terms)
+        lines += [f"gen e{j} 1", f"d e{j} = {body}"]
+    if x_terms:
+        lines.append("d x = " + " + ".join("*".join((str(c), *u, "b", *v)) for c, u, v in x_terms))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+@settings(max_examples=15, deadline=None)
+@example(case=(
+    (1, 0, 2),  # c1 = 0; c0 and c2 cancel the constant terms
+    [[(1, ("c0",)), (1, ("c0", "c1", "c2")), (1, ("c1", "c2")), (2, ("c1", "c1", "c2")),
+      (1, ("c2", "c1", "c2"))],
+     [(1, ("c2", "c2")), (1, ("c1", "c2")), (1, ("c0", "c0", "c1"))]] * 2,
+    [(1, ("c0",), ("c2",)), (2, (), ("c2",)), (1, ("c1",), ())],
+))
+@given(case=conjugation_cases())
+def test_conjugate_matches_product_expansion_on_random_dgas(q, case):
+    dga = load_dsl(conjugation_case_text(q, *case))
+    field = GF(q)
+    eps0 = Augmentation.build(field, {g: field.from_int(v) for g, v in zip(DEGREE_0, case[0])})
+    augs = enumerate_augmentations(dga, q)
+    assert eps0 in augs
+    for eps in [eps0, *augs[:: max(1, len(augs) // 6)]]:
+        conj = conjugate(dga, eps)
+        for g in dga.generators:
+            assert conj.diff_of(g.name) == conjugated_by_products(dga, eps, g.name), g.name
+
+
+@pytest.mark.parametrize("knot, nodes", [(f"torus2:{n}", 2 * n + 1) for n in range(3, 12, 2)])
+def test_suffix_dag_sizes(knot, nodes):
+    assert len(build_dga(builtin(knot)).suffix_dag[0]) == nodes
+
+
+def test_suffix_dag_is_built_once_per_field_dga():
+    dga = build_dga(resolve(grid_to_front(m821_grid())))
+    assert len(dga.suffix_dag[0]) == 19
+    for q in (4, 8):
+        augs = enumerate_augmentations(dga, q)
+        fdga = dga.field_copies[q]
+        assert "suffix_dag" not in fdga.__dict__
+        dag = None
+        for eps in augs:
+            conj = conjugate(dga, eps)
+            dag = dag or fdga.__dict__["suffix_dag"]
+            assert fdga.__dict__["suffix_dag"] is dag
+            assert "suffix_dag" not in conj.__dict__  # with_differential shares no DAG
+        assert conj.suffix_dag is not dag and conj.suffix_dag[1].keys() == dag[1].keys()
 
 
 def test_stray_augmentation_values_are_rejected():

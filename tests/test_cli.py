@@ -344,6 +344,18 @@ def test_reports_deterministic_modulo_timing(capsys, argv):
         ["spin", "--builtin", "twist:5", "--integral", "--field", "3"],
         ["spin", "--builtin", "twist:5", "--integral", "--field", "6"],
         ["obstruct", "--poly", "t^2", "--dim", "2", "--tb", "7"],
+        ["certify", "classA", "--n", "5"],
+        ["certify", "classA", "--spin", "1", "--n", "3"],
+        ["certify", "classA-spun", "--n", "3"],
+        ["certify", "classA", "--fields", "2,4"],
+        ["certify", "classA-spun", "--fields", "2"],
+        ["certify", "classB", "--n", "5", "--grid", str(FIXTURES / "m821.json")],
+        ["certify", "classB", "--n", "5", "--budget", "100"],
+        # --budget on inputs that run no disk search
+        ["augs", "--dsl", str(FIXTURES / "unknot.dga"), "--budget", "1"],
+        ["augs", "--builtin", "twist:5", "--budget", "1"],
+        ["linpoly", "--builtin", "unknot_dsl", "--budget", "1"],
+        ["spin", "--builtin", "twist_linearized(5)", "--spin", "3", "--budget", "9"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -356,6 +368,21 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
 def test_certify_class_b_without_n_names_the_option(capsys):
     code, _, err = run(capsys, "certify", "classB")
     assert (code, err) == (2, "error: certify classB needs --n\n")
+
+
+def test_certify_names_the_options_its_case_does_not_use(capsys):
+    code, _, err = run(capsys, "certify", "classB", "--n", "5", "--grid", "g.json", "--budget", "9")
+    assert (code, err) == (2, "error: certify classB does not use --grid, --budget\n")
+    code, _, err = run(capsys, "certify", "classA-spun", "--n", "3", "--fields", "2")
+    assert (code, err) == (2, "error: certify classA-spun does not use --n, --fields\n")
+
+
+def test_certify_class_b_fields_default_to_2_and_4(capsys):
+    argv = ["certify", "classB", "--n", "5", "--spin", "3"]
+    default, _ = run_json(capsys, *argv)
+    given, _ = run_json(capsys, *argv, "--fields", "2,4")
+    assert strip_timing(default) == strip_timing(given)
+    assert default["inputs"]["fields"] == "2,4"
 
 
 @pytest.mark.parametrize("poly", ["", " + ", "0", "0*t"])
@@ -497,6 +524,7 @@ def _words_breaking_the_index_identity(diagram, budget=None):
         ([BAD_DISKS, "spin", "--grid", M821, "--spin", "1"], 3),
         ([BAD_DISKS, "certify", "classA", "--grid", M821], 3),
         (["dga", "--grid", str(FIXTURES / "bool_grid.json")], 2),
+        (["augs", "--builtin", "m821_grid", "--budget", "5"], 4),
     ],
 )
 def test_every_subcommand_fails_with_its_documented_code(capsys, monkeypatch, argv, code):
