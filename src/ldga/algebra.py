@@ -176,11 +176,7 @@ class FiniteField(Ring):
         self.p = p
         self.s = s
         self.name = f"F{q}"
-        self.add_table = tuple(
-            tuple(_digit_add(a, b, p, s) for b in range(q)) for a in range(q)
-        )
-        self.neg_table = tuple(_digit_neg(a, p, s) for a in range(q))
-        self.mul_table = _field_mul_table(p, s)
+        self.add_table, self.neg_table, self.mul_table = _field_tables(p, s)
         self.inv_table = (None,) + tuple(row.index(1) for row in self.mul_table[1:])
 
     def add(self, a, b):
@@ -238,56 +234,35 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise CoefficientError(f"{q} is not a supported prime power")
 
 
-def _digits(a: int, p: int, s: int) -> list[int]:
-    out = []
-    for _ in range(s):
-        out.append(a % p)
-        a //= p
-    return out
+def _field_tables(p: int, s: int) -> tuple[tuple, tuple, tuple]:
+    """The add, neg and mul tables of GF(p^s) on the codes 0..p^s - 1.
 
+    Code a is the polynomial whose coefficient of x^i is the i-th base-p digit
+    of a, so add and neg work digitwise.  Row a of mul takes b to the sum of
+    b_i * (a x^i) over the digits b_i of b: it grows one digit at a time, each
+    block adding a x^i to the one before.  a -> a x shifts the digits up and
+    folds x^s through the stored irreducible.
+    """
+    q = p**s
+    weights = [p**i for i in range(s)]
+    digits = [[a // w % p for w in weights] for a in range(q)]
+    irz = _IRREDUCIBLES.get((p, s), ())  # none for a prime field, where x is not needed
 
-def _undigits(ds: Iterable[int], p: int) -> int:
-    out = 0
-    for d in reversed(list(ds)):
-        out = out * p + d
-    return out
+    def code(ds) -> int:
+        return sum(d % p * w for d, w in zip(ds, weights))
 
-
-def _digit_add(a: int, b: int, p: int, s: int) -> int:
-    return _undigits(
-        [(x + y) % p for x, y in zip(_digits(a, p, s), _digits(b, p, s))], p
-    )
-
-
-def _digit_neg(a: int, p: int, s: int) -> int:
-    return _undigits([(-x) % p for x in _digits(a, p, s)], p)
-
-
-def _field_mul_table(p: int, s: int) -> tuple[tuple[int, ...], ...]:
-    if s == 1:
-        return tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-    irz = _IRREDUCIBLES[(p, s)]
-    table = []
-    for a in range(p**s):
-        da = _digits(a, p, s)
-        row = []
-        for b in range(p**s):
-            db = _digits(b, p, s)
-            prod = [0] * (2 * s - 1)
-            for i, x in enumerate(da):
-                if x:
-                    for j, y in enumerate(db):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            # reduce modulo the irreducible (monic of degree s)
-            for k in range(2 * s - 2, s - 1, -1):
-                c = prod[k]
-                if c:
-                    prod[k] = 0
-                    for j in range(s):
-                        prod[k - s + j] = (prod[k - s + j] - c * irz[j]) % p
-            row.append(_undigits(prod[:s], p))
-        table.append(tuple(row))
-    return tuple(table)
+    add = tuple(tuple(code(map(int.__add__, da, db)) for db in digits) for da in digits)
+    neg = tuple(code(-d for d in da) for da in digits)
+    times_x = [code([lo - d[-1] * f for lo, f in zip([0] + d[:-1], irz)]) for d in digits]
+    mul = []
+    for a in range(q):
+        row, shift = [0], a  # row: a*b for b < w; shift: a x^i, where w = p^i
+        for w in weights:
+            for _ in range(1, p):
+                row += [add[c][shift] for c in row[-w:]]
+            shift = times_x[shift]
+        mul.append(tuple(row))
+    return add, neg, tuple(mul)
 
 
 ZZ = IntegerRing()

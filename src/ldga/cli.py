@@ -307,7 +307,7 @@ def cmd_certify(args):
         "classA-spun": "classA_spun",
         "classB": "classB_twist",
     }
-    fields = "2,4" if args.fields is None else args.fields
+    fields = "2,4" if args.case == "classB" and args.fields is None else args.fields
     inputs: dict = {"case": args.case, "n": args.n, "spin": args.spin, "fields": fields}
     if args.case == "classB" and args.n is None:
         raise CliError("certify classB needs --n", EXIT_PARSE)
@@ -323,7 +323,7 @@ def cmd_certify(args):
         case_map[args.case],
         n=args.n,
         schedule=_parse_schedule(args.spin),
-        fields=tuple(_parse_fields(fields)),
+        fields=() if fields is None else tuple(_parse_fields(fields)),
         grid=grid,
         budget=args.budget,
     )

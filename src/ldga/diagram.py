@@ -22,7 +22,7 @@ import json
 from collections.abc import Sequence
 
 from ._record import Record, set_fields
-from .errors import DiagramError
+from .errors import DGAValidationError, DiagramError
 
 
 # ---------------------------------------------------------------------------
@@ -212,103 +212,43 @@ class FrontDiagram:
 def grid_to_front(grid: GridDiagram) -> FrontDiagram:
     """Rotate the grid 45 degrees counterclockwise and read off the front.
 
-    Verticals keep their grid over-crossing role: they become the lesser
-    slope (over) strands at front crossings.  Event order is the rotated
-    x-order, made total by the lexicographic key (c - r, c + r), which is
-    injective.  The front is oriented as the grid: columns run O -> X.
+    A marker or crossing at (c, r) goes to (x, y) = (c - r, c + r), so column
+    c's vertical is the strand y = 2c - x and row r's horizontal is y = x + 2r.
+    Events are the corners and crossings in (x, y) order, and an event's level
+    is the number of live strands passing below it; a strand through the event
+    is not counted.  Verticals keep their grid over-crossing role: they become
+    the lesser-slope (over) strands at front crossings.  A corner starts the
+    strands that leave it east and ends the others.  The front is oriented as
+    the grid: columns run O -> X.
     """
     if grid.components() != 1:
         raise DiagramError(f"grid has {grid.components()} components; knots only")
     n = grid.size
-
-    verticals = {}  # column -> (row_low, row_high)
-    for c in range(n):
-        r1, r2 = grid.row_of_x(c), grid.row_of_o(c)
-        verticals[c] = (min(r1, r2), max(r1, r2))
-    horizontals = {}  # row -> (col_low, col_high)
-    for r in range(n):
-        c1, c2 = grid.X[r], grid.O[r]
-        horizontals[r] = (min(c1, c2), max(c1, c2))
-
-    def key(c: int, r: int) -> tuple[int, int]:
-        return (c - r, c + r)
-
-    events_in = []
-    for r in range(n):
-        for c in (grid.X[r], grid.O[r]):
-            events_in.append((key(c, r), "corner", c, r))
-    for c, (rlo, rhi) in verticals.items():
-        for r in range(rlo + 1, rhi):
-            clo, chi = horizontals[r]
-            if clo < c < chi:
-                events_in.append((key(c, r), "crossing", c, r))
-    events_in.sort()
-
-    # the first event is the first left cusp, whose lower strand (arc 0) is
-    # its column's vertical: it heads east iff it leaves this corner as an O
-    _, _, c0, r0 = events_in[0]
-    east = grid.O[r0] == c0
-
-    # sweep state: strand ids ('v', c) or ('h', r), bottom-up
-    active: list[tuple[str, int]] = []
-    out_events: list[tuple[str, int]] = []
-
-    def above(s1, s2, now) -> bool:
-        """Is strand s1 above s2 at sweep position just after `now`?"""
-        k1, a = s1
-        k2, b = s2
-        if k1 == k2 == "v":
-            return a > b
-        if k1 == k2 == "h":
-            return a > b
-        if k1 == "v":
-            return key(a, b) > now
-        return key(b, a) <= now
-
-    def insert_sorted(strand, now) -> int:
-        lo = 0
-        while lo < len(active) and above(strand, active[lo], now):
-            lo += 1
-        return lo
-
-    for now, kind, c, r in events_in:
-        if kind == "crossing":
-            vs, hs = ("v", c), ("h", r)
-            iv, ih = active.index(vs), active.index(hs)
-            if iv != ih + 1:
-                raise DiagramError("crossing strands not adjacent; sweep inconsistent")
-            active[ih], active[iv] = vs, hs
-            out_events.append((CROSS, ih))
+    rows = [sorted((grid.row_of_x(c), grid.row_of_o(c))) for c in range(n)]
+    cols = [sorted((grid.X[r], grid.O[r])) for r in range(n)]
+    points = [(c, r) for r in range(n) for c in cols[r]] + [
+        (c, r) for c in range(n) for r in range(rows[c][0] + 1, rows[c][1])
+        if cols[r][0] < c < cols[r][1]]
+    events = sorted((c - r, c + r, c, r) for c, r in points)
+    live: set[tuple[int, int]] = set()  # strands y = slope * x + intercept
+    out: list[tuple[str, int]] = []
+    for x, y, c, r in events:
+        level = sum(slope * x + intercept < y for slope, intercept in live)
+        if c not in cols[r]:
+            out.append((CROSS, level))
             continue
-        # corner at marker (c, r): vertical goes to vr, horizontal to hc
-        vlo, vhi = verticals[c]
-        vr = vhi if r == vlo else vlo
-        clo, chi = horizontals[r]
-        hc = chi if c == clo else clo
-        v_east = vr < r      # extends east iff heading down in the grid
-        h_east = hc > c
-        vs, hs = ("v", c), ("h", r)
-        if v_east and h_east:
-            # left cusp: h sits above v just east of the corner
-            iv = insert_sorted(vs, now)
-            ih = insert_sorted(hs, now)
-            if iv != ih:
-                raise DiagramError("left cusp insertion inconsistent")
-            active[iv:iv] = [vs, hs]
-            out_events.append((LCUSP, iv))
-        elif not v_east and not h_east:
-            iv, ih = active.index(vs), active.index(hs)
-            if iv != ih + 1:
-                raise DiagramError("right cusp strands not adjacent")
-            del active[ih : ih + 2]
-            out_events.append((RCUSP, ih))
-        else:
-            incoming, outgoing = (hs, vs) if v_east else (vs, hs)
-            i = active.index(incoming)
-            active[i] = outgoing
-    if active:
+        v_east, h_east = r == rows[c][1], c == cols[r][0]
+        for strand, east in (((-1, 2 * c), v_east), ((1, 2 * r), h_east)):
+            if east:
+                live.add(strand)
+            else:
+                live.discard(strand)
+        if v_east == h_east:
+            out.append((LCUSP if v_east else RCUSP, level))
+    if live:
         raise DiagramError("sweep finished with open strands")
-    return FrontDiagram(out_events, east)
+    _, _, c0, r0 = events[0]  # arc 0 is this corner's vertical: east iff it leaves an O
+    return FrontDiagram(out, east=grid.O[r0] == c0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,4 +291,10 @@ def resolve(front: FrontDiagram) -> ProjectionDiagram:
         elif ev.kind == RCUSP:
             n_cusp += 1
             crossings.append(Crossing(f"e{n_cusp}", 1))
+    # tripwire: the sum of (-1)^degree is tb; a front crossing counts its sign
+    # and a right cusp's crossing, of degree 1, counts -1
+    signs = sum(-1 if c.degree % 2 else 1 for c in crossings)
+    if signs != front.tb:
+        raise DGAValidationError(f"resolution breaks the degree/writhe identity: sum of "
+                                 f"(-1)^degree is {signs}, tb is {front.tb}")
     return ProjectionDiagram(front, tuple(crossings))

@@ -277,9 +277,6 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
     if rot != 0:
         raise ObstructionStageError("front", f"rotation number {rot} != 0")
     proj = diagram.resolve(front)
-    # tripwire: sum over crossings of (-1)^degree is tb (cusp crossings count +1)
-    if sum(-1 if c.degree % 2 else 1 for c in proj.crossings) != front.tb:
-        raise ObstructionStageError("resolve", "degree/writhe bookkeeping mismatch")
     evidence.append(
         {
             "stage": "resolve",

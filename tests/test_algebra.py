@@ -47,6 +47,43 @@ def test_field_axioms_exhaustive(q):
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
 
 
+def _doc_irreducibles() -> dict[int, list[int]]:
+    """q -> the coefficients, low degree first, of the irreducible in docs/fields.md."""
+    table = {}
+    text = (Path(__file__).resolve().parents[1] / "docs" / "fields.md").read_text()
+    for q, poly in re.findall(r"^\| (\d+) +\| (x\^[^|]*?) +\|$", text, re.M):
+        coeffs = {}
+        for term in poly.split(" + "):
+            power = 0 if term == "1" else int(term.partition("^")[2] or 1)
+            coeffs[power] = 1
+        table[int(q)] = [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
+    return table
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_field_codes_are_digit_polynomials(q):
+    """Code a is sum a_i x^i over its base-p digits; x^s folds by the documented irreducible."""
+    f = GF(q)
+    p, s = f.p, f.s
+
+    def digits(a):
+        return [a // p**i % p for i in range(s)]
+
+    for a in f.elements():
+        for b in f.elements():
+            assert digits(f.add(a, b)) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
+    for a in range(p):
+        for b in range(p):
+            assert f.mul(a, b) == a * b % p
+    for i in range(1, s):
+        assert f.mul(p, p ** (i - 1)) == p**i  # x * x^(i-1) = x^i
+    if s > 1:
+        irreducible = _doc_irreducibles()[q]
+        assert len(irreducible) == s + 1 and irreducible[s] == 1
+        folded = sum(-c % p * p**j for j, c in enumerate(irreducible[:s]))
+        assert f.mul(p, p ** (s - 1)) == folded  # x^s = -(f_0 + ... + f_(s-1) x^(s-1))
+
+
 def test_field_characteristic():
     assert GF(4).p == 2 and GF(4).s == 2
     assert GF(9).p == 3

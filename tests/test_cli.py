@@ -598,6 +598,19 @@ def test_internal_tripwires_exit_3(capsys, monkeypatch, name, fake, message):
     assert "Traceback" not in err
 
 
+def test_degree_writhe_tripwire_exits_3(capsys, monkeypatch):
+    # every resolved front checks sum (-1)^degree = tb; break tb by one
+    from ldga import diagram
+    monkeypatch.setattr(diagram.FrontDiagram, "tb",
+                        property(lambda front: front.writhe - front.n_right_cusps + 1))
+    code, out, err = run(capsys, "dga", "--builtin", "trefoil")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "validation error: resolution breaks the degree/writhe identity: "
+        "sum of (-1)^degree is 1, tb is 2"
+    ]
+
+
 def test_jobs_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["linpoly", "--builtin", "trefoil", "--jobs", "2"])

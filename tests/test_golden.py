@@ -4,7 +4,8 @@ The ``dump_dsl`` text of the max-tb (2,N) torus DGAs and of the DGAs of the
 random grid fronts is pinned too, so any change to the disk search that
 alters a differential shows here.  So are the random grids whose Legendrian
 invariants change under commutation moves, which cannot happen when every
-DGA is right: a fix shows as that list shrinking.
+DGA is right: a fix shows as that list shrinking.  So is the front of every
+small knot grid and of the random grids, those with r != 0 included.
 
 Regenerate (only when an answer is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` from the
@@ -14,6 +15,7 @@ repository root; it rewrites the named goldens, or all of them.
 import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -27,7 +29,7 @@ from test_tools import TOOL, load_by_path
 from ldga.augment import enumerate_augmentations, linearized_complex
 from ldga.cedga import DiskSearchError, build_dga, builtin, dump_dsl
 from ldga.cli import main
-from ldga.diagram import DiagramError, grid_to_front, resolve
+from ldga.diagram import DiagramError, GridDiagram, grid_to_front, resolve
 from ldga.linhom import homology_field, poincare
 
 REPO = Path(__file__).resolve().parents[1]
@@ -113,6 +115,34 @@ def random_fronts_dsl() -> str:
         except DiskSearchError as exc:  # pinned as text: a defect must stay visible
             out.append("".join(f"# {line}\n" for line in
                                f"{type(exc).__name__}: {exc}".splitlines()))
+    return "".join(out)
+
+
+GRID_FRONTS = "grid_fronts.txt"
+
+
+def grid_fronts() -> str:
+    """The front of every knot grid of size 2-5 and of the random grids of seeds 0-999.
+
+    The random grids are drawn as for ``random_fronts_dsl``.  Each line gives
+    the grid, the heading of arc 0, tb, r and the event word (``l``, ``r`` and
+    ``c`` for a left cusp, a right cusp and a crossing, with its level);
+    unlike ``random_fronts_dsl`` it keeps the fronts with r != 0.
+    """
+    grids = [GridDiagram(n, x, o) for n in range(2, 6)
+             for x in itertools.permutations(range(n))
+             for o in itertools.permutations(range(n)) if all(map(int.__ne__, x, o))]
+    grids = [g for g in grids if g.components() == 1]
+    for seed in range(1000):
+        rng = random.Random(seed)
+        grids.append(_random_knot_grid(rng, rng.choice([4, 5, 6, 7, 8])))
+    out = []
+    for g in grids:
+        front = grid_to_front(g)
+        word = " ".join(f"{ev.kind[0]}{ev.level}" for ev in front.events)
+        out.append(f"X {''.join(map(str, g.X))} O {''.join(map(str, g.O))}: "
+                   f"{front.arc_direction[0]}, tb {front.tb}, r {front.rotation_number}: "
+                   f"{word}\n")
     return "".join(out)
 
 
@@ -202,6 +232,10 @@ def test_random_front_dgas_match_golden():
     assert random_fronts_dsl() == (GOLDEN / RANDOM_FRONTS).read_text()
 
 
+def test_grid_fronts_match_golden():
+    assert grid_fronts() == (GOLDEN / GRID_FRONTS).read_text()
+
+
 def test_commutation_disagreements_match_golden():
     assert commutation_disagreements() == (GOLDEN / INVARIANCE).read_text()
 
@@ -210,6 +244,7 @@ if __name__ == "__main__":
     writers = {name: functools.partial(render, argv) for name, argv in CASES.items()}
     writers.update({name: functools.partial(torus2_dsl, n) for name, n in TORUS_CASES.items()})
     writers[RANDOM_FRONTS] = random_fronts_dsl
+    writers[GRID_FRONTS] = grid_fronts
     writers[INVARIANCE] = commutation_disagreements
     names = sys.argv[1:] or list(writers)
     unknown = sorted(set(names) - set(writers))

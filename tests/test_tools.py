@@ -184,3 +184,13 @@ def test_ab_bench_runs_write_no_bytecode(monkeypatch, tmp_path):
     assert seen["cwd"] == tmp_path
     assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert seen["env"]["PATH"] == os.environ["PATH"]
+
+
+def test_ab_bench_counts_non_blank_source_lines(tmp_path):
+    tool = load_by_path(AB_BENCH)
+    src = tmp_path / "src" / "ldga"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("import os\n\n\ndef f():\n    return 1\n")
+    (src / "b.py").write_text("   \nx = 1")
+    (src / "notes.txt").write_text("not\ncounted\n")
+    assert tool.source_lines(tmp_path) == 4

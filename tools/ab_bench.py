@@ -6,12 +6,14 @@ directory, and every run sets ``PYTHONDONTWRITEBYTECODE=1``, so no run starts
 from bytecode that an earlier one wrote: each pays the compile cost of the
 modules it imports, as a run from a fresh checkout does.  Pair i runs
 ``perfbench/run.py`` with seed SEED + i on both sides, one after the other,
-A first in even pairs and B first in odd ones.  Each pair is printed; then,
-for every end-to-end metric named in ``BENCHMARK.json``, each side's median
-and quartiles and the median B/A ratio, and each side's failed ops out of
-those attempted.  Exits 1 when either side reports ``correct: false`` (or
-prints no result) or when side B fails a larger share of its ops than side
-A (an op that raises counts as failed, not as wrong), 0 otherwise.
+A first in even pairs and B first in odd ones.  First the non-blank line
+count of each tree's ``src/ldga/*.py`` is printed, since source size moves
+``setup_s`` (each fresh process compiles what it imports).  Each pair is
+printed; then, for every end-to-end metric named in ``BENCHMARK.json``, each
+side's median and quartiles and the median B/A ratio, and each side's failed
+ops out of those attempted.  Exits 1 when either side reports ``correct:
+false`` (or prints no result) or when side B fails a larger share of its ops
+than side A (an op that raises counts as failed, not as wrong), 0 otherwise.
 
     python tools/ab_bench.py a842997 HEAD --workload m821-fields --pairs 10 --seconds 10
 """
@@ -43,6 +45,12 @@ def export(rev: str, dest: Path) -> Path:
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return dest
+
+
+def source_lines(tree: Path) -> int:
+    """The non-blank lines of ``src/ldga/*.py`` in tree."""
+    return sum(1 for path in (tree / "src" / "ldga").glob("*.py")
+               for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -148,6 +156,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         tree_a = export(args.rev_a, Path(tmp) / "a")
         tree_b = export(args.rev_b, Path(tmp) / "b")
+        for side, rev, tree in (("A", args.rev_a, tree_a), ("B", args.rev_b, tree_b)):
+            print(f"{side} {rev}: {source_lines(tree)} non-blank lines in src/ldga/*.py")
         pairs = []
         for i in range(args.pairs):
             seed = args.seed + i
