@@ -101,24 +101,16 @@ class Laurent(Record, frozen=True):
         return sum(-c if e % 2 else c for e, c in self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        """Poincare style, as ``t^-1 + 4 + 2t`` or ``3 - 2t^2``; ``_polytext`` reads it back."""
+        out = ""
         for e, c in self.terms:
-            if e == 0:
-                parts.append(str(c))
-            else:
-                tpow = "t" if e == 1 else f"t^{e}"
-                if c == 1:
-                    parts.append(tpow)
-                elif c == -1:
-                    parts.append(f"-{tpow}")
-                else:
-                    parts.append(f"{c}*{tpow}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            tpow = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+            if out:
+                out += " - " if c < 0 else " + "
+            elif c < 0:
+                out = "-"
+            out += (str(abs(c)) if abs(c) != 1 or not tpow else "") + tpow
+        return out or "0"
 
 
 class LaurentRing(Ring):

@@ -81,7 +81,7 @@ def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
         words[name].append(w)
     dga = DGA(
         ring,
-        tuple(Generator(c.name, c.degree) for c in diagram.crossings),
+        diagram.crossings,
         # disks are counted mod 2: words found twice cancel
         {name: Element.sum(ring, ((w, ring.one) for w in ws)) for name, ws in words.items()},
     )

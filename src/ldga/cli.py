@@ -95,6 +95,19 @@ def _naturals(items, what: str) -> list[int]:
     return [natural((1, 1, item.strip()), bad) for item in items]
 
 
+def _int_option(name: str, text: str) -> int:
+    """--field, --n, --dim and --budget read a natural, --tb an integer, through
+    the one integer reader; a bad value is a parse error."""
+    from ._polytext import integer
+
+    def bad(line, col, message):
+        return CliError(f"bad --{name} {text!r}: {message}", EXIT_PARSE)
+
+    item = text.strip()
+    signed = name == "tb" and item.startswith("-")
+    return integer([(1, 1, "-"), (1, 2, item[1:])] if signed else [(1, 1, item)], 0, bad)[0]
+
+
 def _parse_fields(spec: str) -> list[int]:
     from .algebra import GF, CoefficientError
     fields = _naturals(spec.split(","), f"field list {spec!r}")
@@ -250,7 +263,7 @@ def cmd_augvar(args):
 def parse_poly_text(text: str):
     """A Poincare polynomial such as "t^-1 + 4 + 2t"; a zero one is bad input."""
     from ._polytext import parse_poly, tokenize
-    from .linhom import PoincarePolynomial
+    from .algebra import Laurent
 
     def error(line, col, message):
         return CliError(f"bad polynomial at column {col}: {message}", EXIT_PARSE)
@@ -268,8 +281,8 @@ def parse_poly_text(text: str):
                 raise error(line, col, f"unknown variable {name!r}; the variable is t")
             deg += 1 if k is None else k
         dims[deg] = dims.get(deg, 0) + coeff
-    poly = PoincarePolynomial.from_dims(dims)
-    if not poly.coeffs:
+    poly = Laurent.from_dict(dims)
+    if not poly.terms:
         raise zero
     return poly
 
@@ -281,18 +294,16 @@ def cmd_obstruct(args):
     inputs: dict = {"poly": args.poly, "dim": args.dim, "tb": args.tb, "counts": args.counts}
     poly = parse_poly_text(args.poly)
     counts = _parse_counts(args.counts) if args.counts else None
-    h = linhom.GradedModule(
-        "F2", linhom.COHOMOLOGICAL, {d: (c, ()) for d, c in poly.as_dict().items()}
-    )
+    h = linhom.GradedModule("F2", linhom.COHOMOLOGICAL, {d: (c, ()) for d, c in poly.terms})
     stages: list[dict] = []
     verdict, profile = obstruct.seidel_stage(h, args.dim, stages)
     if profile is not None:
         if args.tb is not None:
-            verdict = obstruct.euler_tb_check(profile, args.tb)
+            verdict = obstruct.euler_tb_check(profile, args.dim, args.tb)
             stages.append({"stage": "euler_tb", "verdict": verdict.to_jsonable()})
         if counts and not verdict.obstructed:
-            integral = obstruct.FillingProfile(
-                "Z", args.dim, {1: (profile.rank(1), profile.torsion(1))}
+            integral = linhom.GradedModule(
+                "Z", linhom.HOMOLOGICAL, {1: (profile.free_rank(1), profile.torsion(1))}
             )
             verdict = obstruct.aug_injectivity_test(integral, counts)
             stages.append({"stage": "aug_injectivity", "verdict": verdict.to_jsonable()})
@@ -353,7 +364,7 @@ def _add_source_args(p):
         help="builtin id: twist:N, torus2:N (N odd, at most 501), m821_grid, unknot, "
              "trefoil, unknot_dsl",
     )
-    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
+    p.add_argument("--budget", default=None, help=_BUDGET_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augs", help="enumerate graded augmentations")
     _add_source_args(p)
-    p.add_argument("--field", type=int, default=2)
+    p.add_argument("--field", default="2")
     p.add_argument("--out")
     p.set_defaults(func=cmd_augs)
 
     p = sub.add_parser("linpoly", help="linearized homology Poincare polynomials")
     _add_source_args(p)
-    p.add_argument("--field", type=int, default=2)
+    p.add_argument("--field", default="2")
     p.add_argument("--all-augs", action="store_true", dest="all_augs")
     p.add_argument("--out")
     p.set_defaults(func=cmd_linpoly)
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", default="", help="comma list of sphere dimensions")
     p.add_argument("--integral", action="store_true")
     p.add_argument(
-        "--field", type=int, default=None,
+        "--field", default=None,
         help="homology over GF(q) with this q (default: the DGA's own field, else 2); "
              "not with --integral",
     )
@@ -398,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_augvar)
 
     p = sub.add_parser("obstruct", help="run obstruction tests on a polynomial")
-    p.add_argument("--poly", required=True, help='e.g. "t^-1 + 4 + 2*t"')
-    p.add_argument("--dim", type=int, required=True, help="Legendrian dimension n")
-    p.add_argument("--tb", type=int, default=None,
+    p.add_argument("--poly", required=True, help='e.g. "t^-1 + 4 + 2t"')
+    p.add_argument("--dim", required=True, help="Legendrian dimension n")
+    p.add_argument("--tb", default=None,
                    help="Thurston-Bennequin number for the Euler/tb check; needs --dim 1")
     p.add_argument("--counts", default=None, help='variety counts "2:1,4:3"')
     p.add_argument("--out")
@@ -408,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="full non-fillability certification pipelines")
     p.add_argument("case", choices=["classA", "classA-spun", "classB"])
-    p.add_argument("--n", type=int, default=None, help="twist parameter (classB only)")
+    p.add_argument("--n", default=None, help="twist parameter (classB only)")
     p.add_argument("--spin", default="", help="spin schedule")
     p.add_argument("--fields", default=None, help="field orders (classB only; default 2,4)")
     p.add_argument("--grid", default=None, help="override the grid fixture (class A only)")
-    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP + "; class A only")
+    p.add_argument("--budget", default=None, help=_BUDGET_HELP + "; class A only")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
     return parser
@@ -431,10 +442,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        for name in ("dim", "budget"):
-            value = getattr(args, name, None)
-            if value is not None and value < 1:
-                raise CliError(f"--{name} must be at least 1, got {value}", EXIT_PARSE)
+        for name in ("field", "n", "dim", "tb", "budget"):
+            if getattr(args, name, None) is not None:
+                value = _int_option(name, getattr(args, name))
+                if value < 1 and name in ("dim", "budget"):
+                    raise CliError(f"--{name} must be at least 1, got {value}", EXIT_PARSE)
+                setattr(args, name, value)
         if args.subcommand == "dga":  # writes DSL text, not a report
             return args.func(args)
         return _write_report(args, started, *args.func(args))

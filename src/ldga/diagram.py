@@ -22,6 +22,7 @@ import json
 from collections.abc import Sequence
 
 from ._record import Record, set_fields
+from .algebra import Generator
 from .errors import DGAValidationError, DiagramError
 
 
@@ -255,23 +256,17 @@ def grid_to_front(grid: GridDiagram) -> FrontDiagram:
 # Resolution: the crossings of the Lagrangian projection, with their degrees
 # ---------------------------------------------------------------------------
 
-class Crossing(Record, frozen=True):
-    __slots__ = ("name", "degree")
-
-    def __init__(self, name: str, degree: int):
-        set_fields(self, name, degree)
-
-
 class ProjectionDiagram(Record, frozen=True):
     """Resolved diagram: a front and its graded crossings.
 
-    crossings are in event order, one per front crossing (c1, c2, ...) or
-    right cusp (e1, e2, ...); left cusps are smoothed and carry none.
+    crossings are the generators of the diagram's DGA, in event order: one
+    per front crossing (c1, c2, ...) or right cusp (e1, e2, ...); left cusps
+    are smoothed and carry none.
     """
 
     __slots__ = ("front", "crossings")
 
-    def __init__(self, front: FrontDiagram, crossings: tuple[Crossing, ...]):
+    def __init__(self, front: FrontDiagram, crossings: tuple[Generator, ...]):
         set_fields(self, front, crossings)
 
 
@@ -282,15 +277,15 @@ def resolve(front: FrontDiagram) -> ProjectionDiagram:
             f"front has rotation number {front.rotation_number} != 0; no Z-grading"
         )
     mu = front.maslov
-    crossings: list[Crossing] = []
+    crossings: list[Generator] = []
     n_front = n_cusp = 0
     for ev in front.events:
         if ev.kind == CROSS:
             n_front += 1
-            crossings.append(Crossing(f"c{n_front}", mu[ev.upper_arc] - mu[ev.lower_arc]))
+            crossings.append(Generator(f"c{n_front}", mu[ev.upper_arc] - mu[ev.lower_arc]))
         elif ev.kind == RCUSP:
             n_cusp += 1
-            crossings.append(Crossing(f"e{n_cusp}", 1))
+            crossings.append(Generator(f"e{n_cusp}", 1))
     # tripwire: the sum of (-1)^degree is tb; a front crossing counts its sign
     # and a right cusp's crossing, of degree 1, counts -1
     signs = sum(-1 if c.degree % 2 else 1 for c in crossings)

@@ -8,6 +8,10 @@ unimodular transforms U and V, so that U*A*V = D is re-verified by the test
 suite; it is not re-verified at run time.  Homology over GF(p) of an
 integral complex follows from its integral homology by universal
 coefficients (``homology_mod_p``), with no second elimination.
+
+Graded modules are the one record for homology: a Poincare polynomial is
+the ``algebra.Laurent`` of a field module's dimensions, and a filling
+profile (``obstruct.seidel_profile``) is a homological module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from collections.abc import Mapping
 from itertools import compress
 
 from ._record import Record, set_field
-from .algebra import GF, FiniteField, IntegerRing, Ring, same_ring
+from .algebra import GF, FiniteField, IntegerRing, Laurent, Ring, same_ring
 
 Matrix = list[list[int]]
 
@@ -395,41 +399,6 @@ class GradedModule(Record, frozen=True):
         return ", ".join(parts)
 
 
-class PoincarePolynomial(Record, frozen=True):
-    """Laurent polynomial in t with nonnegative integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[tuple[int, int], ...]):  # (degree, coefficient), sorted
-        set_field(self, "coeffs", coeffs)
-
-    @staticmethod
-    def from_dims(dims: Mapping[int, int]) -> "PoincarePolynomial":
-        return PoincarePolynomial(tuple(sorted((d, c) for d, c in dims.items() if c)))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def multiply_one_plus_tm(self, m: int) -> "PoincarePolynomial":
-        out: dict[int, int] = {}
-        for d, c in self.coeffs:
-            out[d] = out.get(d, 0) + c
-            out[d + m] = out.get(d + m, 0) + c
-        return PoincarePolynomial.from_dims(out)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d, c in self.coeffs:
-            if d == 0:
-                parts.append(str(c))
-            else:
-                tp = "t" if d == 1 else f"t^{d}"
-                parts.append(tp if c == 1 else f"{c}{tp}")
-        return " + ".join(parts)
-
-
 def module_to_jsonable(h: GradedModule):
     return {
         "ring": h.ring_tag,
@@ -529,11 +498,11 @@ def as_cohomological(h: GradedModule) -> GradedModule:
     return GradedModule(h.ring_tag, COHOMOLOGICAL, dict(h.entries))
 
 
-def poincare(h: GradedModule) -> PoincarePolynomial:
-    """Sum of dim H^d t^d (cohomological convention)."""
+def poincare(h: GradedModule) -> Laurent:
+    """Sum of dim H^d t^d (cohomological convention), in Z[t, t^-1]."""
     if not h.is_field:
         raise ValueError("Poincare polynomials need field coefficients")
-    return PoincarePolynomial.from_dims(h.dims())
+    return Laurent.from_dict(h.dims())
 
 
 def reduce_complex_mod_p(cx: LinearizedComplex, q: int) -> LinearizedComplex:

@@ -2,9 +2,10 @@
 
 Two obstruction engines: the Seidel-isomorphism feasibility test, which
 reads a hypothetical filling homology profile off linearized contact
-cohomology, and the augmentation-variety injectivity test, which compares
-torus point counts forced by the filling against the Legendrian's own
-variety counts.  Reason codes are stable strings and part of the contract:
+cohomology (a homological ``GradedModule`` with H_i = LCH^{n-i}), and the
+augmentation-variety injectivity test, which compares torus point counts
+forced by the filling's H_1 against the Legendrian's own variety counts.
+Reason codes are stable strings and part of the contract:
 
     seidel.negative_degree      LCH class in negative degree (no H_i slot
                                 inside the filling's dimension range)
@@ -23,8 +24,9 @@ from functools import lru_cache
 
 from . import linhom
 from ._record import Record, set_fields
+from .algebra import Laurent
 from .errors import ObstructionStageError
-from .linhom import COHOMOLOGICAL, GradedModule, PoincarePolynomial, module_to_jsonable
+from .linhom import COHOMOLOGICAL, HOMOLOGICAL, GradedModule, module_to_jsonable
 
 @lru_cache(maxsize=None)
 def _twist_variety():
@@ -43,35 +45,6 @@ def __getattr__(name: str):
 
 FEASIBLE = "feasible"
 OBSTRUCTED = "obstructed"
-
-
-class FillingProfile(Record, frozen=True):
-    """Hypothesized filling homology H_0..H_{n+1} read off through Seidel.
-
-    ``dimension`` is n, the Legendrian dimension; the filling is (n+1)-dim.
-    """
-
-    __slots__ = ("ring_tag", "dimension", "entries")
-
-    def __init__(self, ring_tag: str, dimension: int,
-                 entries: dict[int, tuple[int, tuple[int, ...]]]):
-        set_fields(self, ring_tag, dimension, entries)
-
-    def rank(self, i: int) -> int:
-        return self.entries.get(i, (0, ()))[0]
-
-    def torsion(self, i: int) -> tuple[int, ...]:
-        return self.entries.get(i, (0, ()))[1]
-
-    def to_jsonable(self):
-        return {
-            "ring": self.ring_tag,
-            "legendrian_dimension": self.dimension,
-            "homology": {
-                str(i): [free, list(tor)]
-                for i, (free, tor) in sorted(self.entries.items())
-            },
-        }
 
 
 class ObstructionVerdict(Record, frozen=True):
@@ -103,6 +76,8 @@ class ObstructionVerdict(Record, frozen=True):
 def seidel_profile(h: GradedModule, n: int):
     """Read H_i(filling) := LCH^{n-i} for 0 <= i <= n+1, or obstruct.
 
+    The profile is a homological module over h's ring; n, the Legendrian
+    dimension (the filling is (n+1)-dimensional), stays with the caller.
     The input must be cohomological.  Nonzero classes in negative degree
     land above the filling's dimension (impossible for an open manifold);
     classes above degree n have no slot at all; the degree-n slot is H_0 and
@@ -111,37 +86,21 @@ def seidel_profile(h: GradedModule, n: int):
     if h.variance != COHOMOLOGICAL:
         raise ValueError("seidel_profile consumes cohomological modules")
     reasons = []
-    for d in h.degrees():
-        free, tor = h.entries[d]
-        if d < 0 and (free or tor):
-            reasons.append(
-                (
-                    "seidel.negative_degree",
-                    f"LCH^{d} is nonzero, forcing H_{n - d} of an open "
-                    f"{n + 1}-manifold filling to be nonzero",
-                )
-            )
-        elif d > n and (free or tor):
-            reasons.append(
-                (
-                    "seidel.degree_above_dimension",
-                    f"LCH^{d} is nonzero but fillings only provide degrees <= {n}",
-                )
-            )
-    if not reasons:
-        free, tor = h.entries.get(n, (0, ()))
-        if free != 1 or tor:
-            reasons.append(
-                (
-                    "seidel.disconnected",
-                    f"H_0 slot (LCH^{n}) is rank {free} with torsion {list(tor)}; "
-                    f"a connected filling needs exactly rank one",
-                )
-            )
+    for d in h.degrees():  # a module keeps only its nonzero degrees
+        if d < 0:
+            reasons.append(("seidel.negative_degree", f"LCH^{d} is nonzero, forcing "
+                            f"H_{n - d} of an open {n + 1}-manifold filling to be nonzero"))
+        elif d > n:
+            reasons.append(("seidel.degree_above_dimension",
+                            f"LCH^{d} is nonzero but fillings only provide degrees <= {n}"))
+    if not reasons and (h.free_rank(n), h.torsion(n)) != (1, ()):
+        reasons.append(("seidel.disconnected", f"H_0 slot (LCH^{n}) is rank {h.free_rank(n)} "
+                        f"with torsion {list(h.torsion(n))}; a connected filling needs "
+                        f"exactly rank one"))
     if reasons:
         return ObstructionVerdict(OBSTRUCTED, tuple(reasons))
     # every degree left lies in [0, n]
-    return FillingProfile(h.ring_tag, n, {n - d: e for d, e in h.entries.items()})
+    return GradedModule(h.ring_tag, HOMOLOGICAL, {n - d: e for d, e in h.entries.items()})
 
 
 def seidel_stage(h: GradedModule, n: int, evidence: list[dict]):
@@ -154,27 +113,23 @@ def seidel_stage(h: GradedModule, n: int, evidence: list[dict]):
     if isinstance(result, ObstructionVerdict):
         evidence.append({"stage": "seidel", "verdict": result.to_jsonable()})
         return result, None
-    evidence.append({"stage": "seidel", "profile": result.to_jsonable()})
+    homology = {str(i): [free, list(tor)] for i, (free, tor) in sorted(result.entries.items())}
+    evidence.append({"stage": "seidel", "profile": {
+        "ring": result.ring_tag, "legendrian_dimension": n, "homology": homology}})
     return ObstructionVerdict(FEASIBLE), result
 
 
-def euler_tb_check(profile: FillingProfile, tb: int) -> ObstructionVerdict:
+def euler_tb_check(profile: GradedModule, n: int, tb: int) -> ObstructionVerdict:
     """Surface filling bookkeeping: chi(L) = 1 - b_1 must equal -tb."""
-    if profile.dimension != 1:
+    if n != 1:
         raise ValueError("euler_tb_check applies to 1-dimensional Legendrians")
-    b1 = profile.rank(1)
+    b1 = profile.free_rank(1)
     reasons = []
     if b1 % 2:
-        reasons.append(
-            ("euler.odd_h1", f"b_1 = {b1} is odd; orientable surfaces have even b_1")
-        )
+        reasons.append(("euler.odd_h1", f"b_1 = {b1} is odd; orientable surfaces have even b_1"))
     if 1 - b1 != -tb:
-        reasons.append(
-            (
-                "euler.tb_mismatch",
-                f"chi = {1 - b1} but -tb = {-tb}; no exact filling surface",
-            )
-        )
+        reasons.append(("euler.tb_mismatch",
+                        f"chi = {1 - b1} but -tb = {-tb}; no exact filling surface"))
     if reasons:
         return ObstructionVerdict(OBSTRUCTED, tuple(reasons))
     return ObstructionVerdict(FEASIBLE)
@@ -185,7 +140,7 @@ def euler_tb_check(profile: FillingProfile, tb: int) -> ObstructionVerdict:
 # ---------------------------------------------------------------------------
 
 def aug_injectivity_test(
-    profile: FillingProfile,
+    profile: GradedModule,
     legendrian_counts: dict[int, int],
 ) -> ObstructionVerdict:
     """An injection Aug(L) -> Aug(Lambda) needs |Aug(L; F_q)| <= |Aug(Lambda; F_q)|.
@@ -201,7 +156,7 @@ def aug_injectivity_test(
         raise ValueError("empty count table")
     if profile.ring_tag != "Z":
         raise ValueError("the injectivity test needs integral H_1 data")
-    k = profile.rank(1)
+    k = profile.free_rank(1)
     torsion = profile.torsion(1)
     reasons = []
     torus_counts = {}
@@ -251,7 +206,7 @@ class Certification(Record):
         self.evidence = [] if evidence is None else evidence
 
 
-TARGET_M821_POLY = PoincarePolynomial.from_dims({-1: 1, 0: 4, 1: 2})
+TARGET_M821_POLY = Laurent.from_dict({-1: 1, 0: 4, 1: 2})
 
 
 def class_a_homology(grid: diagram.GridDiagram, budget=None):
@@ -298,7 +253,7 @@ def class_a_homology(grid: diagram.GridDiagram, budget=None):
         h = linhom.homology_field(cx)
         p = linhom.poincare(h)
         polys.append(str(p))
-        if chosen is None and p.as_dict() == TARGET_M821_POLY.as_dict():
+        if chosen is None and p == TARGET_M821_POLY:
             chosen = eps, cx, h
     if not polys:
         raise ObstructionStageError("augment", "no graded augmentations over F2")
@@ -402,11 +357,12 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
     verdict, profile = seidel_stage(h_coh, leg_dim, evidence)
     if profile is None:
         return Certification(case, verdict, evidence)
-    if leg_dim == 1:
+    if leg_dim == 1:  # an Euler obstruction decides, as in ``obstruct --tb``
         tb = len(dga.generators_of_degree(0)) - len(dga.generators_of_degree(1))
-        evidence.append(
-            {"stage": "euler_tb", "tb": tb, "verdict": euler_tb_check(profile, tb).to_jsonable()}
-        )
+        verdict = euler_tb_check(profile, leg_dim, tb)
+        evidence.append({"stage": "euler_tb", "tb": tb, "verdict": verdict.to_jsonable()})
+        if verdict.obstructed:
+            return Certification(case, verdict, evidence)
 
     counts = {q: augment.variety_points(_twist_variety(), q) for q in fields}
     evidence.append({"stage": "variety_counts", "counts": {str(q): c for q, c in counts.items()}})

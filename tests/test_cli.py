@@ -337,9 +337,22 @@ def test_reports_deterministic_modulo_timing(capsys, argv):
         ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:1,2:5,4:3"],
         ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "2,4,2"],
         ["certify", "classB", "--n", "5", "--fields", "4,2,4"],
-        # int() reads these as 16 and 3; the integer reader takes digits only
+        # int() reads most of these (1_6 as 16, +3 as 3); the integer reader takes
+        # ASCII digits only, after one '-' for --tb
         ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "1_6"],
         ["spin", "--builtin", "twist:5", "--spin", "+3", "--integral"],
+        ["augs", "--builtin", "trefoil", "--field", "1_6"],
+        ["linpoly", "--builtin", "trefoil", "--field", "+2"],
+        ["spin", "--builtin", "twist:5", "--spin", "3", "--field", "0_2"],
+        ["certify", "classB", "--n", "0_5"],
+        ["obstruct", "--poly", "2+t", "--dim", "+1"],
+        ["obstruct", "--poly", "2+t", "--dim", "1", "--tb", "1_0"],
+        ["obstruct", "--poly", "2+t", "--dim", "1", "--tb", "+1"],
+        ["obstruct", "--poly", "2+t", "--dim", "1", "--tb", "- 1"],
+        ["obstruct", "--poly", "2+t", "--dim", "1", "--tb", "-"],
+        ["dga", "--builtin", "trefoil", "--budget", "5_000"],
+        ["certify", "classA", "--budget", "1e6"],
+        ["certify", "classB", "--n", "5.0"],
         # options that would otherwise be ignored
         ["spin", "--builtin", "twist:5", "--integral", "--field", "3"],
         ["spin", "--builtin", "twist:5", "--integral", "--field", "6"],
@@ -363,6 +376,16 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_integer_options_echo_ints(capsys):
+    report, _ = run_json(capsys, "obstruct", "--poly", "2 + t", "--dim", " 1", "--tb", "-1")
+    assert (report["inputs"]["dim"], report["inputs"]["tb"]) == (1, -1)
+    assert report["result"]["verdict"]["status"] == "obstructed"  # chi = -1, -tb = 1
+    report, _ = run_json(capsys, "augs", "--builtin", "trefoil", "--field", "04")
+    assert report["inputs"]["field"] == 4 and report["result"]["count"] == 17
+    code, _, err = run(capsys, "certify", "classB", "--n", "0_5")
+    assert (code, err) == (2, "error: bad --n '0_5': expected a natural number, got '0_5'\n")
 
 
 def test_certify_class_b_without_n_names_the_option(capsys):

@@ -78,6 +78,10 @@ CASES = {
     "obstruct_2pt_d1_tb1_counts.json": [
         "obstruct", "--poly", "2 + t", "--dim", "1", "--tb", "1", "--counts", "2:1,4:3",
     ],
+    "certify_classB_n5.json": ["certify", "classB", "--n", "5"],
+    "obstruct_2t3t4_d4_counts.json": [
+        "obstruct", "--poly", "2t^3 + t^4", "--dim", "4", "--counts", "2:1,4:3",
+    ],
     "spin_f3dsl_s1.json": ["spin", "--dsl", "fixtures/f3.dga", "--spin", "1"],
     "spin_torsion_s5_10_integral.json": [
         "spin", "--dsl", "fixtures/torsion.dga", "--spin", "5,10", "--integral",

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldga import linhom
-from ldga.algebra import GF, ZZ
+from ldga.algebra import GF, ZT, ZZ, Laurent
 from ldga.augment import linear_part
 from ldga.cedga import load_dsl, twist_linearized
 from ldga.linhom import (
@@ -16,7 +16,6 @@ from ldga.linhom import (
     HOMOLOGICAL,
     GradedModule,
     LinearizedComplex,
-    PoincarePolynomial,
     as_cohomological,
     field_rank,
     homology_field,
@@ -308,6 +307,6 @@ def test_block_sum_matches_cell_copy(a, b, m):
 
 
 def test_polynomial_multiply():
-    p = PoincarePolynomial.from_dims({-1: 1, 0: 4, 1: 2})
-    q = p.multiply_one_plus_tm(1)
+    p = Laurent.from_dict({-1: 1, 0: 4, 1: 2})
+    q = ZT.mul(p, ZT.add(ZT.one, ZT.t))
     assert q.as_dict() == {-1: 1, 0: 5, 1: 6, 2: 2}

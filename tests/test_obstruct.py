@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from ldga.linhom import COHOMOLOGICAL, GradedModule, HOMOLOGICAL
 from ldga.obstruct import (
     FEASIBLE,
-    FillingProfile,
     OBSTRUCTED,
     ObstructionStageError,
     ObstructionVerdict,
@@ -20,6 +19,11 @@ from ldga.augment import variety_points
 
 def coh(entries):
     return GradedModule("F2", COHOMOLOGICAL, entries)
+
+
+def filling(entries, ring_tag="Z"):
+    """A filling profile: the homological module H_i of the filling."""
+    return GradedModule(ring_tag, HOMOLOGICAL, entries)
 
 
 M821 = coh({-1: (1, ()), 0: (4, ()), 1: (2, ())})
@@ -48,10 +52,10 @@ def test_spun_class_a_obstructed_via_top_class():
 
 def test_genus_one_profile_feasible():
     profile = seidel_profile(coh({0: (2, ()), 1: (1, ())}), 1)
-    assert isinstance(profile, FillingProfile)
-    assert profile.rank(0) == 1
-    assert profile.rank(1) == 2
-    assert profile.rank(2) == 0
+    assert profile == filling({0: (1, ()), 1: (2, ())}, "F2")
+    assert profile.free_rank(0) == 1
+    assert profile.free_rank(1) == 2
+    assert profile.free_rank(2) == 0
 
 
 def test_profile_reads_back_input_dims():
@@ -96,27 +100,27 @@ def test_negative_degree_always_obstructs(entries, n):
 # ---------------------------------------------------------------------------
 
 def test_euler_tb_feasible():
-    profile = FillingProfile("Z", 1, {0: (1, ()), 1: (2, ())})
-    assert euler_tb_check(profile, 1).status == FEASIBLE
+    profile = filling({0: (1, ()), 1: (2, ())})
+    assert euler_tb_check(profile, 1, 1).status == FEASIBLE
 
 
 def test_euler_tb_mismatch():
-    profile = FillingProfile("Z", 1, {0: (1, ()), 1: (2, ())})
-    verdict = euler_tb_check(profile, 3)
+    profile = filling({0: (1, ()), 1: (2, ())})
+    verdict = euler_tb_check(profile, 1, 3)
     assert verdict.obstructed
     assert "euler.tb_mismatch" in verdict.codes()
 
 
 def test_euler_odd_h1():
-    profile = FillingProfile("Z", 1, {0: (1, ()), 1: (3, ())})
-    verdict = euler_tb_check(profile, 2)
+    profile = filling({0: (1, ()), 1: (3, ())})
+    verdict = euler_tb_check(profile, 1, 2)
     assert "euler.odd_h1" in verdict.codes()
 
 
 def test_euler_requires_dimension_one():
-    profile = FillingProfile("Z", 2, {0: (1, ())})
+    profile = filling({0: (1, ())})
     with pytest.raises(ValueError):
-        euler_tb_check(profile, 1)
+        euler_tb_check(profile, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +128,7 @@ def test_euler_requires_dimension_one():
 # ---------------------------------------------------------------------------
 
 def k_profile(k, torsion=()):
-    return FillingProfile("Z", 4, {0: (1, ()), 1: (k, tuple(torsion))})
+    return filling({0: (1, ()), 1: (k, tuple(torsion))})
 
 
 def test_torus_count_obstruction():
@@ -149,6 +153,12 @@ def test_zero_rank_needs_nonempty_variety():
 def test_empty_count_table_rejected():
     with pytest.raises(ValueError, match="empty"):
         aug_injectivity_test(k_profile(1), {})
+
+
+def test_injectivity_needs_integral_h1():
+    # a field profile carries no torsion of H_1, so it cannot size the torus
+    with pytest.raises(ValueError, match="integral H_1"):
+        aug_injectivity_test(filling({0: (1, ()), 1: (2, ())}, "F2"), {2: 1, 4: 3})
 
 
 @given(
@@ -211,6 +221,24 @@ def test_certify_class_b_unspun():
     assert euler["verdict"]["status"] == FEASIBLE
     seidel = next(e for e in cert.evidence if e["stage"] == "seidel")
     assert "profile" in seidel  # Seidel alone does not obstruct the knot
+
+
+def test_class_b_euler_obstruction_decides(monkeypatch):
+    # as in ``obstruct --tb``: the verdict is the Euler stage's, and no counts run
+    import ldga.obstruct
+
+    planted = ObstructionVerdict(OBSTRUCTED, (("euler.tb_mismatch", "planted"),))
+    calls = []
+
+    def obstructed(profile, n, tb):
+        calls.append((profile.free_rank(1), n, tb))
+        return planted
+
+    monkeypatch.setattr(ldga.obstruct, "euler_tb_check", obstructed)
+    cert = certify_nongeometric("classB_twist", n=5, schedule=[], fields=(2, 4))
+    assert cert.verdict == planted
+    assert calls == [(2, 1, 1)]  # b_1 = 2, n = 1, tb = 1
+    assert stage_names(cert)[-2:] == ["seidel", "euler_tb"]
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])

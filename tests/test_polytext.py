@@ -9,7 +9,11 @@ row reads as it did then.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldga._polytext import parse_poly, tokenize
+from ldga.algebra import Laurent
 from ldga.augment import AugmentationError, parse_polysystem
 from ldga.cedga import DGAValidationError, DSLError, dump_dsl, load_dsl
 from ldga.cli import CliError, main, parse_poly_text
@@ -229,3 +233,39 @@ def test_poly_rejects(capsys, text):
         parse_poly_text(text)
     assert main(["obstruct", f"--poly={text}", "--dim", "1"]) == 2
     one_line(capsys, "error: ")
+
+
+# Poincare polynomials as the reports print them; --poly reads each one back
+POINCARE_TEXT = [
+    ({-1: 1, 0: 4, 1: 2}, "t^-1 + 4 + 2t"),
+    ({0: 2, 1: 3, 2: 1}, "2 + 3t + t^2"),
+    ({}, "0"),
+]
+
+
+@pytest.mark.parametrize("dims, text", POINCARE_TEXT)
+def test_poincare_text(dims, text):
+    poly = Laurent.from_dict(dims)
+    assert str(poly) == text
+    if dims:  # the zero polynomial is bad --poly input
+        assert parse_poly_text(text) == poly
+
+
+def read_laurent(text: str) -> Laurent:
+    """A polynomial in t, signed coefficients included, through the shared reader."""
+    def error(line, col, message):
+        return AssertionError(f"{text!r} at column {col}: {message}")
+
+    out: dict[int, int] = {}
+    for coeff, powers in parse_poly(tokenize(text, error), 0, error)[0]:
+        assert all(name == "t" for _, _, name, _ in powers), text
+        e = sum(1 if k is None else k for *_, k in powers)
+        out[e] = out.get(e, 0) + coeff
+    return Laurent.from_dict(out)
+
+
+@given(st.dictionaries(st.integers(-40, 40), st.integers(-10**30, 10**30), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_laurent_text_reads_back(terms):
+    poly = Laurent.from_dict(terms)
+    assert read_laurent(str(poly)) == poly
