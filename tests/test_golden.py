@@ -78,6 +78,12 @@ CASES = {
     "obstruct_2pt_d1_tb1_counts.json": [
         "obstruct", "--poly", "2 + t", "--dim", "1", "--tb", "1", "--counts", "2:1,4:3",
     ],
+    "obstruct_2pt_d1_tb3_counts.json": [  # stops at euler_tb: no aug_injectivity stage
+        "obstruct", "--poly", "2 + t", "--dim", "1", "--tb", "3", "--counts", "2:1,4:3",
+    ],
+    "obstruct_m821_d1_tb1_counts.json": [  # stops at seidel: no euler_tb stage
+        "obstruct", "--poly", "t^-1 + 4 + 2t", "--dim", "1", "--tb", "1", "--counts", "2:1,4:3",
+    ],
     "certify_classB_n5.json": ["certify", "classB", "--n", "5"],
     "obstruct_2t3t4_d4_counts.json": [
         "obstruct", "--poly", "2t^3 + t^4", "--dim", "4", "--counts", "2:1,4:3",
