@@ -194,15 +194,6 @@ class FiniteField(Ring):
     def elements(self) -> range:
         return range(self.q)
 
-    def pow(self, a, k: int):
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         return isinstance(other, FiniteField) and other.q == self.q
 

@@ -68,11 +68,6 @@ class Augmentation(Record, frozen=True):
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)
 
-    def evaluate(self, dga: DGA, el: Element) -> int:
-        """Apply the augmentation to an element of a field DGA."""
-        values = defaultdict(int, self.values)
-        return _eval_terms(self.field, dga.degree_zero_monomials(el), values)
-
     def is_valid(self, dga: DGA) -> bool:
         """eps(d g) = 0 for every generator, read off the DGA's cached system.
 

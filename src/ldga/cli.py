@@ -233,13 +233,8 @@ def cmd_spin(args):
     for st in spin.iterate_schedule(cx, schedule):
         h = spin.spin_homology(h, st.sphere_dim)
         result, summary = measure(h)
-        if st.sphere_dim == 1:  # a circle is named after the S^1 Kunneth splitting
-            stages.append({"stage": "kunneth_s1", **result})
-            continue
-        entry = {"stage": "spin", "sphere_dim": st.sphere_dim, **result}
-        if args.integral:
-            entry["legendrian_dimension"] = st.legendrian_dimension
-        stages.append(entry)
+        dim = {"legendrian_dimension": st.legendrian_dimension} if args.integral else {}
+        stages.append(st.record(**result, **dim))
     return inputs, stages, result, summary
 
 
@@ -296,17 +291,8 @@ def cmd_obstruct(args):
     counts = _parse_counts(args.counts) if args.counts else None
     h = linhom.GradedModule("F2", linhom.COHOMOLOGICAL, {d: (c, ()) for d, c in poly.terms})
     stages: list[dict] = []
-    verdict, profile = obstruct.seidel_stage(h, args.dim, stages)
-    if profile is not None:
-        if args.tb is not None:
-            verdict = obstruct.euler_tb_check(profile, args.dim, args.tb)
-            stages.append({"stage": "euler_tb", "verdict": verdict.to_jsonable()})
-        if counts and not verdict.obstructed:
-            integral = linhom.GradedModule(
-                "Z", linhom.HOMOLOGICAL, {1: (profile.free_rank(1), profile.torsion(1))}
-            )
-            verdict = obstruct.aug_injectivity_test(integral, counts)
-            stages.append({"stage": "aug_injectivity", "verdict": verdict.to_jsonable()})
+    verdict = obstruct.obstruction_chain(h, args.dim, stages, tb=args.tb,
+                                         counts=counts and (lambda: counts))
     result = {"verdict": verdict.to_jsonable()}
     return inputs, stages, result, f"{verdict.status}: {verdict.codes()}"
 

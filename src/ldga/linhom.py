@@ -59,30 +59,6 @@ def mat_shape(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 
 
-def integer_determinant(a: Matrix) -> int:
-    """Fraction-free (Bareiss) determinant; exact for integer matrices."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form over Z
 # ---------------------------------------------------------------------------
@@ -225,10 +201,6 @@ def smith_normal_form(a: Matrix) -> SmithForm:
         for k, x in vt[c].items():
             vv[k][t] = x
     return SmithForm(dd, uu, vv, diag)
-
-
-def is_unimodular(m: Matrix) -> bool:
-    return abs(integer_determinant(m)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +475,3 @@ def poincare(h: GradedModule) -> Laurent:
     if not h.is_field:
         raise ValueError("Poincare polynomials need field coefficients")
     return Laurent.from_dict(h.dims())
-
-
-def reduce_complex_mod_p(cx: LinearizedComplex, q: int) -> LinearizedComplex:
-    """Reduce an integral complex into GF(q) entrywise."""
-    ring = GF(q)
-    if not isinstance(cx.ring, IntegerRing):
-        raise ValueError("expected an integral complex")
-    mats = {
-        d: [[ring.from_int(x) for x in row] for row in m]
-        for d, m in cx.matrices.items()
-    }
-    return LinearizedComplex(ring, dict(cx.bases), mats)

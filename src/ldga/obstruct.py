@@ -5,6 +5,9 @@ reads a hypothetical filling homology profile off linearized contact
 cohomology (a homological ``GradedModule`` with H_i = LCH^{n-i}), and the
 augmentation-variety injectivity test, which compares torus point counts
 forced by the filling's H_1 against the Legendrian's own variety counts.
+``obstruction_chain`` runs them in one order, seidel, euler_tb (the Euler/tb
+check for surfaces) and aug_injectivity, and stops at the first obstruction;
+``ldga obstruct``, class A (seidel only) and class B all run it.
 Reason codes are stable strings and part of the contract:
 
     seidel.negative_degree      LCH class in negative degree (no H_i slot
@@ -19,7 +22,7 @@ Reason codes are stable strings and part of the contract:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 from . import linhom
@@ -103,22 +106,6 @@ def seidel_profile(h: GradedModule, n: int):
     return GradedModule(h.ring_tag, HOMOLOGICAL, {n - d: e for d, e in h.entries.items()})
 
 
-def seidel_stage(h: GradedModule, n: int, evidence: list[dict]):
-    """Run `seidel_profile` and record it as a "seidel" stage in evidence.
-
-    Returns (verdict, profile): the obstruction verdict and no profile, or a
-    feasible verdict and the filling profile that later tests consume.
-    """
-    result = seidel_profile(h, n)
-    if isinstance(result, ObstructionVerdict):
-        evidence.append({"stage": "seidel", "verdict": result.to_jsonable()})
-        return result, None
-    homology = {str(i): [free, list(tor)] for i, (free, tor) in sorted(result.entries.items())}
-    evidence.append({"stage": "seidel", "profile": {
-        "ring": result.ring_tag, "legendrian_dimension": n, "homology": homology}})
-    return ObstructionVerdict(FEASIBLE), result
-
-
 def euler_tb_check(profile: GradedModule, n: int, tb: int) -> ObstructionVerdict:
     """Surface filling bookkeeping: chi(L) = 1 - b_1 must equal -tb."""
     if n != 1:
@@ -190,6 +177,32 @@ def aug_injectivity_test(
     if reasons:
         return ObstructionVerdict(OBSTRUCTED, tuple(reasons))
     return ObstructionVerdict(FEASIBLE)
+
+
+def obstruction_chain(h: GradedModule, n: int, evidence: list[dict], tb: int | None = None,
+                      counts: Callable[[], dict[int, int]] | None = None,
+                      euler_fields: dict | None = None) -> ObstructionVerdict:
+    """seidel, then euler_tb if tb is given, then aug_injectivity if counts is:
+    each stage runs while the verdict is feasible and appends its record to
+    evidence.  euler_fields extend the euler_tb record; counts is called only
+    when its stage runs, which reads the profile's H_1 as a Z module."""
+    profile = seidel_profile(h, n)
+    if isinstance(profile, ObstructionVerdict):
+        verdict, record = profile, {"verdict": profile.to_jsonable()}
+    else:
+        verdict, record = ObstructionVerdict(FEASIBLE), {"profile": {
+            "ring": profile.ring_tag, "legendrian_dimension": n, "homology": {
+                str(i): [free, list(tor)] for i, (free, tor) in sorted(profile.entries.items())}}}
+    evidence.append({"stage": "seidel", **record})
+    if tb is not None and not verdict.obstructed:
+        verdict = euler_tb_check(profile, n, tb)
+        evidence.append({"stage": "euler_tb", **(euler_fields or {}),
+                         "verdict": verdict.to_jsonable()})
+    if counts is not None and not verdict.obstructed:
+        h1 = GradedModule("Z", HOMOLOGICAL, {1: (profile.free_rank(1), profile.torsion(1))})
+        verdict = aug_injectivity_test(h1, counts())
+        evidence.append({"stage": "aug_injectivity", "verdict": verdict.to_jsonable()})
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +322,10 @@ def _certify_class_a(schedule, grid, budget, case) -> Certification:
     h = linhom.as_cohomological(h)
     for st in stages:
         h = spin.spin_homology(h, st.sphere_dim)
-        evidence.append(
-            {
-                "stage": "kunneth_s1",
-                "legendrian_dimension": st.legendrian_dimension,
-                "module": module_to_jsonable(h),
-            }
-        )
+        evidence.append(st.record(legendrian_dimension=st.legendrian_dimension,
+                                  module=module_to_jsonable(h)))
     leg_dim = stages[-1].legendrian_dimension if stages else 1
-    verdict, _ = seidel_stage(h, leg_dim, evidence)
-    return Certification(case, verdict, evidence)
+    return Certification(case, obstruction_chain(h, leg_dim, evidence), evidence)
 
 
 def _certify_class_b(n, schedule, fields, case) -> Certification:
@@ -343,29 +350,18 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
     for st in stages:
         h_coh = spin.spin_homology(h_coh, st.sphere_dim)
         h_f2 = spin.spin_homology(h_f2, st.sphere_dim)
-        evidence.append(
-            {
-                "stage": "spin",
-                "sphere_dim": st.sphere_dim,
-                "bound": st.bound,
-                "legendrian_dimension": st.legendrian_dimension,
-                "polynomial_f2": str(linhom.poincare(h_f2)),
-            }
-        )
+        evidence.append(st.record(bound=st.bound, legendrian_dimension=st.legendrian_dimension,
+                                  polynomial_f2=str(linhom.poincare(h_f2))))
     evidence.append({"stage": "spun_homology_integral", "module": module_to_jsonable(h_coh)})
 
-    verdict, profile = seidel_stage(h_coh, leg_dim, evidence)
-    if profile is None:
-        return Certification(case, verdict, evidence)
-    if leg_dim == 1:  # an Euler obstruction decides, as in ``obstruct --tb``
-        tb = len(dga.generators_of_degree(0)) - len(dga.generators_of_degree(1))
-        verdict = euler_tb_check(profile, leg_dim, tb)
-        evidence.append({"stage": "euler_tb", "tb": tb, "verdict": verdict.to_jsonable()})
-        if verdict.obstructed:
-            return Certification(case, verdict, evidence)
+    def variety_counts():
+        counts = {q: augment.variety_points(_twist_variety(), q) for q in fields}
+        evidence.append({"stage": "variety_counts",
+                         "counts": {str(q): c for q, c in counts.items()}})
+        return counts
 
-    counts = {q: augment.variety_points(_twist_variety(), q) for q in fields}
-    evidence.append({"stage": "variety_counts", "counts": {str(q): c for q, c in counts.items()}})
-    verdict = aug_injectivity_test(profile, counts)
-    evidence.append({"stage": "aug_injectivity", "verdict": verdict.to_jsonable()})
+    tb = len(dga.generators_of_degree(0)) - len(dga.generators_of_degree(1))
+    # the Euler/tb check is for surface fillings: the unspun knot only
+    verdict = obstruction_chain(h_coh, leg_dim, evidence, tb=tb if leg_dim == 1 else None,
+                                counts=variety_counts, euler_fields={"tb": tb})
     return Certification(case, verdict, evidence)

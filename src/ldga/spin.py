@@ -72,27 +72,28 @@ class SpinStage(Record, frozen=True):
     def __init__(self, sphere_dim: int, bound: int | None, legendrian_dimension: int):
         set_fields(self, sphere_dim, bound, legendrian_dimension)
 
+    def record(self, **fields) -> dict:
+        """Report record: a circle is "kunneth_s1", other spheres "spin" with sphere_dim."""
+        if self.bound is None:
+            return {"stage": "kunneth_s1", **fields}
+        return {"stage": "spin", "sphere_dim": self.sphere_dim, **fields}
+
 
 def iterate_schedule(cx: LinearizedComplex, schedule: Sequence[int]) -> list[SpinStage]:
     """Check each stage's precondition; a stable stage never follows a circle,
     so its bound is the knot's degree spread plus the sphere dims so far."""
     stages: list[SpinStage] = []
-    circled = False
     dim = 1
     for idx, m in enumerate(schedule):
-        bound = None
         if m < 1:
             raise SpinError(f"schedule stage {idx} (sphere dim {m}) is below 1")
-        if m == 1 and isinstance(cx.ring, FiniteField):
-            circled = True
-        elif circled:
+        circle = m == 1 and isinstance(cx.ring, FiniteField)
+        if not circle and stages and stages[-1].bound is None:
             raise SpinError("complex-level spinning after a Kunneth stage")
-        else:
-            bound = stable_bound_complex(cx) + dim - 1
-            if m <= bound:
-                raise SpinError(
-                    f"schedule stage {idx} (sphere dim {m}) violates the stable bound {bound}"
-                )
+        bound = None if circle else stable_bound_complex(cx) + dim - 1
+        if not circle and m <= bound:
+            raise SpinError(f"schedule stage {idx} (sphere dim {m}) violates "
+                            f"the stable bound {bound}")
         dim += m
         stages.append(SpinStage(m, bound, dim))
     return stages

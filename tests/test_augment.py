@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import evaluate, field_pow
 
 from ldga.algebra import (
     DGA,
@@ -97,7 +98,7 @@ def test_augmentations_reverified_post_hoc():
     dga = build_dga(trefoil_projection())
     for eps in enumerate_augmentations(dga, 2):
         for g in dga.generators:
-            assert eps.evaluate(dga, dga.diff_of(g.name)) == 0
+            assert evaluate(eps, dga, dga.diff_of(g.name)) == 0
 
 
 def test_backtracker_matches_oracle_on_nonlinear_system():
@@ -145,7 +146,7 @@ def solver_systems(draw):
 
 
 @given(solver_systems())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @example((3, [], []))  # the empty system: one empty assignment
 @example((5, ["x0"], [[((), 2)]]))  # a nonzero constant: no solutions
 @example((4, ["x0", "x1"], [[(("x0",), 1), ((), 0)]]))  # x1 free, a zero constant
@@ -333,7 +334,7 @@ def conjugation_case_text(q: int, eps0, diffs, x_terms) -> str:
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @example(case=(
     (1, 0, 2),  # c1 = 0; c0 and c2 cancel the constant terms
     [[(1, ("c0",)), (1, ("c0", "c1", "c2")), (1, ("c1", "c2")), (2, ("c1", "c1", "c2")),
@@ -418,7 +419,7 @@ def test_is_valid_matches_per_generator_definition():
     assert f4.augmentation_system is system
 
     def by_generator(eps):
-        return all(eps.evaluate(f4, f4.diff_of(g.name)) == 0 for g in f4.generators)
+        return all(evaluate(eps, f4, f4.diff_of(g.name)) == 0 for g in f4.generators)
 
     invalid = 0
     for eps in augs:
@@ -506,7 +507,7 @@ def exhaustive_points(system: PolySystem, q: int) -> int:
             for coeff, powers in eq:
                 term = f.from_int(coeff)
                 for var, power in powers:
-                    term = f.mul(term, f.pow(point[var], power))
+                    term = f.mul(term, field_pow(f, point[var], power))
                 total = f.add(total, term)
             ok = ok and total == f.zero
         count += ok
@@ -560,7 +561,7 @@ def high_power_systems(draw):
 
 
 @given(high_power_systems())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_variety_points_match_brute_force_at_high_powers(case):
     q, system = case
     assert variety_points(system, q) == exhaustive_points(system, q)
@@ -577,7 +578,7 @@ def test_variety_points_have_no_variable_cap():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_roots_of_unity_brute_force(k, q):
     f = GF(q)
-    brute = sum(1 for x in f.elements() if f.pow(x, k) == f.one)
+    brute = sum(1 for x in f.elements() if field_pow(f, x, k) == f.one)
     assert roots_of_unity_count(k, q) == brute
 
 

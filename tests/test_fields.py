@@ -8,6 +8,7 @@ Gaussian elimination written here, and the SNF certificate U*A*V = D.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import is_unimodular
 
 from ldga.algebra import DGA, Element, GF, Generator, ZZ, change_coefficients, multiply, validate
 from ldga.augment import conjugate, enumerate_augmentations, linear_part
@@ -19,7 +20,6 @@ from ldga.linhom import (
     as_cohomological,
     field_rank,
     homology_field,
-    is_unimodular,
     mat_mul,
     poincare,
     smith_normal_form,
@@ -211,7 +211,7 @@ def field_matrices(draw):
 
 
 @given(field_matrices())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_field_rank_matches_gaussian_elimination(case):
     q, a = case
     assert field_rank(GF(q), a) == gauss_rank(GF(q), a)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import integer_determinant, is_unimodular, reduce_complex_mod_p
 
 from ldga import linhom
 from ldga.algebra import GF, ZT, ZZ, Laurent
@@ -21,12 +22,9 @@ from ldga.linhom import (
     homology_field,
     homology_integral,
     homology_mod_p,
-    integer_determinant,
-    is_unimodular,
     mat_mul,
     mat_shape,
     poincare,
-    reduce_complex_mod_p,
     smith_normal_form,
     uct_dualize,
 )

@@ -265,7 +265,7 @@ def read_laurent(text: str) -> Laurent:
 
 
 @given(st.dictionaries(st.integers(-40, 40), st.integers(-10**30, 10**30), max_size=8))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_laurent_text_reads_back(terms):
     poly = Laurent.from_dict(terms)
     assert read_laurent(str(poly)) == poly

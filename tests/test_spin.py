@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import reduce_complex_mod_p
 
 from ldga.algebra import DGA, GF, Element, Generator, ZT, ZZ
 from ldga.augment import conjugate, enumerate_augmentations, linear_part
@@ -14,7 +15,6 @@ from ldga.linhom import (
     homology_field,
     homology_integral,
     poincare,
-    reduce_complex_mod_p,
 )
 from ldga.spin import (
     SpinError,
@@ -323,7 +323,7 @@ def test_spin_homology_matches_spun_complex(ring):
     homology = homology_integral if ring is ZZ else homology_field
 
     @given(complexes_and_schedules(ring))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def check(case):
         cx, schedule = case
         h, spun = homology(cx), cx
