@@ -233,8 +233,8 @@ def cmd_spin(args):
     for st in spin.iterate_schedule(cx, schedule):
         h = spin.spin_homology(h, st.sphere_dim)
         result, summary = measure(h)
-        dim = {"legendrian_dimension": st.legendrian_dimension} if args.integral else {}
-        stages.append(st.record(**result, **dim))
+        extra = {"legendrian_dimension": st.legendrian_dimension} if args.integral else {}
+        stages.append(st.record(**result, **extra))
     return inputs, stages, result, summary
 
 

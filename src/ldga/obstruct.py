@@ -360,8 +360,8 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
                          "counts": {str(q): c for q, c in counts.items()}})
         return counts
 
-    tb = len(dga.generators_of_degree(0)) - len(dga.generators_of_degree(1))
-    # the Euler/tb check is for surface fillings: the unspun knot only
-    verdict = obstruction_chain(h_coh, leg_dim, evidence, tb=tb if leg_dim == 1 else None,
-                                counts=variety_counts, euler_fields={"tb": tb})
+    tb = (len(dga.generators_of_degree(0)) - len(dga.generators_of_degree(1))
+          if leg_dim == 1 else None)  # the Euler/tb check is for surface fillings
+    verdict = obstruction_chain(h_coh, leg_dim, evidence, tb=tb, counts=variety_counts,
+                                euler_fields={"tb": tb})
     return Certification(case, verdict, evidence)
