@@ -73,7 +73,7 @@ class SpinStage(Record, frozen=True):
         set_fields(self, sphere_dim, bound, legendrian_dimension)
 
     def record(self, **fields) -> dict:
-        """Report record: a circle is "kunneth_s1", other spheres "spin" with sphere_dim."""
+        """Report record: a circle is a kunneth_s1 stage, other spheres spin with sphere_dim."""
         if self.bound is None:
             return {"stage": "kunneth_s1", **fields}
         return {"stage": "spin", "sphere_dim": self.sphere_dim, **fields}
