@@ -62,6 +62,9 @@ class Ring:
     def __repr__(self):
         return self.name
 
+    def __reduce__(self):  # copy and pickle return the one ZZ or ZT
+        return "ZZ" if isinstance(self, IntegerRing) else "ZT"
+
 
 class IntegerRing(Ring):
     name = "Z"
@@ -194,11 +197,8 @@ class FiniteField(Ring):
     def elements(self) -> range:
         return range(self.q)
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("FiniteField", self.q))
+    def __reduce__(self):  # copy and pickle return the cached GF(q)
+        return GF, (self.q,)
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -255,12 +255,6 @@ ZT = LaurentRing()
 @lru_cache(maxsize=None)
 def GF(q: int) -> FiniteField:
     return FiniteField(q)
-
-
-def same_ring(r1: Ring, r2: Ring) -> bool:
-    if isinstance(r1, FiniteField) and isinstance(r2, FiniteField):
-        return r1.q == r2.q
-    return type(r1) is type(r2)
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +330,21 @@ class Element(Record, frozen=True):
         return Element.sum(self.ring, self.terms + other.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        """DSL term syntax, as ``t^-1*a - 2*t*b``; ``cedga.load_dsl`` reads it back."""
+        out = ""
         for w, c in self.terms:
-            word = "*".join(w) if w else "1"
-            if w and c == self.ring.one:
-                parts.append(word)
-            elif w:
-                parts.append(f"({c})*{word}" if isinstance(c, Laurent) else f"{c}*{word}")
-            else:
-                parts.append(f"({c})" if isinstance(c, Laurent) else str(c))
-        return " + ".join(parts)
+            for e, n in c.terms if isinstance(c, Laurent) else ((0, c),):  # a term per t^e
+                factors = [*([] if e == 0 else ["t" if e == 1 else f"t^{e}"]), *w]
+                if out:
+                    out += " - " if n < 0 else " + "
+                elif n < 0:
+                    out = "-"
+                out += "*".join(factors if abs(n) == 1 and factors else [str(abs(n)), *factors])
+        return out or "0"
 
 
 def _check_rings(x: Element, y: Element):
-    if not same_ring(x.ring, y.ring):
+    if x.ring is not y.ring:
         raise CoefficientError(f"mixing coefficients {x.ring} and {y.ring}")
 
 
@@ -619,7 +612,7 @@ def validate(dga: DGA) -> ValidationReport:
 
 def reduce_scalar(ring_from: Ring, ring_to: Ring, value):
     """Map a scalar into ring_to; t goes to -1 when leaving Z[t, t^-1]."""
-    if same_ring(ring_from, ring_to):
+    if ring_from is ring_to:
         return value
     if isinstance(ring_from, IntegerRing):
         return ring_to.from_int(value)

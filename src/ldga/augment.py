@@ -31,6 +31,7 @@ from .algebra import (
     Element,
     FiniteField,
     GF,
+    ZT,
     change_coefficients,
     validate,
 )
@@ -87,7 +88,7 @@ class Augmentation(Record, frozen=True):
 
 def _field_dga(dga: DGA, q: int) -> DGA:
     """The DGA over GF(q), pushed once per (DGA, q) and kept on the DGA."""
-    if isinstance(dga.ring, FiniteField) and dga.ring.q == q:
+    if dga.ring is GF(q):
         return dga
     if q not in dga.field_copies:
         dga.field_copies[q] = change_coefficients(dga, GF(q))
@@ -99,7 +100,7 @@ def enumerate_augmentations(dga: DGA, q: int) -> list[Augmentation]:
     ring = GF(q)
     fdga = _field_dga(dga, q)
     unknowns = sorted(fdga.generators_of_degree(0))
-    t_val = ring.from_int(-1) if dga.ring.name == "Z[t]" else None
+    t_val = ring.from_int(-1) if dga.ring is ZT else None
     sols = _backtrack(ring, unknowns, fdga.augmentation_system)
     sols.sort(key=lambda a: tuple(a[u] for u in unknowns))
     out = [Augmentation.build(ring, s, t_val) for s in sols]

@@ -25,6 +25,7 @@ from .algebra import (
     DGA,
     DGAValidationError,
     Element,
+    FiniteField,
     GF,
     Generator,
     Ring,
@@ -191,35 +192,14 @@ def dump_dsl(dga: DGA) -> str:
         el = dga.diff_of(g.name)
         if el.is_zero:
             continue
-        parts = []
-        for word, c in el.terms:
-            if ring is ZT:
-                for exp, coefficient in c.terms:
-                    parts.append(_dsl_term(coefficient, exp, word))
-            else:
-                if ring is not ZZ and c >= ring.p:
-                    raise ValueError(
-                        f"d({g.name}) has coefficient code {c} outside "
-                        f"the prime subfield of {ring}; the DSL cannot write it"
-                    )
-                parts.append(_dsl_term(int(c), None, word))
-        rhs = parts[0]
-        for p in parts[1:]:
-            rhs += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        out.append(f"d {g.name} = {rhs}")
+        for _, c in el.terms:
+            if isinstance(ring, FiniteField) and c >= ring.p:
+                raise ValueError(
+                    f"d({g.name}) has coefficient code {c} outside "
+                    f"the prime subfield of {ring}; the DSL cannot write it"
+                )
+        out.append(f"d {g.name} = {el}")
     return "\n".join(out) + "\n"
-
-
-def _dsl_term(coefficient: int, t_exp: int | None, word: tuple[str, ...]) -> str:
-    factors = []
-    if t_exp:
-        factors.append("t" if t_exp == 1 else f"t^{t_exp}")
-    factors.extend(word)
-    if coefficient == 1 and factors:
-        return "*".join(factors)
-    if coefficient == -1 and factors:
-        return "-" + "*".join(factors)
-    return "*".join([str(coefficient)] + factors) if factors else str(coefficient)
 
 
 # ---------------------------------------------------------------------------

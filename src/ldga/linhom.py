@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from itertools import compress
 
 from ._record import Record, set_field
-from .algebra import GF, FiniteField, IntegerRing, Laurent, Ring, same_ring
+from .algebra import GF, FiniteField, IntegerRing, Laurent, Ring
 
 Matrix = list[list[int]]
 
@@ -210,7 +210,7 @@ def smith_normal_form(a: Matrix) -> SmithForm:
 def field_rank(ring: FiniteField, a: Matrix) -> int:
     """Rank over GF(q): XOR elimination on bitset rows for q = 2, else
     row reduction to echelon form through the field's tables."""
-    if ring.q == 2:
+    if ring is GF(2):
         pivots: dict[int, int] = {}  # lowest set bit -> reduced row
         for row in a:
             bits = sum(1 << j for j, x in enumerate(row) if x)
@@ -300,7 +300,7 @@ class LinearizedComplex(Record, frozen=True):
 
     def block_sum(self, other: "LinearizedComplex") -> "LinearizedComplex":
         """Direct sum; other's basis names get the suffix ^N to stay unique."""
-        if not same_ring(self.ring, other.ring):
+        if self.ring is not other.ring:
             raise ValueError("block sum needs a common coefficient ring")
         bases: dict[int, tuple[str, ...]] = {}
         mats: dict[int, Matrix] = {}

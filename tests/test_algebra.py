@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 from pathlib import Path
 
@@ -45,6 +47,14 @@ def test_field_axioms_exhaustive(q):
             for c in els:
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+
+
+@pytest.mark.parametrize("ring", [ZZ, ZT, GF(2), GF(9)], ids=str)
+def test_copy_and_pickle_return_the_one_ring(ring):
+    # rings compare by identity, so a copy must be the ring itself
+    assert copy.copy(ring) is ring
+    assert copy.deepcopy(ring) is ring
+    assert pickle.loads(pickle.dumps(ring)) is ring
 
 
 def _doc_irreducibles() -> dict[int, list[int]]:
@@ -204,7 +214,7 @@ def test_sum_matches_plain_dict_accumulation(data):
 def test_sum_cancels_opposite_pairs(ring):
     c = ring.one
     assert Element.sum(ring, [(("a",), c), (("a",), ring.neg(c))]).is_zero
-    if ring == GF(2):
+    if ring is GF(2):
         assert Element.sum(ring, [(("a", "b"), c)] * 2).is_zero
 
 

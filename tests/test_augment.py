@@ -14,6 +14,7 @@ from ldga.algebra import (
     Element,
     GF,
     Generator,
+    ZT,
     ZZ,
     change_coefficients,
     multiply,
@@ -59,9 +60,9 @@ def exhaustive_augmentations(dga: DGA, q: int) -> list[Augmentation]:
     order over GF(q)'s codes is already the canonical order.
     """
     field = GF(q)
-    fdga = dga if dga.ring == field else change_coefficients(dga, field)
+    fdga = dga if dga.ring is field else change_coefficients(dga, field)
     unknowns = sorted(fdga.generators_of_degree(0))
-    t_val = field.from_int(-1) if dga.ring.name == "Z[t]" else None
+    t_val = field.from_int(-1) if dga.ring is ZT else None
     out = []
     for combo in itertools.product(field.elements(), repeat=len(unknowns)):
         eps = Augmentation.build(field, dict(zip(unknowns, combo)), t_val)

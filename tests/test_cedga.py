@@ -3,10 +3,12 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_diagram import _random_knot_grid
 
 from ldga import _diskcore
-from ldga.algebra import Element, ZT, ZZ, validate
+from ldga.algebra import GF, Element, Laurent, ZT, ZZ, validate
 from ldga.augment import conjugate, enumerate_augmentations
 from ldga.cedga import (
     BuiltinError,
@@ -243,6 +245,43 @@ def test_dsl_laurent_exponents():
     assert validate(dga).ok
     assert "t^-1" in dump_dsl(dga)
     assert load_dsl(dump_dsl(dga)) == dga
+
+
+@pytest.mark.parametrize(
+    "ring, terms, text",
+    [
+        (ZZ, {("x",): -1}, "-x"),
+        (ZT, {("a",): Laurent(((-1, 1),)), ("b",): Laurent(((1, -2),))}, "t^-1*a - 2*t*b"),
+        (ZT, {(): Laurent(((0, -1), (1, 1))), ("a", "b"): Laurent(((0, 3),))}, "-1 + t + 3*a*b"),
+        (ZZ, {(): -3}, "-3"),
+        (GF(3), {(): 2, ("a",): 1, ("b", "a"): 2}, "2 + a + 2*b*a"),
+        (ZT, {}, "0"),
+    ],
+)
+def test_element_prints_in_dsl_syntax(ring, terms, text):
+    assert str(Element.build(ring, terms)) == text
+
+
+@st.composite
+def dsl_elements(draw):
+    """An element over Z, Z[t] or a prime field in words of a and b."""
+    ring = draw(st.sampled_from([ZZ, ZT] + [GF(p) for p in (2, 3, 5, 7, 11, 13)]))
+    if ring is ZZ:
+        coefficients = st.integers(-10**30, 10**30)
+    elif ring is ZT:
+        coefficients = st.dictionaries(
+            st.integers(-4, 4), st.integers(-9, 9), max_size=4).map(Laurent.from_dict)
+    else:
+        coefficients = st.sampled_from(list(ring.elements()))
+    words = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
+    return Element.sum(ring, draw(st.lists(st.tuples(words, coefficients), max_size=6)))
+
+
+@given(dsl_elements())
+@settings(max_examples=300)
+def test_element_text_reads_back_as_a_d_line(el):
+    text = f"coeff {el.ring.name}\ngen g 1\ngen a 0\ngen b 0\nd g = {el}\n"
+    assert load_dsl(text).diff_of("g") == el
 
 
 def test_dump_roundtrip_builtins():

@@ -184,11 +184,13 @@ def test_assignment_refused_exactly_on_frozen_classes(name):
 def test_copy_and_pickle_rebuild_the_record(name):
     obj = CASES[name][0]()
     assert copy.copy(obj) == obj
-    # a deep copy holds copies of rings and fronts, which compare by identity
+    # a deep copy keeps the one ring object but copies a front, which compares
+    # by identity
     for other in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(other) is type(obj)
         if name != "ProjectionDiagram":  # its repr shows the front's address
             assert repr(other) == repr(obj)
+            assert other == obj
 
 
 def test_defaults_are_not_shared():
