@@ -383,45 +383,37 @@ def module_to_jsonable(h: GradedModule):
 # Homology
 # ---------------------------------------------------------------------------
 
+def _homology(cx: LinearizedComplex, ring_tag: str, rank_and_torsion) -> GradedModule:
+    """H_d has free rank dim C_d - rank(d: d -> d-1) - rank(d: d+1 -> d) and
+    the torsion orders of d: d+1 -> d, as rank_and_torsion reads them off
+    each stored matrix once."""
+    cx.check_composition()
+    boundaries = {d: rank_and_torsion(m) for d, m in cx.matrices.items()}
+    entries = {}
+    for d in cx.degrees():
+        r_in, torsion = boundaries.get(d + 1, (0, ()))
+        entries[d] = (cx.dim(d) - boundaries.get(d, (0, ()))[0] - r_in, torsion)
+    return GradedModule(ring_tag, HOMOLOGICAL, entries)
+
+
 def homology_field(cx: LinearizedComplex) -> GradedModule:
-    """dim H_d = dim ker(d: d -> d-1) - rank(d: d+1 -> d), exactly."""
+    """Homology over GF(q): ranks by ``field_rank``, no torsion."""
     ring = cx.ring
     if not isinstance(ring, FiniteField):
         raise ValueError("homology_field needs finite-field coefficients")
-    cx.check_composition()
-    ranks = {d: field_rank(ring, m) for d, m in cx.matrices.items()}
-    entries = {}
-    for d in cx.degrees():
-        dim = cx.dim(d)
-        r_out = ranks.get(d, 0)
-        r_in = ranks.get(d + 1, 0)
-        ker = dim - r_out
-        assert ker + r_out == dim, "rank-nullity audit failed"
-        h = ker - r_in
-        if h:
-            entries[d] = (h, ())
-    return GradedModule(f"F{ring.q}", HOMOLOGICAL, entries)
+    return _homology(cx, f"F{ring.q}", lambda m: (field_rank(ring, m), ()))
 
 
 def homology_integral(cx: LinearizedComplex) -> GradedModule:
     """Smith normal form homology: free ranks and torsion per degree."""
     if not isinstance(cx.ring, IntegerRing):
         raise ValueError("homology_integral needs integer coefficients")
-    cx.check_composition()
-    snfs = {d: smith_normal_form(m) for d, m in cx.matrices.items()}
-    entries = {}
-    for d in cx.degrees():
-        dim = cx.dim(d)
-        r_out = snfs[d].rank if d in snfs else 0
-        incoming = snfs.get(d + 1)
-        r_in = incoming.rank if incoming else 0
-        free = dim - r_out - r_in
-        torsion = tuple(
-            x for x in (abs(v) for v in incoming.diagonal) if x > 1
-        ) if incoming else ()
-        if free or torsion:
-            entries[d] = (free, torsion)
-    return GradedModule("Z", HOMOLOGICAL, entries)
+
+    def rank_and_torsion(m: Matrix) -> tuple[int, tuple[int, ...]]:
+        snf = smith_normal_form(m)
+        return snf.rank, tuple(x for x in snf.diagonal if x > 1)
+
+    return _homology(cx, "Z", rank_and_torsion)
 
 
 def uct_dualize(h: GradedModule) -> GradedModule:

@@ -191,8 +191,8 @@ def obstruction_chain(h: GradedModule, n: int, evidence: list[dict], tb: int | N
         verdict, record = profile, {"verdict": profile.to_jsonable()}
     else:
         verdict, record = ObstructionVerdict(FEASIBLE), {"profile": {
-            "ring": profile.ring_tag, "legendrian_dimension": n, "homology": {
-                str(i): [free, list(tor)] for i, (free, tor) in sorted(profile.entries.items())}}}
+            "ring": profile.ring_tag, "legendrian_dimension": n,
+            "homology": module_to_jsonable(profile)["entries"]}}
     evidence.append({"stage": "seidel", **record})
     if tb is not None and not verdict.obstructed:
         verdict = euler_tb_check(profile, n, tb)
