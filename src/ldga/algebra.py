@@ -614,11 +614,9 @@ def reduce_scalar(ring_from: Ring, ring_to: Ring, value):
     """Map a scalar into ring_to; t goes to -1 when leaving Z[t, t^-1]."""
     if ring_from is ring_to:
         return value
-    if isinstance(ring_from, IntegerRing):
+    if ring_from is ZZ:
         return ring_to.from_int(value)
-    if isinstance(ring_from, LaurentRing):
-        if isinstance(ring_to, IntegerRing):
-            return value.at_minus_one()
+    if ring_from is ZT:
         return ring_to.from_int(value.at_minus_one())
     if isinstance(ring_from, FiniteField) and isinstance(ring_to, FiniteField):
         if ring_from.q == ring_to.p:
