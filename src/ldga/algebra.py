@@ -1,9 +1,10 @@
 """Exact coefficient arithmetic and free noncommutative graded DGAs.
 
-Coefficient rings: the integers, Laurent polynomials Z[t, t^-1], and small
-finite fields GF(q).  Algebra elements are finite sums of noncommutative
-words in named generators; everything is immutable and kept in a canonical
-normal form so that equality is a plain syntactic comparison.
+Coefficient rings: ``ZZ``, ``ZT`` = Z[t, t^-1] and small finite fields
+``GF(q)``, each one object that copy and pickle keep, so rings compare by
+identity.  Algebra elements are finite sums of noncommutative words in named
+generators, immutable, kept in a canonical normal form so that equality is a
+plain syntactic comparison, and printed in the DSL's term syntax.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class FiniteField(Ring):
     Supported orders: p in {2,3,5,7,11,13} with s = 1, plus 4, 8, 16 and 9
     through the fixed irreducibles above.  Addition, negation,
     multiplication and inversion are lookups in tables built when the field
-    is constructed; obtain fields through the cached :func:`GF`.
+    is constructed; the cached :func:`GF` is the only constructor.
     """
 
     zero = 0

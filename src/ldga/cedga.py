@@ -7,6 +7,7 @@ sweep that carries one interval per fiber over the front's events).  Every
 disk found is checked against the index identity deg(a) - sum deg(b_i) = 1,
 and every DGA made here, from a diagram, the DSL or a builtin family, must
 pass validation (degree purity and d^2 = 0) before it is returned.
+``dump_dsl`` writes each differential as ``str(Element)``, the DSL's syntax.
 
 One finger sweep finds the disks of every crossing, so the disk budget
 caps its steps per DGA build, memo hits included (default 500000); set it

@@ -41,7 +41,7 @@ class AugmentationError(ValueError, LdgaError):
 
 class DGAValidationError(ValueError, LdgaError):
     """A DGA that violates degree purity or d^2 = 0, or an internal check on
-    a computed resolution, DGA or augmentation that failed."""
+    a computed resolution, DGA, augmentation or linearized complex that failed."""
 
     exit_code, prefix = EXIT_VALIDATE, "validation error"
 

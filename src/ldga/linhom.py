@@ -20,7 +20,8 @@ from collections.abc import Mapping
 from itertools import compress
 
 from ._record import Record, set_field
-from .algebra import GF, FiniteField, IntegerRing, Laurent, Ring
+from .algebra import GF, ZZ, FiniteField, Laurent, Ring
+from .errors import DGAValidationError
 
 Matrix = list[list[int]]
 
@@ -289,7 +290,7 @@ class LinearizedComplex(Record, frozen=True):
         for d, m1 in self.matrices.items():  # C_d -> C_{d-1}
             m2 = self.matrices.get(d + 1)     # C_{d+1} -> C_d
             if m2 is not None and any(x for row in mat_mul(m1, m2, gf) for x in row):
-                raise ValueError(f"differential does not square to zero at degree {d}")
+                raise DGAValidationError(f"differential does not square to zero at degree {d}")
 
     def shift(self, m: int) -> "LinearizedComplex":
         return LinearizedComplex(
@@ -383,7 +384,7 @@ def module_to_jsonable(h: GradedModule):
 # Homology
 # ---------------------------------------------------------------------------
 
-def _homology(cx: LinearizedComplex, ring_tag: str, rank_and_torsion) -> GradedModule:
+def _homology(cx: LinearizedComplex, rank_and_torsion) -> GradedModule:
     """H_d has free rank dim C_d - rank(d: d -> d-1) - rank(d: d+1 -> d) and
     the torsion orders of d: d+1 -> d, as rank_and_torsion reads them off
     each stored matrix once."""
@@ -393,7 +394,7 @@ def _homology(cx: LinearizedComplex, ring_tag: str, rank_and_torsion) -> GradedM
     for d in cx.degrees():
         r_in, torsion = boundaries.get(d + 1, (0, ()))
         entries[d] = (cx.dim(d) - boundaries.get(d, (0, ()))[0] - r_in, torsion)
-    return GradedModule(ring_tag, HOMOLOGICAL, entries)
+    return GradedModule(cx.ring.name, HOMOLOGICAL, entries)
 
 
 def homology_field(cx: LinearizedComplex) -> GradedModule:
@@ -401,19 +402,19 @@ def homology_field(cx: LinearizedComplex) -> GradedModule:
     ring = cx.ring
     if not isinstance(ring, FiniteField):
         raise ValueError("homology_field needs finite-field coefficients")
-    return _homology(cx, f"F{ring.q}", lambda m: (field_rank(ring, m), ()))
+    return _homology(cx, lambda m: (field_rank(ring, m), ()))
 
 
 def homology_integral(cx: LinearizedComplex) -> GradedModule:
     """Smith normal form homology: free ranks and torsion per degree."""
-    if not isinstance(cx.ring, IntegerRing):
+    if cx.ring is not ZZ:
         raise ValueError("homology_integral needs integer coefficients")
 
     def rank_and_torsion(m: Matrix) -> tuple[int, tuple[int, ...]]:
         snf = smith_normal_form(m)
         return snf.rank, tuple(x for x in snf.diagonal if x > 1)
 
-    return _homology(cx, "Z", rank_and_torsion)
+    return _homology(cx, rank_and_torsion)
 
 
 def uct_dualize(h: GradedModule) -> GradedModule:

@@ -284,6 +284,13 @@ def test_element_text_reads_back_as_a_d_line(el):
     assert load_dsl(text).diff_of("g") == el
 
 
+def test_validation_message_prints_elements_in_dsl_syntax():
+    text = "coeff Z[t]\ngen x 2\ngen y 1\ngen a 0\nd x = t*y\nd y = 1 - a\n"
+    with pytest.raises(DGAValidationError) as exc:
+        load_dsl(text)
+    assert str(exc.value).endswith("d(d(x)) = t - t*a != 0")
+
+
 def test_dump_roundtrip_builtins():
     for name in ("twist:5", "twist:7"):
         dga = builtin(name)

@@ -7,8 +7,9 @@ import pytest
 
 from ldga import augment, cedga
 from ldga._polytext import MAX_DIGITS
-from ldga.algebra import ValidationReport
+from ldga.algebra import GF, ValidationReport
 from ldga.cli import main, parse_poly_text
+from ldga.linhom import LinearizedComplex
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -605,11 +606,16 @@ def _zero_solutions(ring, unknowns, equations):
     return [{u: 0 for u in unknowns}]
 
 
+def _broken_complex(*args):
+    return LinearizedComplex(GF(2), {0: ("a",), 1: ("b",), 2: ("c",)}, {1: [[1]], 2: [[1]]})
+
+
 @pytest.mark.parametrize(
     "name, fake, message",
     [
         ("validate", _fail_validation, "conjugated DGA failed validation"),
         ("_backtrack", _zero_solutions, "solver produced an invalid augmentation"),
+        ("linear_part", _broken_complex, "differential does not square to zero at degree 1"),
     ],
 )
 def test_internal_tripwires_exit_3(capsys, monkeypatch, name, fake, message):
