@@ -428,6 +428,11 @@ class DGA(Record, frozen=True):
         return {}
 
     @cached_property
+    def conjugation_plans(self) -> dict:
+        """Support -> ``augment``'s conjugation plan over this field DGA, filled on first use."""
+        return {}
+
+    @cached_property
     def _zero(self) -> Element:
         return Element.zero(self.ring)
 

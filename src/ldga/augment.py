@@ -7,8 +7,14 @@ on any other name is an error.  The equations are one list per field DGA,
 solution and ``conjugate``.  ``conjugate`` evaluates ``DGA.suffix_dag``, the
 field DGA's differentials as one hash-consed DAG of shared suffixes, once
 per augmentation, so a suffix common to many words is expanded once.  The
-conjugated DGA shares the field DGA's degrees and layout; the d^2 = 0
-tripwire, ``validate``, still runs whole on every conjugated DGA.
+conjugated DGA shares the field DGA's degrees and layout.  Over GF(2) the
+walk is run and ``validate`` checks its result.  Over GF(q), q > 2, the
+augmentations with one support (the generators where eps != 0) give the
+same words with other coefficients, so the walk and validate's degree and
+d^2 = 0 checks are compiled once per support into a plan of table
+operations, kept on the field DGA: at most one per subset of the degree-0
+generators.  The compiled check is exact on every term of every conjugated
+DGA; when it trips, ``validate`` writes the message.
 The one solver, ``_backtrack``, takes the generators in one fixed order and
 files each equation under the last of its generators there, where the
 equation either solves that generator, when linear in it, or is evaluated;
@@ -208,16 +214,41 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
 def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     """Differential conjugated by c -> c + eps(c); kills constant terms.
 
-    Walks the field DGA's ``suffix_dag`` children first.  A node's value is
-    its constant plus, for each (letter, child), the child's words with the
-    letter prepended and, if eps(letter) = v != 0, the child's words times v,
-    merged through the field's tables: a shared suffix is expanded once.
-    Each root gives one d(g) ``Element``; the result shares the field DGA's
-    generators, degrees and layout.
+    Both paths evaluate the field DGA's ``suffix_dag`` children first.  A
+    node's value is its constant plus, for each (letter, child), the child's
+    words with the letter prepended and, if eps(letter) = v != 0, the child's
+    words times v, merged through the field's tables: a shared suffix is
+    expanded once.  Each root gives one d(g) ``Element``; the result shares
+    the field DGA's generators, degrees and layout.  Over GF(2) eps is its
+    own support, so a plan would never be reused (and compiling one costs
+    more than a walk): ``_conjugate_by_walk`` walks the DAG and ``validate``
+    checks the result.  Over GF(q), q > 2, each eps runs the plan compiled
+    on first use for its support and kept in the field DGA's
+    ``conjugation_plans`` (``_compile_plan``, ``_apply_plan``); the plan's
+    check trips exactly where ``validate`` would report, and ``validate``
+    then writes the message.
     """
     fdga = _field_dga(dga, eps.field.q)
     if not eps.is_valid(fdga):
         raise AugmentationError("augmentation does not satisfy eps after d = 0")
+    if eps.field.q == 2:
+        return _conjugate_by_walk(fdga, eps)
+    support = frozenset(name for name, v in eps.values if v)
+    plan = fdga.conjugation_plans.get(support)
+    if plan is None:
+        plan = fdga.conjugation_plans[support] = _compile_plan(fdga, support)
+    return _apply_plan(plan, fdga, eps)
+
+
+def _validated(out: DGA) -> DGA:
+    report = validate(out)
+    if not report.ok:
+        raise DGAValidationError(f"conjugated DGA failed validation: {report}")
+    return out
+
+
+def _conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
+    """The conjugate by a valid eps: node values as dicts, then ``validate``."""
     ring = eps.field
     add, mul = ring.add_table, ring.mul_table
     shift = {name: mul[v] for name, v in eps.values if v}  # is_valid vetted the names
@@ -238,10 +269,106 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
         if () in values[root]:
             raise DGAValidationError("conjugation left a constant term")
         diff[name] = Element(ring, tuple(sorted(values[root].items())))
+    return _validated(fdga.with_differential(diff))
+
+
+def _compile_plan(fdga: DGA, support: frozenset) -> tuple:
+    """The suffix-DAG walk and validate's check for every eps with this support.
+
+    Each value the walk computes gets a number: 0 is zero, the nonzero node
+    constants come next (``init`` holds them), and a word copied from a
+    child keeps the child's number, so only the merges through support
+    letters make new values.  ``ops`` lists them in walk order as (sum,
+    term, row), meaning sum += row * term, where row i > 0 is
+    eps(letters[i - 1]) and row 0 is 1 (a sum's first op copies the word's
+    value so far).  Words numbered 0 are zero for every eps with this
+    support and are left out.  Each generator keeps its root's constant,
+    the root's other (word, number) pairs in normal-form order, and the
+    numbers whose word is not of degree |g| - 1 (or names no generator).
+    The Leibniz program holds, for every other number s in d(g), with word
+    u x v where x has a differential, (s, |u| odd, the numbers of d(x),
+    targets): the term of u w' v for each word w' of d(x) goes to that
+    word's d(d(g)) accumulator, ``targets`` in d(x)'s order, as ``_leibniz``
+    expands d(d(g)).  Only ints and the roots' words are kept.
+    """
+    nodes, roots = fdga.suffix_dag
+    degs = fdga.degrees
+    letters = sorted(support)
+    row = {g: i for i, g in enumerate(letters, 1)}
+    init = [0, *{const for const, _ in nodes if const}]
+    const_value = {c: v for v, c in enumerate(init)}
+    ops: list[tuple[int, int, int]] = []
+    n = len(init)
+    slots: list[dict] = []  # each node's nonzero words -> value, for compiling only
+    for const, children in nodes:
+        words = {(): const_value[const]} if const else {}
+        for g, child in children:
+            words.update({(g, *w): v for w, v in slots[child].items()})
+        first = n  # values numbered from here on are this node's sums
+        for g, child in children:
+            for w, v in slots[child].items() if g in support else ():
+                sum_v = words.get(w, 0)
+                if sum_v < first:  # a new sum, starting from the word's value so far
+                    if sum_v:
+                        ops.append((n, sum_v, 0))
+                    words[w] = sum_v = n
+                    n += 1
+                ops.append((sum_v, v, row[g]))
+        slots.append(words)
+    root_values = {r: list(slots[r].values()) for r in roots.values()}
+    gens, program, n_acc = [], [], 0
+    for name, r in roots.items():
+        target = degs[name] - 1
+        terms = sorted(slots[r].items())
+        wrong = [v for w, v in terms if not degs.keys() >= set(w)
+                 or sum(map(degs.__getitem__, w)) != target]
+        gens.append((name, slots[r].get((), 0), [t for t in terms if t[0]], wrong))
+        acc: dict = {}  # d(d(name))'s words -> accumulator
+        for w, v in terms:
+            if v in wrong:
+                continue  # zero, or the check trips whatever d(d(name)) is
+            prefix = 0
+            for i, x in enumerate(w):
+                if (rx := roots.get(x)) is not None:
+                    head, tail = w[:i], w[i + 1:]
+                    program.append((v, prefix % 2, root_values[rx], [
+                        n_acc + acc.setdefault(head + wx + tail, len(acc)) for wx in slots[rx]
+                    ]))
+                prefix += degs[x]
+        n_acc += len(acc)
+    return letters, init + [0] * (n - len(init)), ops, gens, program, n_acc
+
+
+def _apply_plan(plan, fdga: DGA, eps: Augmentation) -> DGA:
+    """The conjugate by a valid eps whose support the plan was compiled for.
+
+    A nonzero wrong-degree value or a nonzero d(d(g)) accumulator trips the
+    check, and then ``validate`` writes the message.
+    """
+    letters, init, ops, gens, program, n_acc = plan
+    ring = eps.field
+    add, neg, mul = ring.add_table, ring.neg_table, ring.mul_table
+    eps_of = dict(eps.values)
+    rows = [mul[1], *(mul[eps_of[g]] for g in letters)]
+    vals = init[:]
+    for v, src, i in ops:
+        if c := vals[src]:
+            vals[v] = add[vals[v]][rows[i][c]]
+    diff = {}
+    for name, const, terms, _ in gens:
+        if vals[const]:
+            raise DGAValidationError("conjugation left a constant term")
+        diff[name] = Element(ring, tuple((w, c) for w, v in terms if (c := vals[v])))
     out = fdga.with_differential(diff)
-    report = validate(out)
-    if not report.ok:
-        raise DGAValidationError(f"conjugated DGA failed validation: {report}")
+    acc = [0] * n_acc
+    for v, odd, x_values, targets in program:
+        if c := vals[v]:
+            times_c = mul[neg[c] if odd else c]
+            for t, vx in zip(targets, x_values):
+                if cx := vals[vx]:
+                    acc[t] = add[acc[t]][times_c[cx]]
+    if any(acc) or any(vals[v] for *_, wrong in gens for v in wrong):
+        return _validated(out)
     return out
 
 

@@ -48,11 +48,19 @@ def _write_report(
     }
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_out(args.out, text + "\n")
     else:
         print(text)
     print(summary, file=sys.stderr)
     return EXIT_OK
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write the --out file; a path that cannot be written is bad input."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write report to {path}: {exc.strerror or exc}", EXIT_PARSE) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +164,7 @@ def cmd_dga(args) -> int:
     dga = _load_dga(args, {})
     text = cedga.dump_dsl(dga)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     else:
         print(text, end="")
     print(f"{len(dga.generators)} generators over {dga.ring}", file=sys.stderr)

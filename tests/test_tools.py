@@ -95,7 +95,7 @@ def test_ab_bench_summary_of_canned_pairs():
     import json
 
     tool = load_by_path(AB_BENCH)
-    metrics = tool.end_to_end_metrics()
+    metrics = list(tool.metric_directions())
     assert metrics == ["setup_s", "pass_s.ref", "ops_per_s.ref", "peak_rss_mb"]
     pairs = [
         (json.loads(result_line(True, a)), json.loads(result_line(True, b)))

@@ -11,9 +11,11 @@ count of each tree's ``src/ldga/*.py`` is printed, since source size moves
 ``setup_s`` (each fresh process compiles what it imports).  Each pair is
 printed; then, for every end-to-end metric named in ``BENCHMARK.json``, each
 side's median and quartiles and the median B/A ratio, and each side's failed
-ops out of those attempted.  Exits 1 when either side reports ``correct:
-false`` (or prints no result) or when side B fails a larger share of its ops
-than side A (an op that raises counts as failed, not as wrong), 0 otherwise.
+ops out of those attempted.  The last line of output is the same summary as
+one JSON object (``summary_record``), the form a committed ``BENCH_*.json``
+holds.  Exits 1 when either side reports ``correct: false`` (or prints no
+result) or when side B fails a larger share of its ops than side A (an op
+that raises counts as failed, not as wrong), 0 otherwise.
 
     python tools/ab_bench.py a842997 HEAD --workload m821-fields --pairs 10 --seconds 10
 """
@@ -32,8 +34,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def end_to_end_metrics(benchmark: Path = REPO / "BENCHMARK.json") -> list[str]:
-    return [m["name"] for m in json.loads(benchmark.read_text())["end_to_end"]]
+def metric_directions(benchmark: Path = REPO / "BENCHMARK.json") -> dict[str, str]:
+    """Each end-to-end metric's name -> "lower" or "higher", the better way."""
+    return {m["name"]: m["better"] for m in json.loads(benchmark.read_text())["end_to_end"]}
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -99,10 +102,38 @@ def pair_line(label: str, a: dict | None, b: dict | None, metrics: list[str]) ->
     return f"{label}: " + ", ".join(cells)
 
 
-def quartiles(values: list[float]) -> str:
-    """'median [q1, q3]' of the values (one value is its own quartiles)."""
+def quartiles(values: list[float]) -> dict[str, float]:
+    """The median and quartiles of the values (one value is its own quartiles)."""
     q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def metric_summary(pairs, metric: str, better: str = "lower") -> dict | None:
+    """One metric over the pairs in which both sides report it; None if none do.
+
+    Each side's median and quartiles, the median B/A ratio over the pairs
+    with A nonzero (None if there are none) and their count, how many of
+    those ratios are below 1, and how many pairs B wins in the ``better``
+    direction ("lower" or "higher").
+    """
+    both = [(va, vb) for a, b in pairs
+            if (va := value(a, metric)) is not None and (vb := value(b, metric)) is not None]
+    if not both:
+        return None
+    r = [vb / va for va, vb in both if va]
+    return {
+        "pairs": len(both),
+        "A": quartiles([va for va, _ in both]),
+        "B": quartiles([vb for _, vb in both]),
+        "median_ratio": statistics.median(r) if r else None,
+        "ratios": len(r),
+        "b_below_a": sum(x < 1 for x in r),
+        "b_wins": sum(vb < va if better == "lower" else vb > va for va, vb in both),
+    }
+
+
+def _quartile_text(q: dict[str, float]) -> str:
+    return f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]"
 
 
 def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[str]):
@@ -118,21 +149,17 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[str]):
     ok = all(is_correct(a) and is_correct(b) for a, b in pairs)
     lines = []
     for m in metrics:
-        both = [(va, vb) for a, b in pairs
-                if (va := value(a, m)) is not None and (vb := value(b, m)) is not None]
-        if not both:
+        if (s := metric_summary(pairs, m)) is None:
             lines.append(f"{m}: no pairs")
             continue
-        sides = [quartiles([v[i] for v in both]) for i in (0, 1)]
-        r = [vb / va for va, vb in both if va]
-        line = f"{m}: A {sides[0]}, B {sides[1]}; "
-        if r:
-            line += (f"median B/A {statistics.median(r):.4f} over {len(r)} pairs, "
-                     f"B below A in {sum(x < 1 for x in r)}")
+        line = f"{m}: A {_quartile_text(s['A'])}, B {_quartile_text(s['B'])}; "
+        if s["ratios"]:
+            line += (f"median B/A {s['median_ratio']:.4f} over {s['ratios']} pairs, "
+                     f"B below A in {s['b_below_a']}")
         else:
             line += "no ratio"
-        if len(r) < len(both):
-            line += f" ({len(both) - len(r)} pairs with A = 0 have no ratio)"
+        if s["ratios"] < s["pairs"]:
+            line += f" ({s['pairs'] - s['ratios']} pairs with A = 0 have no ratio)"
         lines.append(line)
     if not ok:
         lines.append("some run was not correct")
@@ -141,6 +168,20 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[str]):
         lines.append(f"B fails a larger share of its ops than A: {fb}/{nb} against {fa}/{na}")
         ok = False
     return lines, ok
+
+
+def summary_record(pairs, directions: dict[str, str], ok: bool, **context) -> dict:
+    """The summary as one JSON object: the context (workload, revisions,
+    seeds, line counts), failed/attempted ops per side, whether the
+    comparison passed, and ``metric_summary`` for each metric."""
+    (fa, na), (fb, nb) = failed_ops(pairs)
+    return {
+        **context,
+        "pairs": len(pairs),
+        "ops": {"A": {"failed": fa, "attempted": na}, "B": {"failed": fb, "attempted": nb}},
+        "ok": ok,
+        "metrics": {m: metric_summary(pairs, m, better) for m, better in directions.items()},
+    }
 
 
 def main(argv=None) -> int:
@@ -152,12 +193,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=41, help="seed of the first pair")
     args = parser.parse_args(argv)
-    metrics = end_to_end_metrics()
+    directions = metric_directions()
+    metrics = list(directions)
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         tree_a = export(args.rev_a, Path(tmp) / "a")
         tree_b = export(args.rev_b, Path(tmp) / "b")
-        for side, rev, tree in (("A", args.rev_a, tree_a), ("B", args.rev_b, tree_b)):
-            print(f"{side} {rev}: {source_lines(tree)} non-blank lines in src/ldga/*.py")
+        lines_of = {"A": source_lines(tree_a), "B": source_lines(tree_b)}
+        for side, rev in (("A", args.rev_a), ("B", args.rev_b)):
+            print(f"{side} {rev}: {lines_of[side]} non-blank lines in src/ldga/*.py")
         pairs = []
         for i in range(args.pairs):
             seed = args.seed + i
@@ -173,6 +216,9 @@ def main(argv=None) -> int:
     (fa, na), (fb, nb) = failed_ops(pairs)
     print(f"failed ops: A {fa}/{na}, B {fb}/{nb}")
     print("\n".join(lines))
+    print(json.dumps(summary_record(
+        pairs, directions, ok, workload=args.workload, rev_a=args.rev_a, rev_b=args.rev_b,
+        seed=args.seed, seconds=args.seconds, source_lines=lines_of)))
     return 0 if ok else 1
 
 
