@@ -7,14 +7,12 @@ on any other name is an error.  The equations are one list per field DGA,
 solution and ``conjugate``.  ``conjugate`` evaluates ``DGA.suffix_dag``, the
 field DGA's differentials as one hash-consed DAG of shared suffixes, once
 per augmentation, so a suffix common to many words is expanded once.  The
-conjugated DGA shares the field DGA's degrees and layout.  Over GF(2) the
-walk is run and ``validate`` checks its result.  Over GF(q), q > 2, the
-augmentations with one support (the generators where eps != 0) give the
-same words with other coefficients, so the walk and validate's degree and
-d^2 = 0 checks are compiled once per support into a plan of table
-operations, kept on the field DGA: at most one per subset of the degree-0
-generators.  The compiled check is exact on every term of every conjugated
-DGA; when it trips, ``validate`` writes the message.
+conjugated DGA shares the field DGA's degrees and layout.  Over GF(q),
+q > 2, the augmentations with one support (where eps != 0) give the same
+words with other coefficients, so the walk and validate's degree and
+d^2 = 0 checks are compiled once per support (at most one plan per subset
+of the degree-0 generators, kept on the field DGA); the compiled check is
+exact on every term.  Over GF(2) ``validate`` checks the walk's result.
 The one solver, ``_backtrack``, takes the generators in one fixed order and
 files each equation under the last of its generators there, where the
 equation either solves that generator, when linear in it, or is evaluated;
@@ -214,19 +212,15 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
 def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     """Differential conjugated by c -> c + eps(c); kills constant terms.
 
-    Both paths evaluate the field DGA's ``suffix_dag`` children first.  A
-    node's value is its constant plus, for each (letter, child), the child's
-    words with the letter prepended and, if eps(letter) = v != 0, the child's
-    words times v, merged through the field's tables: a shared suffix is
-    expanded once.  Each root gives one d(g) ``Element``; the result shares
-    the field DGA's generators, degrees and layout.  Over GF(2) eps is its
-    own support, so a plan would never be reused (and compiling one costs
-    more than a walk): ``_conjugate_by_walk`` walks the DAG and ``validate``
-    checks the result.  Over GF(q), q > 2, each eps runs the plan compiled
-    on first use for its support and kept in the field DGA's
-    ``conjugation_plans`` (``_compile_plan``, ``_apply_plan``); the plan's
-    check trips exactly where ``validate`` would report, and ``validate``
-    then writes the message.
+    Evaluates the field DGA's ``suffix_dag`` children first.  A node's value
+    is its constant plus, for each (letter, child), the child's words with
+    the letter prepended and, if eps(letter) = v != 0, the child's words
+    times v, merged through the field's tables: a shared suffix is expanded
+    once.  Each root gives one d(g) ``Element``; the result shares the field
+    DGA's generators, degrees and layout.  Over GF(2), where eps is its own
+    support and a plan would never be reused, ``_conjugate_by_walk`` does
+    this and ``validate`` checks it.  Over GF(q), q > 2, the plan of eps's
+    support, compiled on first use into ``conjugation_plans``, does both.
     """
     fdga = _field_dga(dga, eps.field.q)
     if not eps.is_valid(fdga):
@@ -275,48 +269,45 @@ def _conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
 def _compile_plan(fdga: DGA, support: frozenset) -> tuple:
     """The suffix-DAG walk and validate's check for every eps with this support.
 
-    Each value the walk computes gets a number: 0 is zero, the nonzero node
-    constants come next (``init`` holds them), and a word copied from a
-    child keeps the child's number, so only the merges through support
-    letters make new values.  ``ops`` lists them in walk order as (sum,
-    term, row), meaning sum += row * term, where row i > 0 is
-    eps(letters[i - 1]) and row 0 is 1 (a sum's first op copies the word's
-    value so far).  Words numbered 0 are zero for every eps with this
-    support and are left out.  Each generator keeps its root's constant,
-    the root's other (word, number) pairs in normal-form order, and the
-    numbers whose word is not of degree |g| - 1 (or names no generator).
-    The Leibniz program holds, for every other number s in d(g), with word
-    u x v where x has a differential, (s, |u| odd, the numbers of d(x),
-    targets): the term of u w' v for each word w' of d(x) goes to that
-    word's d(d(g)) accumulator, ``targets`` in d(x)'s order, as ``_leibniz``
-    expands d(d(g)).  Only ints and the roots' words are kept.
+    Each value the walk makes gets a number, ``init`` holding its value
+    before the ops: 0 is zero, a node's constant is itself, and a word
+    copied from a child keeps the child's number, so only the merges
+    through support letters make new numbers.  Those sums start at 0, and
+    ``ops`` fills them in walk order by flat triples (sum, term, row):
+    sum += row * term, where row i > 0 is eps(letters[i - 1]) and row 0 is
+    1.  A word numbered 0 is zero for every eps with this support and is
+    left out.  Each generator keeps its root's constant, the root's other
+    (word, number) pairs in normal-form order, and the numbers whose word
+    is not of degree |g| - 1 (or names no generator).  ``leibniz`` has one
+    flat quadruple (acc, s, t, odd) per term of d(d(g)) as ``_leibniz``
+    expands it: for a word u x v of d(g) numbered s, with d(x) != 0, and a
+    word w of d(x) numbered t, (-1)^|u| s*t goes to u w v's accumulator.
     """
     nodes, roots = fdga.suffix_dag
     degs = fdga.degrees
     letters = sorted(support)
     row = {g: i for i, g in enumerate(letters, 1)}
-    init = [0, *{const for const, _ in nodes if const}]
-    const_value = {c: v for v, c in enumerate(init)}
-    ops: list[tuple[int, int, int]] = []
-    n = len(init)
-    slots: list[dict] = []  # each node's nonzero words -> value, for compiling only
+    init, ops = [0], []
+    slots: list[dict] = []  # each node's nonzero words -> number, for compiling only
     for const, children in nodes:
-        words = {(): const_value[const]} if const else {}
+        words = {}
+        if const:
+            words[()] = len(init)
+            init.append(const)
         for g, child in children:
             words.update({(g, *w): v for w, v in slots[child].items()})
-        first = n  # values numbered from here on are this node's sums
+        first = len(init)  # numbers from here on are this node's sums
         for g, child in children:
             for w, v in slots[child].items() if g in support else ():
                 sum_v = words.get(w, 0)
-                if sum_v < first:  # a new sum, starting from the word's value so far
+                if sum_v < first:  # a new sum: 0, plus the word's value so far
                     if sum_v:
-                        ops.append((n, sum_v, 0))
-                    words[w] = sum_v = n
-                    n += 1
-                ops.append((sum_v, v, row[g]))
+                        ops += (len(init), sum_v, 0)
+                    words[w] = sum_v = len(init)
+                    init.append(0)
+                ops += (sum_v, v, row[g])
         slots.append(words)
-    root_values = {r: list(slots[r].values()) for r in roots.values()}
-    gens, program, n_acc = [], [], 0
+    gens, leibniz, n_acc = [], [], 0
     for name, r in roots.items():
         target = degs[name] - 1
         terms = sorted(slots[r].items())
@@ -324,19 +315,17 @@ def _compile_plan(fdga: DGA, support: frozenset) -> tuple:
                  or sum(map(degs.__getitem__, w)) != target]
         gens.append((name, slots[r].get((), 0), [t for t in terms if t[0]], wrong))
         acc: dict = {}  # d(d(name))'s words -> accumulator
-        for w, v in terms:
-            if v in wrong:
+        for w, s in terms:
+            if s in wrong:
                 continue  # zero, or the check trips whatever d(d(name)) is
             prefix = 0
             for i, x in enumerate(w):
-                if (rx := roots.get(x)) is not None:
-                    head, tail = w[:i], w[i + 1:]
-                    program.append((v, prefix % 2, root_values[rx], [
-                        n_acc + acc.setdefault(head + wx + tail, len(acc)) for wx in slots[rx]
-                    ]))
+                for wx, t in slots[roots[x]].items() if x in roots else ():
+                    a = n_acc + acc.setdefault(w[:i] + wx + w[i + 1:], len(acc))
+                    leibniz += (a, s, t, prefix % 2)
                 prefix += degs[x]
         n_acc += len(acc)
-    return letters, init + [0] * (n - len(init)), ops, gens, program, n_acc
+    return letters, init, ops, gens, leibniz, n_acc
 
 
 def _apply_plan(plan, fdga: DGA, eps: Augmentation) -> DGA:
@@ -345,28 +334,27 @@ def _apply_plan(plan, fdga: DGA, eps: Augmentation) -> DGA:
     A nonzero wrong-degree value or a nonzero d(d(g)) accumulator trips the
     check, and then ``validate`` writes the message.
     """
-    letters, init, ops, gens, program, n_acc = plan
+    letters, init, ops, gens, leibniz, n_acc = plan
     ring = eps.field
     add, neg, mul = ring.add_table, ring.neg_table, ring.mul_table
     eps_of = dict(eps.values)
     rows = [mul[1], *(mul[eps_of[g]] for g in letters)]
     vals = init[:]
-    for v, src, i in ops:
-        if c := vals[src]:
+    it = iter(ops)
+    for v, term, i in zip(it, it, it):
+        if c := vals[term]:
             vals[v] = add[vals[v]][rows[i][c]]
     diff = {}
     for name, const, terms, _ in gens:
         if vals[const]:
             raise DGAValidationError("conjugation left a constant term")
-        diff[name] = Element(ring, tuple((w, c) for w, v in terms if (c := vals[v])))
+        diff[name] = Element(ring, tuple([(w, c) for w, v in terms if (c := vals[v])]))
     out = fdga.with_differential(diff)
     acc = [0] * n_acc
-    for v, odd, x_values, targets in program:
-        if c := vals[v]:
-            times_c = mul[neg[c] if odd else c]
-            for t, vx in zip(targets, x_values):
-                if cx := vals[vx]:
-                    acc[t] = add[acc[t]][times_c[cx]]
+    it = iter(leibniz)
+    for a, s, t, odd in zip(it, it, it, it):
+        if c := mul[vals[s]][vals[t]]:
+            acc[a] = add[acc[a]][neg[c] if odd else c]
     if any(acc) or any(vals[v] for *_, wrong in gens for v in wrong):
         return _validated(out)
     return out

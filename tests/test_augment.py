@@ -18,7 +18,9 @@ from ldga.algebra import (
     ZZ,
     change_coefficients,
     multiply,
+    validate,
 )
+from ldga import augment
 from ldga.augment import (
     Augmentation,
     AugmentationError,
@@ -32,6 +34,8 @@ from ldga.augment import (
     torus_point_count,
     variety_points,
     _backtrack,
+    _conjugate_by_walk,
+    _field_dga,
 )
 from ldga.cedga import (
     build_dga,
@@ -375,6 +379,145 @@ def test_suffix_dag_is_built_once_per_field_dga():
             assert fdga.__dict__["suffix_dag"] is dag
             assert "suffix_dag" not in conj.__dict__  # with_differential shares no DAG
         assert conj.suffix_dag is not dag and conj.suffix_dag[1].keys() == dag[1].keys()
+
+
+def conjugated_both_ways(dga: DGA, eps: Augmentation):
+    """(conjugate's result or error text, the walk's) for eps on the DGA.
+
+    Over GF(q), q > 2, ``conjugate`` runs the support's plan; the walk is
+    the GF(2) path run at any q, the reference for the plan.
+    """
+    results = []
+    for conj in (conjugate, lambda dga, eps: _conjugate_by_walk(_field_dga(dga, eps.field.q), eps)):
+        try:
+            results.append(conj(dga, eps).differential)
+        except DGAValidationError as exc:
+            results.append(str(exc))
+    return results
+
+
+def supports(augs: list[Augmentation]) -> set[frozenset]:
+    return {frozenset(name for name, v in eps.values if v) for eps in augs}
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS[1:])
+@settings(max_examples=15)
+@given(case=conjugation_cases(), seed=st.integers(0, 2**32))
+def test_plans_match_the_walk_on_random_dgas(q, case, seed):
+    # every augmentation twice, in shuffled order: most runs read a warm plan
+    dga = load_dsl(conjugation_case_text(q, *case))
+    augs = enumerate_augmentations(dga, q)
+    twice = augs * 2
+    random.Random(seed).shuffle(twice)
+    for eps in twice:
+        plan, walk = conjugated_both_ways(dga, eps)
+        assert plan == walk
+    assert dga.conjugation_plans.keys() == supports(augs)
+
+
+@pytest.mark.parametrize(
+    "knot, q, n_supports",
+    [("m821", 4, 20), ("m821", 8, 20), ("torus2:5", 4, 28)]
+    + [("trefoil", q, None) for q in FIELD_ORDERS[1:]],
+)
+def test_plans_match_the_walk(knot, q, n_supports):
+    if knot == "trefoil":  # the Z lift
+        dga = load_dsl(TREFOIL_Z)
+    else:
+        dga = build_dga(resolve(grid_to_front(m821_grid())) if knot == "m821" else builtin(knot))
+    augs = enumerate_augmentations(dga, q)
+    fdga = dga.field_copies[q]
+    for eps in augs:
+        conj = conjugate(dga, eps)
+        assert conj.differential == _conjugate_by_walk(fdga, eps).differential
+        assert "conjugation_plans" not in conj.__dict__  # with_differential shares no plan
+    assert fdga.conjugation_plans.keys() == supports(augs)  # one plan per support
+    assert n_supports in (None, len(fdga.conjugation_plans))
+
+
+def test_no_plan_is_built_over_gf2():
+    dga = build_dga(resolve(grid_to_front(m821_grid())))
+    for eps in enumerate_augmentations(dga, 2):
+        conjugate(dga, eps)
+    assert _field_dga(dga, 2) is dga and "conjugation_plans" not in dga.__dict__
+
+
+# d^2 = 0 here needs the Leibniz sign: d(d(a)) = (d u)*v - u*(d v) + d(w),
+# and u*(d v) = u*k2 cancels against d(w) only with its minus sign.  The
+# augmentations have supports {}, {c} and {c, k1} (where eps(c) = 1).
+SIGNED = """coeff F{q}
+gen c 0
+gen k1 0
+gen k2 0
+gen u 1
+gen v 1
+gen w 2
+gen a 3
+d u = k1 - c*k1
+d v = k2
+d w = -k1*v + c*k1*v + u*k2
+d a = u*v + w
+"""
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_plan_check_trips_only_where_validate_reports(q, monkeypatch):
+    calls = []
+    monkeypatch.setattr(augment, "validate", lambda dga: calls.append(dga) or validate(dga))
+    dga = load_dsl(SIGNED.format(q=q))
+    augs = enumerate_augmentations(dga, q)
+    for eps in augs * 2:
+        plan, walk = conjugated_both_ways(dga, eps)
+        assert plan == walk
+    assert len(dga.conjugation_plans) == 3
+    assert len(calls) == 2 * len(augs)  # the walk's own validate calls, and no others
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_plans_and_walk_agree_on_nonzero_d_squared(q):
+    # built directly, so nothing checked it: |c| = |k| = 0, |e| = 1, |a| = 2,
+    # d e = c*k - k*c (zero at every eps) and d a = e*c, so d(d(a)) =
+    # (c*k - k*c)*(c + eps(c)) != 0 for every eps, warm plan or cold
+    ring = GF(q)
+    minus_one = ring.neg(1)
+    dga = DGA(
+        ring,
+        (Generator("c", 0), Generator("k", 0), Generator("e", 1), Generator("a", 2)),
+        {"e": Element.build(ring, {("c", "k"): 1, ("k", "c"): minus_one}),
+         "a": Element.build(ring, {("e", "c"): 1})},
+    )
+    augs = [eps for eps in enumerate_augmentations(dga, q) if len(eps.values) == 2]
+    assert len(augs) == (q - 1) ** 2
+    for eps in augs:
+        plan, walk = conjugated_both_ways(dga, eps)
+        assert plan == walk
+        assert walk.startswith("conjugated DGA failed validation") and "d(d(a))" in walk
+    assert len(dga.conjugation_plans) == 1
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+@pytest.mark.parametrize("g_degree", [1, 2])
+def test_plans_and_walk_agree_on_wrong_degree_words(q, g_degree):
+    # d g = x + a*x with |a| = 0 and |x| = 1 conjugates to (1 + eps(a))*x +
+    # a*x: the x term cancels at eps(a) = -1 only.  At |g| = 1 both words
+    # have the wrong degree, and the message names x for every other eps(a);
+    # at |g| = 2 the DGA is valid
+    ring = GF(q)
+    dga = DGA(
+        ring,
+        (Generator("a", 0), Generator("x", 1), Generator("g", g_degree)),
+        {"g": Element.build(ring, {("x",): 1, ("a", "x"): 1})},
+    )
+    messages = set()
+    for eps in enumerate_augmentations(dga, q)[1:]:  # every eps with support {a}
+        plan, walk = conjugated_both_ways(dga, eps)
+        assert plan == walk
+        if g_degree == 2:
+            assert isinstance(walk, dict)
+        else:
+            messages.add(walk)
+            assert ("term x has" in walk) == (eps.value("a") != ring.neg(1))
+    assert len(messages) == (2 if g_degree == 1 else 0)
 
 
 def test_stray_augmentation_values_are_rejected():

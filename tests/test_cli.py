@@ -662,3 +662,19 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert stdout == ""
     assert json.loads(out.read_text())["result"]["count"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["augs", "--builtin", "trefoil", "--field", "2"], ["dga", "--builtin", "trefoil"]],
+)
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/report.json", "No such file or directory"), ("", "Is a directory")],
+)
+def test_unwritable_out_path_exits_2(tmp_path, capsys, argv, where, reason):
+    # a missing directory, or a directory given as the path
+    path = tmp_path / where
+    code, stdout, err = run(capsys, *argv, "--out", str(path))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write report to {path}: {reason}\n"
