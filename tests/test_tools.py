@@ -5,6 +5,8 @@ import importlib.util
 import os
 from pathlib import Path
 
+import pytest
+
 from ldga.cedga import m821_grid
 
 REPO = Path(__file__).resolve().parents[1]
@@ -194,3 +196,47 @@ def test_ab_bench_counts_non_blank_source_lines(tmp_path):
     (src / "b.py").write_text("   \nx = 1")
     (src / "notes.txt").write_text("not\ncounted\n")
     assert tool.source_lines(tmp_path) == 4
+
+
+def test_ab_bench_ends_with_a_json_summary(monkeypatch, capsys):
+    # the text summary and the JSON line come from the same canned pairs
+    import json
+
+    tool = load_by_path(AB_BENCH)
+    canned = iter(result_line(True, p, setup_s=s)
+                  for p, s in [(0.30, 0.20), (0.27, 0.21), (0.33, 0.20), (0.28, 0.19)])
+    monkeypatch.setattr(tool, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(tool, "source_lines", lambda tree: {"a": 100, "b": 90}[tree.name])
+    monkeypatch.setattr(tool, "run_side", lambda *args: json.loads(next(canned)))
+    assert tool.main(["A", "B", "--workload", "m821-fields", "--pairs", "2", "--seed", "5"]) == 0
+    *text, last = capsys.readouterr().out.splitlines()
+    assert "failed ops: A 0/20, B 0/20" in text
+    summary = json.loads(last)
+    assert {k: summary[k] for k in ("workload", "rev_a", "rev_b", "seed", "pairs", "ok")} == {
+        "workload": "m821-fields", "rev_a": "A", "rev_b": "B", "seed": 5, "pairs": 2, "ok": True}
+    assert summary["source_lines"] == {"A": 100, "B": 90}
+    assert summary["ops"] == {"A": {"failed": 0, "attempted": 20},
+                              "B": {"failed": 0, "attempted": 20}}
+    # pair 0 runs A first (0.30, then B 0.27), pair 1 runs B first (0.33, then A 0.28)
+    passes = summary["metrics"]["pass_s.ref"]
+    assert passes["A"]["median"] == pytest.approx(0.29) and passes["B"]["median"] == pytest.approx(0.30)
+    assert (passes["pairs"], passes["ratios"], passes["b_below_a"], passes["b_wins"]) == (2, 2, 1, 1)
+    assert passes["median_ratio"] == pytest.approx((0.27 / 0.30 + 0.33 / 0.28) / 2)
+    assert summary["metrics"]["ops_per_s.ref"] is None  # no side reports it
+    a, b = ("{median:.4g} [{q1:.4g}, {q3:.4g}]".format(**passes[side]) for side in "AB")
+    assert f"pass_s.ref: A {a}, B {b}; median B/A {passes['median_ratio']:.4f} over 2 pairs, " \
+        "B below A in 1" in text
+
+
+def test_ab_bench_counts_wins_in_the_better_direction():
+    import json
+
+    tool = load_by_path(AB_BENCH)
+    pairs = [
+        (json.loads(result_line(True, a)), json.loads(result_line(True, b)))
+        for a, b in [(0.3, 0.2), (0.3, 0.4), (0.3, 0.5)]
+    ]
+    lower = tool.metric_summary(pairs, "pass_s.ref", "lower")
+    higher = tool.metric_summary(pairs, "pass_s.ref", "higher")
+    assert (lower["b_wins"], higher["b_wins"], lower["b_below_a"]) == (1, 2, 1)
+    assert tool.metric_directions()["ops_per_s.ref"] == "higher"
