@@ -35,27 +35,13 @@ _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 class Ring:
     """Common interface: elements are plain hashable Python values.
 
-    Integers become ring elements only through ``from_int``.
+    Each subclass implements ``add``, ``neg``, ``mul`` and ``from_int``;
+    integers become ring elements only through ``from_int``.
     """
 
     name = "ring"
     zero: object
     one: object
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def from_int(self, n: int):
-        raise NotImplementedError
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -142,10 +128,6 @@ class LaurentRing(Ring):
     def from_int(self, n):
         return Laurent.from_dict({0: n})
 
-    @property
-    def t(self) -> Laurent:
-        return Laurent(((1, 1),))
-
     def t_power(self, k: int) -> Laurent:
         return Laurent(((k, 1),))
 
@@ -189,11 +171,6 @@ class FiniteField(Ring):
 
     def from_int(self, n):
         return n % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverting 0 in a finite field")
-        return self.inv_table[a]
 
     def elements(self) -> range:
         return range(self.q)
@@ -310,9 +287,6 @@ class Element(Record, frozen=True):
     def generator(ring: Ring, name: str, coeff=None) -> "Element":
         return Element.build(ring, {(name,): ring.one if coeff is None else coeff})
 
-    def as_dict(self) -> dict[Word, object]:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -322,9 +296,6 @@ class Element(Record, frozen=True):
         if self.terms and not self.terms[0][0]:
             return self.terms[0][1]
         return self.ring.zero
-
-    def words(self) -> list[Word]:
-        return [w for w, _ in self.terms]
 
     def add(self, other: "Element") -> "Element":
         _check_rings(self, other)

@@ -35,7 +35,6 @@ from .algebra import (
     Element,
     FiniteField,
     GF,
-    ZT,
     change_coefficients,
     validate,
 )
@@ -46,32 +45,19 @@ from .linhom import LinearizedComplex
 class Augmentation(Record, frozen=True):
     """Values on degree-0 generators; everything else is sent to zero.
 
-    ``values`` are sorted by generator name; ``t_value`` is -1 in the field
-    when t exists upstream.
+    ``values`` are sorted by generator name.  t, when the DGA has it, is -1
+    in the field for every augmentation, so no augmentation stores it.
     """
 
-    __slots__ = ("field", "values", "t_value")
+    __slots__ = ("field", "values")
 
-    def __init__(self, field: FiniteField, values: tuple[tuple[str, int], ...],
-                 t_value: int | None = None):
+    def __init__(self, field: FiniteField, values: tuple[tuple[str, int], ...]):
         set_field(self, "field", field)
         set_field(self, "values", values)
-        set_field(self, "t_value", t_value)
 
     @staticmethod
-    def build(field: FiniteField, values: dict[str, int], t_value: int | None = None):
-        return Augmentation(
-            field, tuple(sorted((k, v) for k, v in values.items() if v)), t_value
-        )
-
-    def value(self, name: str) -> int:
-        for k, v in self.values:
-            if k == name:
-                return v
-        return 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
+    def build(field: FiniteField, values: dict[str, int]):
+        return Augmentation(field, tuple(sorted((k, v) for k, v in values.items() if v)))
 
     def is_valid(self, dga: DGA) -> bool:
         """eps(d g) = 0 for every generator, read off the DGA's cached system.
@@ -104,10 +90,9 @@ def enumerate_augmentations(dga: DGA, q: int) -> list[Augmentation]:
     ring = GF(q)
     fdga = _field_dga(dga, q)
     unknowns = sorted(fdga.generators_of_degree(0))
-    t_val = ring.from_int(-1) if dga.ring is ZT else None
     sols = _backtrack(ring, unknowns, fdga.augmentation_system)
     sols.sort(key=lambda a: tuple(a[u] for u in unknowns))
-    out = [Augmentation.build(ring, s, t_val) for s in sols]
+    out = [Augmentation.build(ring, s) for s in sols]
     for aug in out:
         if not aug.is_valid(fdga):
             raise DGAValidationError("solver produced an invalid augmentation")

@@ -172,14 +172,14 @@ def cmd_dga(args) -> int:
 
 
 def cmd_augs(args):
-    from . import augment
+    from . import algebra, augment
     inputs: dict = {"field": args.field}
     dga = _load_dga(args, inputs)
     augs = augment.enumerate_augmentations(dga, args.field)
     result = {
         "count": len(augs),
         "augmentations": [dict(a.values) for a in augs],
-        "t_value": augs[0].t_value if augs and augs[0].t_value is not None else None,
+        "t_value": augs[0].field.from_int(-1) if augs and dga.ring is algebra.ZT else None,
     }
     return inputs, [], result, f"{len(augs)} augmentations over F{args.field}"
 

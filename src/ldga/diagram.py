@@ -178,11 +178,10 @@ class FrontDiagram:
         direction: dict[int, str] = {}
         mu: dict[int, int] = {}
         closed = True
-        self.n_components = net = 0  # net: up cusps - down cusps
+        net = 0  # up cusps - down cusps
         for start in range(0, self.n_arcs, 2):
             if start in direction:
                 continue
-            self.n_components += 1
             arc, heading, level = start, "E" if east else "W", 0
             while arc not in direction:
                 direction[arc], mu[arc] = heading, level

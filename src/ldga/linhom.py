@@ -354,9 +354,6 @@ class GradedModule(Record, frozen=True):
     def degrees(self) -> list[int]:
         return sorted(self.entries)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def describe(self) -> str:
         if not self.entries:
             return "0"

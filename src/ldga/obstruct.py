@@ -35,15 +35,9 @@ from .linhom import COHOMOLOGICAL, HOMOLOGICAL, GradedModule, module_to_jsonable
 def _twist_variety():
     """The Legendrian-side augmentation variety of the twist knots, a fixed
     polynomial system (two coordinates with product -1), parsed on first use
-    by class B or by reading ``TWIST_VARIETY``, never at import."""
+    by class B, never at import."""
     from .augment import parse_polysystem
     return parse_polysystem("var a b; eq a*b + 1;")
-
-
-def __getattr__(name: str):
-    if name == "TWIST_VARIETY":
-        return _twist_variety()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 FEASIBLE = "feasible"
@@ -212,11 +206,10 @@ def obstruction_chain(h: GradedModule, n: int, evidence: list[dict], tb: int | N
 class Certification(Record):
     __slots__ = ("case", "verdict", "evidence")
 
-    def __init__(self, case: str, verdict: ObstructionVerdict,
-                 evidence: list[dict] | None = None):
+    def __init__(self, case: str, verdict: ObstructionVerdict, evidence: list[dict]):
         self.case = case
         self.verdict = verdict
-        self.evidence = [] if evidence is None else evidence
+        self.evidence = evidence
 
 
 TARGET_M821_POLY = Laurent.from_dict({-1: 1, 0: 4, 1: 2})

@@ -39,7 +39,7 @@ def test_field_axioms_exhaustive(q):
         assert f.mul(a, 1) == a
         assert f.add(a, f.neg(a)) == 0
         if a != 0:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.mul(a, f.inv_table[a]) == 1
     for a in els:
         for b in els:
             assert f.add(a, b) == f.add(b, a)
@@ -121,7 +121,7 @@ def test_eval_at_minus_one_is_ring_map(x, y):
 
 
 def test_laurent_str():
-    t = ZT.t
+    t = ZT.t_power(1)
     assert str(ZT.add(ZT.one, t)) == "1 + t"
     assert str(ZT.t_power(-1)) == "t^-1"
 
@@ -145,7 +145,7 @@ def test_noncommutativity():
     a = Element.generator(GF(2), "a")
     b = Element.generator(GF(2), "b")
     assert multiply(a, b) != multiply(b, a)
-    assert multiply(a, b).words() == [("a", "b")]
+    assert [w for w, _ in multiply(a, b).terms] == [("a", "b")]
 
 
 def test_char2_square():
@@ -174,7 +174,7 @@ def test_addition_commutative_associative(x, y, z):
 
 @given(elements_f2)
 def test_normal_form_idempotent(x):
-    assert Element.build(x.ring, x.as_dict()) == x
+    assert Element.build(x.ring, dict(x.terms)) == x
 
 
 RINGS = [ZZ, ZT] + [GF(q) for q in SUPPORTED_ORDERS]

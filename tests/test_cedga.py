@@ -220,7 +220,6 @@ def test_dsl_unknot_over_laurent():
 
     augs = enumerate_augmentations(dga, 2)
     assert len(augs) == 1
-    assert augs[0].t_value == 1  # -1 in F2
 
 
 def test_dsl_parse_error_positions():

@@ -157,7 +157,6 @@ def test_swapping_x_and_o_reverses_the_grid_orientation():
 
 def test_trefoil_front_invariants():
     front = FrontDiagram(trefoil_front_events())
-    assert front.n_components == 1
     assert (front.tb, front.rotation_number) == (1, 0)
     assert front.maslov is not None
 

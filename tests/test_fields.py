@@ -98,9 +98,10 @@ def conjugate_by_substitution(dga, eps):
     """Reference conjugation: substitute g -> g + eps(g) and multiply letter by letter."""
     ring = eps.field
     fdga = change_coefficients(dga, ring)
+    values = dict(eps.values)
     subs = {
         g.name: Element.build(
-            ring, {(g.name,): ring.one, (): eps.value(g.name) if g.degree == 0 else ring.zero}
+            ring, {(g.name,): ring.one, (): values.get(g.name, 0) if g.degree == 0 else ring.zero}
         )
         for g in fdga.generators
     }
@@ -191,12 +192,12 @@ def gauss_rank(ring, a):
         if not rows:
             continue
         m[rank], m[rows[0]] = m[rows[0]], m[rank]
-        inv = ring.inv(m[rank][col])
+        inv = ring.inv_table[m[rank][col]]
         m[rank] = [ring.mul(inv, x) for x in m[rank]]
         for i in range(len(m)):
             if i != rank:
                 f = m[i][col]
-                m[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(m[i], m[rank])]
+                m[i] = [ring.add(x, ring.neg(ring.mul(f, y))) for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
 

@@ -306,5 +306,5 @@ def test_block_sum_matches_cell_copy(a, b, m):
 
 def test_polynomial_multiply():
     p = Laurent.from_dict({-1: 1, 0: 4, 1: 2})
-    q = ZT.mul(p, ZT.add(ZT.one, ZT.t))
+    q = ZT.mul(p, ZT.add(ZT.one, ZT.t_power(1)))
     assert q.as_dict() == {-1: 1, 0: 5, 1: 6, 2: 2}

@@ -8,7 +8,7 @@ from ldga.obstruct import (
     OBSTRUCTED,
     ObstructionStageError,
     ObstructionVerdict,
-    TWIST_VARIETY,
+    _twist_variety,
     aug_injectivity_test,
     certify_nongeometric,
     euler_tb_check,
@@ -293,7 +293,7 @@ def test_certify_sphere_dim_below_one_names_the_stage():
 
 
 def test_twist_variety_counts():
-    assert {q: variety_points(TWIST_VARIETY, q) for q in (2, 4, 8, 16)} == {
+    assert {q: variety_points(_twist_variety(), q) for q in (2, 4, 8, 16)} == {
         2: 1, 4: 3, 8: 7, 16: 15
     }
 

@@ -76,7 +76,7 @@ CASES = {
         True, False),
     "Augmentation": (
         lambda: Augmentation(F2, (("a", 1),)),
-        "Augmentation(field=F2, values=(('a', 1),), t_value=None)", True, True),
+        "Augmentation(field=F2, values=(('a', 1),))", True, True),
     "PolySystem": (
         lambda: PolySystem(("a", "b"), (((1, (("a", 1), ("b", 1))), (1, ())),)),
         "PolySystem(variables=('a', 'b'), equations=(((1, (('a', 1), ('b', 1))), (1, ())),))",
@@ -88,7 +88,7 @@ CASES = {
         lambda: ObstructionVerdict("feasible"),
         "ObstructionVerdict(status='feasible', reasons=())", True, True),
     "Certification": (
-        lambda: Certification("classB_twist", ObstructionVerdict("feasible")),
+        lambda: Certification("classB_twist", ObstructionVerdict("feasible"), []),
         "Certification(case='classB_twist', verdict=ObstructionVerdict(status='feasible', "
         "reasons=()), evidence=[])", False, False),
     "SpinStage": (
@@ -194,15 +194,10 @@ def test_copy_and_pickle_rebuild_the_record(name):
 
 
 def test_defaults_are_not_shared():
-    c1 = Certification("classA_m821", ObstructionVerdict("feasible"))
-    c2 = Certification("classA_m821", ObstructionVerdict("feasible"))
-    c1.evidence.append({"stage": "grid"})
-    assert c2.evidence == []
     g = (Generator("x", 0),)
     assert DGA(ZZ, g).differential == {} and DGA(ZZ, g).differential is not DGA(ZZ, g).differential
     m1, m2 = GradedModule("Z", "homological"), GradedModule("Z", "homological")
     assert m1.entries == {} and m1.entries is not m2.entries
-    assert Augmentation(F2, ()).t_value is None
     assert ObstructionVerdict("feasible").reasons == ()
     assert (FrontEvent("lcusp", 0).upper_arc, FrontEvent("lcusp", 0).lower_arc) == (-1, -1)
 

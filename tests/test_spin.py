@@ -129,7 +129,7 @@ def test_kunneth_m821_dims():
 
 def test_kunneth_zero_module():
     h = GradedModule("F2", HOMOLOGICAL, {})
-    assert kunneth_s1(h).is_zero()
+    assert not kunneth_s1(h).entries
 
 
 def test_kunneth_polynomial_identity():
@@ -138,7 +138,7 @@ def test_kunneth_polynomial_identity():
     h = homology_field(linear_part(conjugate(dga, eps)))
     p = poincare(as_cohomological(h))
     spun = kunneth_s1(h)
-    assert poincare(as_cohomological(spun)) == ZT.mul(p, ZT.add(ZT.one, ZT.t))
+    assert poincare(as_cohomological(spun)) == ZT.mul(p, ZT.add(ZT.one, ZT.t_power(1)))
 
 
 def test_kunneth_rejects_integral():
@@ -300,7 +300,7 @@ def scrambled_complexes(draw, ring):
                 m[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(m[i], m[j])]
             if d in mats:
                 for row in mats[d]:
-                    row[j] = ring.sub(row[j], ring.mul(c, row[i]))
+                    row[j] = ring.add(row[j], ring.neg(ring.mul(c, row[i])))
     return LinearizedComplex(ring, {d: tuple(g) for d, g in names.items()}, mats)
 
 
