@@ -25,7 +25,7 @@ Read counterclockwise from the positive corner, the boundary word is the
 top corners from east to west, then the bottom corners from west to east.
 Each right cusp adds one more disk: the loop between its crossing and its
 cap, with the empty word.  Disks whose fiber is two intervals somewhere are
-not enumerated; finding them is the first open item of ROADMAP.md.  The
+not enumerated; finding them is item 4 of ROADMAP.md.  The
 caller checks every disk against the index identity
 deg(a) - sum deg(b_i) = 1, and the assembled DGA against d^2 = 0.
 

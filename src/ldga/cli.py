@@ -10,7 +10,9 @@ the same inputs differ only there.  Exit codes: 0 ok, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -61,6 +63,15 @@ def _write_out(path: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise CliError(f"cannot write report to {path}: {exc.strerror or exc}", EXIT_PARSE) from exc
+
+
+def _check_out(path: str) -> None:
+    """Refuse, creating nothing, an --out path that is a directory or lies in none."""
+    target = Path(path)
+    if target.is_dir() or not target.parent.is_dir():
+        no_parent = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+        code = errno.EISDIR if target.is_dir() else no_parent
+        raise CliError(f"cannot write report to {path}: {os.strerror(code)}", EXIT_PARSE)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +453,8 @@ def main(argv=None) -> int:
                 if value < 1 and name in ("dim", "budget"):
                     raise CliError(f"--{name} must be at least 1, got {value}", EXIT_PARSE)
                 setattr(args, name, value)
+        if args.out:
+            _check_out(args.out)
         if args.subcommand == "dga":  # writes DSL text, not a report
             return args.func(args)
         return _write_report(args, started, *args.func(args))

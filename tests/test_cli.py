@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ldga import augment, cedga
+from ldga import augment, cedga, obstruct
 from ldga._polytext import MAX_DIGITS
 from ldga.algebra import GF, ValidationReport
 from ldga.cli import main, parse_poly_text
@@ -88,6 +88,22 @@ def test_augs_unknot_dsl_fixture(capsys):
     report, _ = run_json(capsys, "augs", "--dsl", str(FIXTURES / "unknot.dga"), "--field", "2")
     assert report["result"]["count"] == 1
     assert report["result"]["t_value"] == 1  # -1 in F2
+
+
+@pytest.mark.parametrize(
+    "argv, count, t_value",
+    [
+        (["--builtin", "unknot_dsl", "--field", "3"], 1, 2),  # -1 in F3
+        (["--dsl", "no_root.dga", "--field", "3"], 0, None),  # b*b = -1 has no root in F3
+        (["--dsl", "no_root.dga", "--field", "9"], 2, 2),  # but two in F9
+    ],
+)
+def test_augs_t_value_is_minus_one_when_the_dga_has_t(capsys, monkeypatch, tmp_path, argv,
+                                                     count, t_value):
+    monkeypatch.chdir(tmp_path)
+    Path("no_root.dga").write_text("coeff Z[t]\ngen a 1\ngen b 0\nd a = 1 + b*b\n")
+    report, _ = run_json(capsys, "augs", *argv)
+    assert (report["result"]["count"], report["result"]["t_value"]) == (count, t_value)
 
 
 def test_linpoly_m821_contains_target(capsys):
@@ -678,3 +694,38 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, argv, where, reason):
     code, stdout, err = run(capsys, *argv, "--out", str(path))
     assert (code, stdout) == (2, "")
     assert err == f"error: cannot write report to {path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [(["certify", "classA"], obstruct, "certify_nongeometric"),
+     (["dga", "--builtin", "trefoil"], cedga, "build_dga")],
+)
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/r.json", "No such file or directory"), ("file/r.json", "Not a directory"),
+     ("", "Is a directory")],
+)
+def test_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                       module, name, where, reason):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{name} ran before --out was checked")
+
+    monkeypatch.setattr(module, name, never)
+    (tmp_path / "file").write_text("")
+    path = tmp_path / where
+    code, stdout, err = run(capsys, *argv, "--out", str(path))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write report to {path}: {reason}\n"
+
+
+def test_failed_run_leaves_out_file_as_it_was(tmp_path, capsys):
+    # disk-budget exhaustion is exit 4; the report is written only on success
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    for path in (new, old):
+        argv = ["augs", "--builtin", "torus2:3", "--budget", "1", "--out", str(path)]
+        code, stdout, _ = run(capsys, *argv)
+        assert (code, stdout) == (4, "")
+    assert not new.exists()
+    assert old.read_text() == "kept"

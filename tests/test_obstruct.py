@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from ldga.obstruct import (
     euler_tb_check,
     seidel_profile,
 )
-from ldga.augment import variety_points
+from ldga.augment import parse_polysystem, variety_points
 
 
 def coh(entries):
@@ -296,6 +298,12 @@ def test_twist_variety_counts():
     assert {q: variety_points(_twist_variety(), q) for q in (2, 4, 8, 16)} == {
         2: 1, 4: 3, 8: 7, 16: 15
     }
+
+
+def test_twist_variety_is_the_committed_fixture():
+    # class B reads the code's system; the augvar golden reads the file
+    text = (Path(__file__).resolve().parents[1] / "fixtures" / "twist_variety.sys").read_text()
+    assert parse_polysystem(text) == _twist_variety()
 
 
 def test_each_homology_is_computed_once(monkeypatch):
