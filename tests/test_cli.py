@@ -98,8 +98,7 @@ def test_augs_unknot_dsl_fixture(capsys):
         (["--dsl", "no_root.dga", "--field", "9"], 2, 2),  # but two in F9
     ],
 )
-def test_augs_t_value_is_minus_one_when_the_dga_has_t(capsys, monkeypatch, tmp_path, argv,
-                                                     count, t_value):
+def test_augs_t_value_over_laurent_dgas(capsys, monkeypatch, tmp_path, argv, count, t_value):
     monkeypatch.chdir(tmp_path)
     Path("no_root.dga").write_text("coeff Z[t]\ngen a 1\ngen b 0\nd a = 1 + b*b\n")
     report, _ = run_json(capsys, "augs", *argv)
