@@ -12,7 +12,8 @@ q > 2, the augmentations with one support (where eps != 0) give the same
 words with other coefficients, so the walk and validate's degree and
 d^2 = 0 checks are compiled once per support (at most one plan per subset
 of the degree-0 generators, kept on the field DGA); the compiled check is
-exact on every term.  Over GF(2) ``validate`` checks the walk's result.
+exact on every term.  Over GF(2) ``validate`` checks the walk, whose node
+values are word sets; the tests check every plan against an any-field walk.
 The one solver, ``_backtrack``, takes the generators in one fixed order and
 files each equation under the last of its generators there, where the
 equation either solves that generator, when linear in it, or is evaluated;
@@ -197,14 +198,14 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
 def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     """Differential conjugated by c -> c + eps(c); kills constant terms.
 
-    Evaluates the field DGA's ``suffix_dag`` children first.  A node's value
-    is its constant plus, for each (letter, child), the child's words with
-    the letter prepended and, if eps(letter) = v != 0, the child's words
-    times v, merged through the field's tables: a shared suffix is expanded
-    once.  Each root gives one d(g) ``Element``; the result shares the field
-    DGA's generators, degrees and layout.  Over GF(2), where eps is its own
-    support and a plan would never be reused, ``_conjugate_by_walk`` does
-    this and ``validate`` checks it.  Over GF(q), q > 2, the plan of eps's
+    Evaluates the field DGA's ``suffix_dag`` children first, so a shared
+    suffix is expanded once.  Each root gives one d(g) ``Element``; the
+    result shares the field DGA's generators, degrees and layout.  Over
+    GF(2), where eps is its own support and a plan would never be reused,
+    ``_conjugate_by_walk`` does this and ``validate`` checks it: a node's
+    value is the set of its words, its constant word and each child's words
+    with the letter prepended, and, where eps(letter) = 1, the child's set
+    added by symmetric difference.  Over GF(q), q > 2, the plan of eps's
     support, compiled on first use into ``conjugation_plans``, does both.
     """
     fdga = _field_dga(dga, eps.field.q)
@@ -227,27 +228,22 @@ def _validated(out: DGA) -> DGA:
 
 
 def _conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
-    """The conjugate by a valid eps: node values as dicts, then ``validate``."""
-    ring = eps.field
-    add, mul = ring.add_table, ring.mul_table
-    shift = {name: mul[v] for name, v in eps.values if v}  # is_valid vetted the names
+    """The conjugate by a valid eps over GF(2): node values as word sets, then ``validate``."""
+    support = {name for name, v in eps.values if v}  # is_valid vetted the names
     nodes, roots = fdga.suffix_dag
-    values: list[dict] = []
+    values: list[set] = []
     for const, children in nodes:
-        acc = {(): const} if const else {}  # then distinct first letters: no collisions
-        acc.update({(g,) + w: c for g, child in children for w, c in values[child].items()})
+        acc = {()} if const else set()  # then distinct first letters: no collisions
+        acc.update([(g,) + w for g, child in children for w in values[child]])
         for g, child in children:
-            if (times_v := shift.get(g)) is not None:
-                for w, c in values[child].items():
-                    acc[w] = s = add[acc[w]][times_v[c]] if w in acc else times_v[c]
-                    if not s:
-                        del acc[w]
+            if g in support:
+                acc ^= values[child]
         values.append(acc)
     diff = {}
     for name, root in roots.items():
         if () in values[root]:
             raise DGAValidationError("conjugation left a constant term")
-        diff[name] = Element(ring, tuple(sorted(values[root].items())))
+        diff[name] = Element(eps.field, tuple([(w, 1) for w in sorted(values[root])]))
     return _validated(fdga.with_differential(diff))
 
 

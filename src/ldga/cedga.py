@@ -44,7 +44,7 @@ from .diagram import (
     parse_grid,
     resolve,
 )
-from .errors import BuiltinError, DiskSearchError, DSLError
+from .errors import BuiltinError, CoefficientError, DiskSearchError, DSLError
 
 __all__ = [
     "BuiltinError",
@@ -97,9 +97,7 @@ def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
 # DGA DSL
 # ---------------------------------------------------------------------------
 
-_COEFF_NAMES = {"Z": ZZ, "Z[t]": ZT, "Z[t,t-1]": ZT}
-# field orders by name; GF(q) builds its tables on first use, not at import
-_FIELD_NAMES = {f"F{q}": q for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)}
+_COEFF_NAMES = {"Z": ZZ, "Z[t]": ZT, "Z[t,t-1]": ZT}  # and F<q>, for each order GF accepts
 
 
 def load_dsl(text: str) -> DGA:
@@ -117,8 +115,12 @@ def load_dsl(text: str) -> DGA:
             spec = "".join(t for _, _, t in toks[1:])
             if spec in _COEFF_NAMES:
                 ring = _COEFF_NAMES[spec]
-            elif spec in _FIELD_NAMES:
-                ring = GF(_FIELD_NAMES[spec])
+            elif spec[:1] == "F":  # natural caps the order's digits; GF decides the orders
+                try:
+                    ring = GF(natural((lineno, col, spec[1:]),
+                                      lambda line, col, message: CoefficientError(message)))
+                except CoefficientError as exc:
+                    raise DSLError(lineno, col, f"unknown coefficient ring {spec!r}: {exc}") from None
             else:
                 raise DSLError(lineno, col, f"unknown coefficient ring {spec!r}")
         elif head == "gen":

@@ -258,8 +258,7 @@ class LinearizedComplex(Record, frozen=True):
 
     ``matrices[d]`` maps basis(d) to basis(d-1): shape (len(basis(d-1)),
     len(basis(d))), columns indexed by degree-d generators.  No code writes
-    into a stored matrix (elimination works on copies), so ``shift`` shares
-    its matrices with the complex it shifts.
+    into a stored matrix (elimination works on copies).
     """
 
     __slots__ = ("ring", "bases", "matrices")
@@ -281,9 +280,6 @@ class LinearizedComplex(Record, frozen=True):
     def dim(self, d: int) -> int:
         return len(self.bases.get(d, ()))
 
-    def matrix(self, d: int) -> Matrix:
-        return self.matrices.get(d, zero_matrix(self.dim(d - 1), self.dim(d)))
-
     def check_composition(self):
         """Consecutive stored matrices must compose to zero; a missing one is zero."""
         gf = self.ring if isinstance(self.ring, FiniteField) else None
@@ -291,33 +287,6 @@ class LinearizedComplex(Record, frozen=True):
             m2 = self.matrices.get(d + 1)     # C_{d+1} -> C_d
             if m2 is not None and any(x for row in mat_mul(m1, m2, gf) for x in row):
                 raise DGAValidationError(f"differential does not square to zero at degree {d}")
-
-    def shift(self, m: int) -> "LinearizedComplex":
-        return LinearizedComplex(
-            self.ring,
-            {d + m: b for d, b in self.bases.items()},
-            {d + m: mat for d, mat in self.matrices.items()},
-        )
-
-    def block_sum(self, other: "LinearizedComplex") -> "LinearizedComplex":
-        """Direct sum; other's basis names get the suffix ^N to stay unique."""
-        if self.ring is not other.ring:
-            raise ValueError("block sum needs a common coefficient ring")
-        bases: dict[int, tuple[str, ...]] = {}
-        mats: dict[int, Matrix] = {}
-        for d in sorted(set(self.bases) | set(other.bases)):
-            bases[d] = tuple(self.bases.get(d, ())) + tuple(
-                f"{name}^N" for name in other.bases.get(d, ())
-            )
-        for d in sorted(set(self.matrices) | set(other.matrices) | set(bases)):
-            r1, c1 = len(self.bases.get(d - 1, ())), len(self.bases.get(d, ()))
-            r2, c2 = len(other.bases.get(d - 1, ())), len(other.bases.get(d, ()))
-            if (r1 + r2) == 0 or (c1 + c2) == 0:
-                continue
-            mats[d] = [row + [0] * c2 for row in self.matrix(d)] + [
-                [0] * c1 + row for row in other.matrix(d)
-            ]
-        return LinearizedComplex(self.ring, bases, mats)
 
 
 class GradedModule(Record, frozen=True):

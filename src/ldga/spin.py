@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from ._record import Record, set_fields
 from .algebra import FiniteField
 from .errors import SpinError
-from .linhom import GradedModule, LinearizedComplex
+from .linhom import GradedModule, LinearizedComplex, zero_matrix
 
 
 def stable_bound_complex(cx: LinearizedComplex) -> int:
@@ -41,8 +41,19 @@ def stable_bound_complex(cx: LinearizedComplex) -> int:
 
 
 def spin_complex_stable(cx: LinearizedComplex, m: int) -> LinearizedComplex:
-    """Block sum of the complex with its m-shifted copy."""
-    return cx.block_sum(cx.shift(m))
+    """Block sum C + C[m]; the shifted copy's basis names get the suffix ^N."""
+    def part(d):  # C_d's basis and C_d -> C_{d-1}, a zero matrix when not stored
+        basis = cx.bases.get(d, ())
+        return basis, cx.matrices.get(d) or zero_matrix(cx.dim(d - 1), len(basis))
+
+    bases, mats = {}, {}
+    for d in sorted({*cx.bases, *(e + m for e in cx.bases)}):
+        (basis, top), (copy, low) = part(d), part(d - m)
+        bases[d] = (*basis, *[f"{name}^N" for name in copy])
+        if bases[d] and bases.get(d - 1):
+            mats[d] = ([row + [0] * len(copy) for row in top]
+                       + [[0] * len(basis) + row for row in low])
+    return LinearizedComplex(cx.ring, bases, mats)
 
 
 def spin_homology(h: GradedModule, m: int) -> GradedModule:
@@ -89,7 +100,8 @@ def iterate_schedule(cx: LinearizedComplex, schedule: Sequence[int]) -> list[Spi
             raise SpinError(f"schedule stage {idx} (sphere dim {m}) is below 1")
         circle = m == 1 and isinstance(cx.ring, FiniteField)
         if not circle and stages and stages[-1].bound is None:
-            raise SpinError("complex-level spinning after a Kunneth stage")
+            raise SpinError(f"schedule stage {idx} (sphere dim {m}) is a stable stage "
+                            "after a Kunneth stage")
         bound = None if circle else stable_bound_complex(cx) + dim - 1
         if not circle and m <= bound:
             raise SpinError(f"schedule stage {idx} (sphere dim {m}) violates "

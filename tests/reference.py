@@ -8,8 +8,8 @@ to one element of a field DGA.
 
 from collections import defaultdict
 
-from ldga.algebra import DGA, GF, Element, FiniteField, IntegerRing
-from ldga.augment import Augmentation, _eval_terms
+from ldga.algebra import DGA, GF, DGAValidationError, Element, FiniteField, IntegerRing
+from ldga.augment import Augmentation, _eval_terms, _validated
 from ldga.linhom import LinearizedComplex, Matrix
 
 
@@ -68,3 +68,28 @@ def evaluate(eps: Augmentation, dga: DGA, el: Element) -> int:
     """Apply the augmentation to an element of a field DGA."""
     values = defaultdict(int, eps.values)
     return _eval_terms(eps.field, dga.degree_zero_monomials(el), values)
+
+
+def conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
+    """The conjugate by a valid eps: node values as dicts, then ``validate``."""
+    ring = eps.field
+    add, mul = ring.add_table, ring.mul_table
+    shift = {name: mul[v] for name, v in eps.values if v}  # is_valid vetted the names
+    nodes, roots = fdga.suffix_dag
+    values: list[dict] = []
+    for const, children in nodes:
+        acc = {(): const} if const else {}  # then distinct first letters: no collisions
+        acc.update({(g,) + w: c for g, child in children for w, c in values[child].items()})
+        for g, child in children:
+            if (times_v := shift.get(g)) is not None:
+                for w, c in values[child].items():
+                    acc[w] = s = add[acc[w]][times_v[c]] if w in acc else times_v[c]
+                    if not s:
+                        del acc[w]
+        values.append(acc)
+    diff = {}
+    for name, root in roots.items():
+        if () in values[root]:
+            raise DGAValidationError("conjugation left a constant term")
+        diff[name] = Element(ring, tuple(sorted(values[root].items())))
+    return _validated(fdga.with_differential(diff))

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import evaluate, field_pow
+from reference import conjugate_by_walk, evaluate, field_pow
 
 from ldga.algebra import (
     DGA,
@@ -33,7 +33,6 @@ from ldga.augment import (
     torus_point_count,
     variety_points,
     _backtrack,
-    _conjugate_by_walk,
     _field_dga,
 )
 from ldga.cedga import (
@@ -383,10 +382,10 @@ def conjugated_both_ways(dga: DGA, eps: Augmentation):
     """(conjugate's result or error text, the walk's) for eps on the DGA.
 
     Over GF(q), q > 2, ``conjugate`` runs the support's plan; the walk is
-    the GF(2) path run at any q, the reference for the plan.
+    the tests' any-field reference for the plan.
     """
     results = []
-    for conj in (conjugate, lambda dga, eps: _conjugate_by_walk(_field_dga(dga, eps.field.q), eps)):
+    for conj in (conjugate, lambda dga, eps: conjugate_by_walk(_field_dga(dga, eps.field.q), eps)):
         try:
             results.append(conj(dga, eps).differential)
         except DGAValidationError as exc:
@@ -427,10 +426,29 @@ def test_plans_match_the_walk(knot, q, n_supports):
     fdga = dga.field_copies[q]
     for eps in augs:
         conj = conjugate(dga, eps)
-        assert conj.differential == _conjugate_by_walk(fdga, eps).differential
+        assert conj.differential == conjugate_by_walk(fdga, eps).differential
         assert "conjugation_plans" not in conj.__dict__  # with_differential shares no plan
     assert fdga.conjugation_plans.keys() == supports(augs)  # one plan per support
     assert n_supports in (None, len(fdga.conjugation_plans))
+
+
+@pytest.mark.parametrize("knot", ["m821", "trefoil", "torus2:5", "torus2:7", "torus2:9"])
+def test_gf2_walk_matches_the_reference(knot):
+    dga = build_dga(resolve(grid_to_front(m821_grid())) if knot == "m821" else builtin(knot))
+    augs = enumerate_augmentations(dga, 2)
+    assert augs
+    for eps in augs:
+        assert conjugate(dga, eps).differential == conjugate_by_walk(dga, eps).differential
+
+
+def test_gf2_walk_ignores_an_explicit_zero():
+    # a hand-built augmentation may carry a 0, which is_valid and the plans ignore
+    dga = build_dga(resolve(grid_to_front(m821_grid())))
+    for eps in enumerate_augmentations(dga, 2):
+        for name in dga.generators_of_degree(0):
+            if name not in dict(eps.values):
+                padded = Augmentation(GF(2), tuple(sorted(eps.values + ((name, 0),))))
+                assert conjugate(dga, padded).differential == conjugate(dga, eps).differential
 
 
 def test_no_plan_is_built_over_gf2():
@@ -582,14 +600,14 @@ def test_linear_part_toy():
     dga = load_dsl("coeff F2\ngen e 1\ngen c 0\nd e = c*c + c\n")
     cx = linear_part(dga)
     assert cx.bases == {0: ("c",), 1: ("e",)}
-    assert cx.matrix(1) == [[1]]
+    assert cx.matrices[1] == [[1]]
 
 
 def test_linear_part_of_twist_matches_builtin():
     cx = linear_part(twist_linearized(5))
     e_basis = cx.bases[1]
     c_basis = cx.bases[0]
-    m = cx.matrix(1)
+    m = cx.matrices[1]
     assert m[c_basis.index("c5")][e_basis.index("e0")] == 1
     assert m[c_basis.index("c1")][e_basis.index("e1")] == -1
     assert m[c_basis.index("c2")][e_basis.index("e3")] == 1
@@ -599,7 +617,7 @@ def test_linear_part_of_twist_matches_builtin():
 def test_linear_part_zero_differential():
     dga = DGA(ZZ, (Generator("x", 0), Generator("e", 1)), {})
     cx = linear_part(dga)
-    assert all(all(v == 0 for v in row) for row in cx.matrix(1))
+    assert all(all(v == 0 for v in row) for row in cx.matrices[1])
 
 
 def test_linear_part_rejects_constant_terms():

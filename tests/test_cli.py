@@ -271,7 +271,7 @@ def test_certify_class_a_sphere_spin_exit_4(capsys, case):
     [("2", "--integral"), ("3,2", "--field=2"), ("1,3", "--field=2")],
 )
 def test_spin_stage_error_exit_4(capsys, spec, mode):
-    # a stable-bound violation, or complex-level spinning after a circle
+    # a stable-bound violation, or a stable stage after a circle
     code, _, err = run(capsys, "spin", "--builtin", "twist:7", "--spin", spec, mode)
     assert code == 4
     assert err.startswith("stage error: ")

@@ -53,6 +53,11 @@ DSL_INVALID = [
     (F2 + "d e = t^2", DSLError, 2, 4, 7),
     (F2 + "coeff F2\n", DSLError, 2, 4, 1),
     ("coeff F6\n", DSLError, 2, 1, 1),
+    # GF(q) decides the orders: the reason follows "unknown coefficient ring"
+    ("coeff F17\n", DSLError, 2, 1, 1),
+    ("coeff F25\n", DSLError, 2, 1, 1),
+    ("coeff F1\n", DSLError, 2, 1, 1),
+    ("coeff F" + "7" * 1200 + "\n", DSLError, 2, 1, 1),
     ("coeff F2\ngen a\n", DSLError, 2, 2, 1),
     ("coeff F2\ngen a x\n", DSLError, 2, 2, 7),
     ("coeff F2\ngen a - x\n", DSLError, 2, 2, 7),
