@@ -24,9 +24,20 @@ _LIMIT = 10**MAX_DIGITS
 
 _TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[-+*^=;\[\],])|\S")
 
+# The longest operand an error message echoes whole; a longer one is cut.
+SHOW_MAX = 64
+
+
+def quote(text: str) -> str:
+    """An operand as an error message echoes it: its repr, or, past SHOW_MAX
+    characters, the repr of a prefix and the length."""
+    if len(text) > SHOW_MAX:
+        return f"{text[:SHOW_MAX // 2]!r}... ({len(text)} characters)"
+    return repr(text)
+
 
 def _show(text: str) -> str:
-    return repr(text) if text else "nothing"
+    return quote(text) if text else "nothing"
 
 
 def tokenize(text: str, error) -> list[tuple[int, int, str]]:

@@ -10,7 +10,8 @@ plain syntactic comparison, and printed in the DSL's term syntax.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 
 from ._record import Record, set_field, set_fields
 from .errors import CoefficientError, DGAValidationError
@@ -315,6 +316,20 @@ class Element(Record, frozen=True):
         return out or "0"
 
 
+def gf2_masks(terms: Iterable[tuple[Word, object]], bits: Mapping[str, int]) -> list[int]:
+    """The monomials that GF(2) terms sum over, each as the OR of its letters' bits.
+
+    x^2 = x on GF(2), so a word is 1 at a point exactly when each of its
+    letters is, whatever their order or repeats.  Terms with coefficient 0
+    drop out, and so do two terms with one mask.
+    """
+    odd: set[int] = set()
+    for word, coeff in terms:
+        if coeff:
+            odd ^= {reduce(or_, map(bits.__getitem__, word), 0)}
+    return sorted(odd)
+
+
 def _check_rings(x: Element, y: Element):
     if x.ring is not y.ring:
         raise CoefficientError(f"mixing coefficients {x.ring} and {y.ring}")
@@ -420,6 +435,22 @@ class DGA(Record, frozen=True):
             if terms:
                 system.append(terms)
         return system
+
+    @cached_property
+    def augmentation_masks(self) -> tuple[dict[str, int], list[list[int]]]:
+        """``augmentation_system`` over GF(2) as monomial bit masks: (bits, equations).
+
+        ``bits[name]`` is 1 << i for the i-th degree-0 generator by name, and
+        each equation is ``gf2_masks`` of its terms.  Built once per DGA for
+        ``augment``'s recheck.
+        """
+        bits = {name: 1 << i for i, name in enumerate(sorted(self.generators_of_degree(0)))}
+        return bits, [gf2_masks(eq, bits) for eq in self.augmentation_system]
+
+    @cached_property
+    def valid_augmentations(self) -> set:
+        """(field, values) of each augmentation that passed ``augment``'s recheck on this DGA."""
+        return set()
 
     @cached_property
     def suffix_dag(self) -> tuple[list[tuple[object, tuple[tuple[str, int], ...]]], dict[str, int]]:

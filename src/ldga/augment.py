@@ -3,23 +3,30 @@
 An augmentation assigns field values to the degree-0 generators (t, when
 present, is pinned to -1) so that eps(d g) = 0 for every generator; a value
 on any other name is an error.  The equations are one list per field DGA,
-``DGA.augmentation_system``, shared by the solver, the recheck of every
-solution and ``conjugate``.  ``conjugate`` evaluates ``DGA.suffix_dag``, the
-field DGA's differentials as one hash-consed DAG of shared suffixes, once
-per augmentation, so a suffix common to many words is expanded once.  The
-conjugated DGA shares the field DGA's degrees and layout.  Over GF(q),
-q > 2, the augmentations with one support (where eps != 0) give the same
-words with other coefficients, so the walk and validate's degree and
-d^2 = 0 checks are compiled once per support (at most one plan per subset
-of the degree-0 generators, kept on the field DGA); the compiled check is
-exact on every term.  Over GF(2) ``validate`` checks the walk, whose node
-values are word sets; the tests check every plan against an any-field walk.
-The one solver, ``_backtrack``, takes the generators in one fixed order and
-files each equation under the last of its generators there, where the
-equation either solves that generator, when linear in it, or is evaluated;
-one iterator per depth replaces recursion.  The tests check it against a
-plain scan of every assignment.  Variety point counts of polynomial systems
-go through the same solver.
+``DGA.augmentation_system``, shared by the solver and the recheck of every
+solution, ``Augmentation.is_valid``.  Each augmentation that passes the
+recheck is recorded on the field DGA, and ``conjugate`` checks only one
+that is not recorded, so a listed augmentation is checked once.  Over
+GF(2), where x^2 = x, a monomial is the bit mask of its letters
+(``gf2_masks``), and an equation's value at a point is the parity of its
+masks whose letters are all 1: the solver files each equation in this
+form, and the recheck reads the DGA's cached ``augmentation_masks``.
+``conjugate`` evaluates ``DGA.suffix_dag``, the field DGA's differentials
+as one hash-consed DAG of shared suffixes, once per augmentation, so a
+suffix common to many words is expanded once.  The conjugated DGA shares
+the field DGA's degrees and layout.  Over GF(q), q > 2, the augmentations
+with one support (where eps != 0) give the same words with other
+coefficients, so the walk and validate's degree and d^2 = 0 checks are
+compiled once per support (at most one plan per subset of the degree-0
+generators, kept on the field DGA); the compiled check is exact on every
+term.  Over GF(2) ``validate`` checks the walk, whose node values are word
+sets; the tests check every plan against an any-field walk.  The one
+solver, ``_backtrack``, takes the generators in one fixed order and files
+each equation under the last of its generators there, where the equation
+either solves that generator, when linear in it, or is evaluated (over
+GF(2) every equation is linear in it); one iterator per depth replaces
+recursion.  The tests check it against a plain scan of every assignment.
+Variety point counts of polynomial systems go through the same solver.
 """
 
 from __future__ import annotations
@@ -27,8 +34,10 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from collections.abc import Sequence
+from functools import reduce
+from operator import or_
 
-from ._polytext import parse_poly, tokenize
+from ._polytext import parse_poly, quote, tokenize
 from ._record import Record, set_field, set_fields
 from .algebra import (
     DGA,
@@ -37,6 +46,7 @@ from .algebra import (
     FiniteField,
     GF,
     change_coefficients,
+    gf2_masks,
     validate,
 )
 from .errors import AugmentationError
@@ -64,7 +74,11 @@ class Augmentation(Record, frozen=True):
         """eps(d g) = 0 for every generator, read off the DGA's cached system.
 
         A nonzero value on a name that is not a degree-0 generator of the
-        DGA raises ``AugmentationError``.
+        DGA raises ``AugmentationError``.  Over GF(2) an equation of the
+        DGA's ``augmentation_masks`` is the parity of its masks that miss
+        every generator at 0.  A pass is recorded in the DGA's
+        ``valid_augmentations``, which ``conjugate`` reads; a failure is
+        not.
         """
         degs = dga.degrees
         stray = [name for name, v in self.values if v and degs.get(name) != 0]
@@ -73,8 +87,16 @@ class Augmentation(Record, frozen=True):
                 f"augmentation gives values to {', '.join(stray)}, "
                 "which are not degree-0 generators"
             )
-        values = defaultdict(int, self.values)
-        return not any(_eval_terms(self.field, eq, values) for eq in dga.augmentation_system)
+        if self.field.q == 2 and dga.ring is self.field:
+            bits, system = dga.augmentation_masks
+            zeros = (1 << len(bits)) - 1 - sum(bits[name] for name, v in self.values if v)
+            valid = not any(_parity(zeros, masks) for masks in system)
+        else:
+            values = defaultdict(int, self.values)
+            valid = not any(_eval_terms(self.field, eq, values) for eq in dga.augmentation_system)
+        if valid:
+            dga.valid_augmentations.add((self.field, self.values))
+        return valid
 
 
 def _field_dga(dga: DGA, q: int) -> DGA:
@@ -115,6 +137,11 @@ def _eval_terms(ring: FiniteField, terms, values) -> int:
     return total
 
 
+def _parity(zeros: int, masks: list[int]) -> int:
+    """The GF(2) sum of the monomials ``masks`` where the bits of zeros are 0, the rest 1."""
+    return sum(1 for m in masks if not m & zeros) & 1
+
+
 def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[str, int]]:
     """Every assignment of the unknowns that zeroes every equation.
 
@@ -123,7 +150,13 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
     Depth i takes the values of x_i that zero every equation filed there:
     the first one linear in x_i at the values so far, c*x_i + d, solves
     x_i = -d/c (c = 0 leaves every value if d = 0, none otherwise), and the
-    rest are evaluated.  One candidate iterator per depth drives the search.
+    rest are evaluated.  Over GF(2), where x^2 = x, every equation is
+    linear in its last variable: ``gf2_masks`` compiles it, and it is filed
+    under its highest bit i as two mask lists, the monomials with x_i (bit
+    i cleared) and those without.  c and d are then the parities of the
+    masks in each list that miss every x_j = 0 so far, and depth i yields
+    {d}, {0, 1} or nothing with no table lookup.  One candidate iterator
+    per depth drives the search.
     """
     add, neg, mul, inv = ring.add_table, ring.neg_table, ring.mul_table, ring.inv_table
     mentions = [{g for word, _ in eq for g in word} for eq in equations]
@@ -132,12 +165,25 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
     index = {u: i for i, u in enumerate(order)}
     vals = [0] * len(order)
     filed: list[list] = [[] for _ in order]
-    for names, eq in zip(mentions, equations):
-        terms = [(tuple(index[g] for g in word), coeff) for word, coeff in eq]
-        if names:
-            filed[max(index[g] for g in names)].append(terms)
-        elif _eval_terms(ring, terms, vals):
-            return []  # a nonzero constant equation
+    binary = ring.q == 2
+    if binary:
+        bits = {u: 1 << i for u, i in index.items()}
+        for eq in equations:
+            masks = gf2_masks(eq, bits)
+            i = reduce(or_, masks, 0).bit_length() - 1
+            if i >= 0:
+                bit = 1 << i
+                filed[i].append(([m ^ bit for m in masks if m & bit],
+                                 [m for m in masks if not m & bit]))
+            elif masks:
+                return []  # the constant 1
+    else:
+        for names, eq in zip(mentions, equations):
+            terms = [(tuple(index[g] for g in word), coeff) for word, coeff in eq]
+            if names:
+                filed[max(index[g] for g in names)].append(terms)
+            elif _eval_terms(ring, terms, vals):
+                return []  # a nonzero constant equation
 
     def split(terms, y: int) -> tuple[int, int] | None:
         """(c, d) with terms = c*y + d at vals, or None if y is not linear."""
@@ -175,17 +221,34 @@ def _backtrack(ring: FiniteField, unknowns: list[str], equations) -> list[dict[s
             if not any(_eval_terms(ring, terms, vals) for terms in checks):
                 yield v
 
+    zeros = [0] * len(order)  # zeros[i]: the bits of x_0 .. x_{i-1} at 0
+
+    def binary_candidates(i: int):
+        """The values of x_i that zero every c*x_i + d filed under it."""
+        if i:
+            zeros[i] = zeros[i - 1] | (not vals[i - 1]) << (i - 1)
+        zero_ok = one_ok = True
+        for with_x, without in filed[i]:
+            d = _parity(zeros[i], without)
+            zero_ok = zero_ok and not d
+            one_ok = one_ok and _parity(zeros[i], with_x) == d
+        if zero_ok:
+            yield 0
+        if one_ok:
+            yield 1
+
     if not order:
         return [{}]
+    step = binary_candidates if binary else candidates
     sols: list[dict[str, int]] = []
-    its = [candidates(0)]
+    its = [step(0)]
     while its:
         i = len(its) - 1
         vals[i] = next(its[i], None)
         if vals[i] is None:
             its.pop()
         elif i + 1 < len(order):
-            its.append(candidates(i + 1))
+            its.append(step(i + 1))
         else:
             sols.append(dict(zip(order, vals)))
     return sols
@@ -207,9 +270,11 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     with the letter prepended, and, where eps(letter) = 1, the child's set
     added by symmetric difference.  Over GF(q), q > 2, the plan of eps's
     support, compiled on first use into ``conjugation_plans``, does both.
+    An eps recorded in the field DGA's ``valid_augmentations`` is not
+    checked again; any other goes through ``Augmentation.is_valid``.
     """
     fdga = _field_dga(dga, eps.field.q)
-    if not eps.is_valid(fdga):
+    if (eps.field, eps.values) not in fdga.valid_augmentations and not eps.is_valid(fdga):
         raise AugmentationError("augmentation does not satisfy eps after d = 0")
     if eps.field.q == 2:
         return _conjugate_by_walk(fdga, eps)
@@ -395,7 +460,7 @@ class PolySystem(Record, frozen=True):
             for _, powers in eq:
                 for var, _ in powers:
                     if var not in declared:
-                        raise AugmentationError(f"equation uses undeclared variable {var!r}")
+                        raise AugmentationError(f"equation uses undeclared variable {quote(var)}")
         set_fields(self, variables, equations)
 
 
@@ -422,10 +487,10 @@ def parse_polysystem(text: str) -> PolySystem:
             terms, i = parse_poly(tokens, i + 1, error, stop=(";", ""))
             equations.append(tuple(_monomial(c, powers, error) for c, powers in terms))
         elif head != ";":
-            raise error(line, col, f"bad statement {head!r} (want var/eq)")
+            raise error(line, col, f"bad statement {quote(head)} (want var/eq)")
         line, col, end = tokens[i]
         if end not in (";", ""):
-            raise error(line, col, f"expected ';', got {end!r}")
+            raise error(line, col, f"expected ';', got {quote(end)}")
         i += end == ";"
     return PolySystem(tuple(variables), tuple(equations))
 
@@ -435,7 +500,7 @@ def _monomial(coeff: int, powers, error):
     exponents: dict[str, int] = {}
     for line, col, name, k in powers:
         if k is not None and k < 0:
-            raise error(line, col, f"negative exponent on {name!r}")
+            raise error(line, col, f"negative exponent on {quote(name)}")
         exponents[name] = exponents.get(name, 0) + (1 if k is None else k)
     return coeff, tuple(sorted(exponents.items()))
 

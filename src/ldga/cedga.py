@@ -21,7 +21,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from ._diskcore import DEFAULT_DISK_BUDGET, DiskBudgetExceeded, boundary_words
-from ._polytext import integer, natural, parse_poly, tokenize
+from ._polytext import integer, natural, parse_poly, quote, tokenize
 from .algebra import (
     DGA,
     DGAValidationError,
@@ -120,17 +120,17 @@ def load_dsl(text: str) -> DGA:
                     ring = GF(natural((lineno, col, spec[1:]),
                                       lambda line, col, message: CoefficientError(message)))
                 except CoefficientError as exc:
-                    raise DSLError(lineno, col, f"unknown coefficient ring {spec!r}: {exc}") from None
+                    raise DSLError(lineno, col, f"unknown coefficient ring {quote(spec)}: {exc}") from None
             else:
-                raise DSLError(lineno, col, f"unknown coefficient ring {spec!r}")
+                raise DSLError(lineno, col, f"unknown coefficient ring {quote(spec)}")
         elif head == "gen":
             if len(toks) < 4:
                 raise DSLError(lineno, col, "expected: gen <name> <degree>")
             _, at, name = toks[1]
             if not name.isidentifier() or name == "t":
-                raise DSLError(lineno, at, f"bad generator name {name!r}")
+                raise DSLError(lineno, at, f"bad generator name {quote(name)}")
             if name in seen:
-                raise DSLError(lineno, at, f"duplicate generator {name!r}")
+                raise DSLError(lineno, at, f"duplicate generator {quote(name)}")
             degree, end = integer(toks, 2, DSLError)
             if toks[end][2]:
                 raise DSLError(lineno, toks[2][1], "bad degree")
@@ -140,12 +140,12 @@ def load_dsl(text: str) -> DGA:
                 raise DSLError(lineno, col, "expected: d <name> = <poly>")
             _, at, name = toks[1]
             if name not in seen:
-                raise DSLError(lineno, at, f"differential of unknown generator {name!r}")
+                raise DSLError(lineno, at, f"differential of unknown generator {quote(name)}")
             if name in diffs:
-                raise DSLError(lineno, at, f"duplicate differential for {name!r}")
+                raise DSLError(lineno, at, f"duplicate differential for {quote(name)}")
             diffs[name] = toks
         else:
-            raise DSLError(lineno, col, f"unknown directive {head!r}")
+            raise DSLError(lineno, col, f"unknown directive {quote(head)}")
     if ring is None:
         raise DSLError(1, 1, "missing coeff line")
     differential = {name: _element(ring, seen, name, toks) for name, toks in diffs.items()}
@@ -171,9 +171,9 @@ def _element(ring: Ring, gens: dict[str, int], where: str, toks) -> Element:
                     raise DSLError(line, col, "t requires coeff Z[t]")
                 c = ZT.mul(c, ZT.t_power(1 if exponent is None else exponent))
             elif name not in gens:
-                raise DSLError(line, col, f"unknown factor {name!r} in d {where}")
+                raise DSLError(line, col, f"unknown factor {quote(name)} in d {where}")
             elif exponent is not None:
-                raise DSLError(line, col, f"only t takes an exponent, not {name!r}")
+                raise DSLError(line, col, f"only t takes an exponent, not {quote(name)}")
             else:
                 word.append(name)
         pairs.append((tuple(word), c))
@@ -287,4 +287,4 @@ def builtin(name: str):
         return trefoil_projection()
     if name == "unknot_dsl":
         return unknot_dsl_dga()
-    raise BuiltinError(f"unknown builtin {name!r}")
+    raise BuiltinError(f"unknown builtin {quote(name)}")

@@ -172,6 +172,132 @@ def test_solver_depth_is_not_bounded_by_the_recursion_limit():
     assert dict(eps.values) == {f"x{i}": 2 for i in range(n)}
 
 
+@st.composite
+def gf2_solver_systems(draw):
+    """Up to 12 unknowns and (word, coeff) equations over GF(2).
+
+    Words of up to 5 letters repeat letters (x^2 = x) and may be empty
+    (constants), and coefficients may be 0, as ``from_int`` of an even
+    integer is.
+    """
+    n = draw(st.integers(0, 12))
+    unknowns = [f"x{i}" for i in range(n)]
+    letters = st.sampled_from(unknowns) if unknowns else st.nothing()
+    words = st.lists(letters, max_size=5 if unknowns else 0).map(tuple)
+    terms = st.lists(st.tuples(words, st.integers(0, 1)), max_size=6)
+    return unknowns, draw(st.lists(terms, max_size=5))
+
+
+@given(gf2_solver_systems())
+@settings(max_examples=150)
+@example(([], [[((), 1), ((), 1)]]))  # a constant 0: one empty assignment
+@example((["x0"], [[((), 1)]]))  # the constant 1: no solutions
+@example((["x0", "x1"], [[(("x0", "x1", "x0"), 1), (("x1", "x0"), 1)]]))  # cancels to 0
+@example((["x0", "x1", "x2"], [[(("x2",), 0), (("x0", "x0"), 1)], [(("x2", "x1"), 1), ((), 1)]]))
+def test_gf2_solver_matches_product_scan(system):
+    unknowns, equations = system
+    solutions = _backtrack(GF(2), unknowns, equations)
+    assert all(sorted(s) == sorted(unknowns) for s in solutions)
+    found = Counter(tuple(sorted(s.items())) for s in solutions)
+    assert found == product_scan(2, unknowns, equations)
+
+
+def test_gf2_solver_depth_is_not_bounded_by_the_recursion_limit():
+    # 1100 degree-0 generators, each with the one root x = 1 of x^2 + 1 over F2
+    n = 1100
+    text = "coeff F2\n" + "".join(
+        f"gen x{i} 0\ngen y{i} 1\nd y{i} = x{i}*x{i} + 1\n" for i in range(n)
+    )
+    (eps,) = enumerate_augmentations(load_dsl(text), 2)
+    assert dict(eps.values) == {f"x{i}": 1 for i in range(n)}
+
+
+def test_gf2_variety_drops_even_coefficients():
+    # 2*a*b is 0 over GF(2), so 2*a*b + 1 = 1 has no point
+    assert variety_points(parse_polysystem("var a b; eq 2*a*b + 1;"), 2) == 0
+
+
+@pytest.mark.parametrize("n", range(3, 15, 2))
+def test_torus_f2_counts_match_the_closed_form(n):
+    augs = enumerate_augmentations(build_dga(builtin(f"torus2:{n}")), 2)
+    assert len(augs) == (2 ** (n + 1) - 1) // 3
+
+
+def knot_dga(knot: str) -> DGA:
+    if knot == "trefoil":
+        return build_dga(trefoil_projection())
+    return build_dga(resolve(grid_to_front(m821_grid())) if knot == "m821" else builtin(knot))
+
+
+@pytest.mark.parametrize("knot", ["trefoil", "m821", "torus2:7"])
+def test_gf2_is_valid_matches_table_evaluation(knot):
+    # every {0, 1} point: the masks' parities against the field tables
+    dga = knot_dga(knot)
+    unknowns = sorted(dga.generators_of_degree(0))
+    valid = 0
+    for point in itertools.product((0, 1), repeat=len(unknowns)):
+        eps = Augmentation.build(GF(2), dict(zip(unknowns, point)))
+        by_tables = all(evaluate(eps, dga, dga.diff_of(g.name)) == 0 for g in dga.generators)
+        assert eps.is_valid(dga) == by_tables, eps
+        valid += by_tables
+    assert valid == len(enumerate_augmentations(dga, 2)) > 0
+
+
+def test_every_solution_is_rechecked_once_and_conjugate_reads_the_record(monkeypatch):
+    dga = knot_dga("torus2:5")
+    checked = []
+    is_valid = Augmentation.is_valid
+    monkeypatch.setattr(Augmentation, "is_valid",
+                        lambda eps, fdga: checked.append(eps) or is_valid(eps, fdga))
+    augs = enumerate_augmentations(dga, 2)
+    assert checked == augs
+    assert dga.valid_augmentations == {(GF(2), eps.values) for eps in augs}
+    for eps in augs:
+        conjugate(dga, eps)
+    assert checked == augs  # no second check of a listed augmentation
+    hand_built = Augmentation.build(GF(2), dict(augs[1].values))
+    conjugate(dga, Augmentation(GF(2), hand_built.values + (("zz", 0),)))
+    assert len(checked) == len(augs) + 1  # one not recorded is checked
+
+
+@pytest.mark.parametrize("knot", ["trefoil", "m821", "torus2:7"])
+def test_conjugate_rejects_every_flip_after_enumeration(knot):
+    dga = knot_dga(knot)
+    augs = enumerate_augmentations(dga, 2)
+    listed = {eps.values for eps in augs}
+    flips = 0
+    for eps in augs:
+        values = dict(eps.values)
+        for name in dga.generators_of_degree(0):
+            flipped = Augmentation.build(GF(2), {**values, name: 1 - values.get(name, 0)})
+            if flipped.values not in listed:
+                flips += 1
+                with pytest.raises(AugmentationError, match="does not satisfy"):
+                    conjugate(dga, flipped)
+    assert flips > 0
+    assert dga.valid_augmentations == {(GF(2), values) for values in listed}
+
+
+def test_stray_names_raise_after_enumeration():
+    dga = knot_dga("trefoil")
+    (eps, *_) = enumerate_augmentations(dga, 2)
+    for stray in ("zzz", "e1"):
+        bad = Augmentation(GF(2), tuple(sorted(eps.values + ((stray, 1),))))
+        with pytest.raises(AugmentationError, match=f"{stray}, which are not degree-0"):
+            conjugate(dga, bad)
+    assert all(stray not in dict(values) for _, values in dga.valid_augmentations)
+
+
+def test_field_copies_keep_separate_records():
+    # the Z lift's F2 and F4 copies share the {0, 1}-valued augmentations
+    lift = load_dsl(TREFOIL_Z)
+    f2, f4 = ({eps.values for eps in enumerate_augmentations(lift, q)} for q in (2, 4))
+    assert f2 < f4
+    assert "valid_augmentations" not in lift.__dict__
+    for q, values in ((2, f2), (4, f4)):
+        assert lift.field_copies[q].valid_augmentations == {(GF(q), v) for v in values}
+
+
 # ---------------------------------------------------------------------------
 # conjugation and linearization
 # ---------------------------------------------------------------------------

@@ -480,6 +480,23 @@ def test_over_long_integers_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "text, echoed",
+    [
+        ("coeff F" + "1" * 1200 + "\ngen a 0\n", "(1201 characters)"),
+        ("coeff F2\ngen a " + "a" * 2000 + "\n", "(2000 characters)"),
+    ],
+)
+def test_over_long_operands_are_cut_in_messages(tmp_path, capsys, text, echoed):
+    # the message keeps a prefix of the operand and states its length
+    path = tmp_path / "long.dga"
+    path.write_text(text)
+    code, _, err = run(capsys, "dga", "--dsl", str(path))
+    assert code == 2
+    assert err.startswith("parse error: ") and echoed in err, err
+    assert all(len(line) < 200 for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["dga", "--grid"],

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldga._polytext import parse_poly, tokenize
+from ldga._polytext import SHOW_MAX, parse_poly, quote, tokenize
 from ldga.algebra import Laurent
 from ldga.augment import AugmentationError, parse_polysystem
 from ldga.cedga import DGAValidationError, DSLError, dump_dsl, load_dsl
@@ -208,6 +208,14 @@ def test_dsl_rejects(tmp_path, capsys, text, exc, code, line, col):
     path.write_text(text)
     assert main(["dga", "--dsl", str(path)]) == code
     one_line(capsys, "parse error: " if code == 2 else "validation error: ")
+
+
+def test_quote_cuts_only_over_long_operands():
+    # an operand of up to SHOW_MAX characters is echoed as before, by repr
+    for text in ("", "F17", "a" * SHOW_MAX):
+        assert quote(text) == repr(text)
+    cut = quote("F" + "7" * SHOW_MAX)
+    assert cut == repr("F" + "7" * (SHOW_MAX // 2 - 1)) + f"... ({SHOW_MAX + 1} characters)"
 
 
 @pytest.mark.parametrize("text, variables, equations", SYSTEM_VALID)

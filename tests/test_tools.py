@@ -240,3 +240,19 @@ def test_ab_bench_counts_wins_in_the_better_direction():
     higher = tool.metric_summary(pairs, "pass_s.ref", "higher")
     assert (lower["b_wins"], higher["b_wins"], lower["b_below_a"]) == (1, 2, 1)
     assert tool.metric_directions()["ops_per_s.ref"] == "higher"
+
+
+def test_committed_bench_records_name_a_workload_and_its_metrics():
+    # each BENCH_*.json is the last line of tools/ab_bench.py on one workload
+    import json
+
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    end_to_end = {m["name"] for m in benchmark["end_to_end"]}
+    records = sorted(REPO.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert record["workload"] in workloads, path.name
+        assert path.name == f"BENCH_{record['workload']}.json"
+        assert set(record["metrics"]) == end_to_end, path.name
