@@ -13,6 +13,7 @@ from collections.abc import Iterable, Mapping
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 
+from ._polytext import quote
 from ._record import Record, set_field, set_fields
 from .errors import CoefficientError, DGAValidationError
 
@@ -182,7 +183,7 @@ class FiniteField(Ring):
 
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
-        raise CoefficientError(f"field order must be >= 2, got {q}")
+        raise CoefficientError(f"field order must be >= 2, got {quote(str(q))}")
     for p in _SUPPORTED_PRIMES + (17, 19, 23):
         if q % p == 0:
             s = 0
@@ -191,9 +192,9 @@ def _prime_power(q: int) -> tuple[int, int]:
                 m //= p
                 s += 1
             if m != 1:
-                raise CoefficientError(f"{q} is not a prime power")
+                raise CoefficientError(f"{quote(str(q))} is not a prime power")
             return p, s
-    raise CoefficientError(f"{q} is not a supported prime power")
+    raise CoefficientError(f"{quote(str(q))} is not a supported prime power")
 
 
 def _field_tables(p: int, s: int) -> tuple[tuple, tuple, tuple]:

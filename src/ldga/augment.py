@@ -453,9 +453,11 @@ class PolySystem(Record, frozen=True):
 
     def __init__(self, variables: tuple[str, ...],
                  equations: tuple[tuple[tuple[int, tuple[tuple[str, int], ...]], ...], ...]):
-        declared = set(variables)
-        if len(declared) != len(variables):
-            raise AugmentationError(f"variable declared twice in {variables}")
+        declared = set()
+        for var in variables:
+            if var in declared:
+                raise AugmentationError(f"variable {quote(var)} declared twice")
+            declared.add(var)
         for eq in equations:
             for _, powers in eq:
                 for var, _ in powers:
@@ -541,33 +543,3 @@ def torus_point_count(free_rank: int, torsion: Sequence[int], q: int) -> int:
         count *= roots_of_unity_count(k, q)
     return count
 
-
-# ---------------------------------------------------------------------------
-# Variety dimension from point counts
-# ---------------------------------------------------------------------------
-
-class DimensionEstimate(Record, frozen=True):
-    """``estimate`` is -inf for an empty variety."""
-
-    __slots__ = ("estimate", "stable", "slopes")
-
-    def __init__(self, estimate: float, stable: bool, slopes: tuple[float, ...]):
-        set_fields(self, estimate, stable, slopes)
-
-
-def dimension_estimate(counts: dict[int, int]) -> DimensionEstimate:
-    """Slope of log|V(F_q)| against log q between the largest field orders."""
-    if len(counts) < 2:
-        raise AugmentationError("need counts at >= 2 field orders")
-    qs = sorted(counts)
-    if any(counts[q] == 0 for q in qs):
-        return DimensionEstimate(float("-inf"), True, ())
-    slopes = []
-    for q1, q2 in zip(qs, qs[1:]):
-        slopes.append(
-            (math.log(counts[q2]) - math.log(counts[q1])) / (math.log(q2) - math.log(q1))
-        )
-    stable = len(slopes) >= 2 and abs(slopes[-1] - slopes[-2]) <= 0.2
-    if len(slopes) == 1:
-        stable = True
-    return DimensionEstimate(slopes[-1], stable, tuple(slopes))

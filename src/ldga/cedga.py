@@ -171,7 +171,7 @@ def _element(ring: Ring, gens: dict[str, int], where: str, toks) -> Element:
                     raise DSLError(line, col, "t requires coeff Z[t]")
                 c = ZT.mul(c, ZT.t_power(1 if exponent is None else exponent))
             elif name not in gens:
-                raise DSLError(line, col, f"unknown factor {quote(name)} in d {where}")
+                raise DSLError(line, col, f"unknown factor {quote(name)} in d {quote(where)}")
             elif exponent is not None:
                 raise DSLError(line, col, f"only t takes an exponent, not {quote(name)}")
             else:

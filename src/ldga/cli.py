@@ -20,6 +20,7 @@ from pathlib import Path
 # Each subcommand imports the ldga modules it runs: a process loads, and
 # compiles, no more of ldga than its command needs.
 from . import __version__
+from ._polytext import quote
 from .errors import EXIT_OK, EXIT_PARSE, EXIT_VALIDATE, LdgaError, ObstructionStageError
 
 
@@ -120,7 +121,7 @@ def _int_option(name: str, text: str) -> int:
     from ._polytext import integer
 
     def bad(line, col, message):
-        return CliError(f"bad --{name} {text!r}: {message}", EXIT_PARSE)
+        return CliError(f"bad --{name} {quote(text)}: {message}", EXIT_PARSE)
 
     item = text.strip()
     signed = name == "tb" and item.startswith("-")
@@ -129,14 +130,14 @@ def _int_option(name: str, text: str) -> int:
 
 def _parse_fields(spec: str) -> list[int]:
     from .algebra import GF, CoefficientError
-    fields = _naturals(spec.split(","), f"field list {spec!r}")
+    fields = _naturals(spec.split(","), f"field list {quote(spec)}")
     for q in fields:
         try:
             GF(q)
         except CoefficientError as exc:
-            raise CliError(f"bad field list {spec!r}: {exc}", EXIT_PARSE)
+            raise CliError(f"bad field list {quote(spec)}: {exc}", EXIT_PARSE)
     if len(set(fields)) != len(fields):
-        raise CliError(f"bad field list {spec!r}: a field order is repeated", EXIT_PARSE)
+        raise CliError(f"bad field list {quote(spec)}: a field order is repeated", EXIT_PARSE)
     return fields
 
 
@@ -150,9 +151,10 @@ def _parse_counts(spec: str) -> dict[int, int]:
         try:
             GF(q)
         except CoefficientError as exc:
-            raise CliError(f"bad --counts pair {pair!r}: {exc}", EXIT_PARSE)
+            raise CliError(f"bad --counts pair {quote(pair)}: {exc}", EXIT_PARSE)
         if q in counts:
-            raise CliError(f"bad --counts pair {pair!r}: field order {q} is repeated", EXIT_PARSE)
+            raise CliError(f"bad --counts pair {quote(pair)}: field order {q} is repeated",
+                           EXIT_PARSE)
         counts[q] = c
     return counts
 
@@ -160,9 +162,9 @@ def _parse_counts(spec: str) -> dict[int, int]:
 def _parse_schedule(spec: str) -> list[int]:
     if not spec:
         return []
-    schedule = _naturals(spec.split(","), f"spin schedule {spec!r}")
+    schedule = _naturals(spec.split(","), f"spin schedule {quote(spec)}")
     if any(m < 1 for m in schedule):
-        raise CliError(f"bad spin schedule {spec!r}: sphere dimensions start at 1", EXIT_PARSE)
+        raise CliError(f"bad spin schedule {quote(spec)}: sphere dimensions start at 1", EXIT_PARSE)
     return schedule
 
 
@@ -264,13 +266,6 @@ def cmd_augvar(args):
     fields = _parse_fields(args.fields)
     counts = {q: augment.variety_points(system, q) for q in fields}
     result = {"counts": {str(q): c for q, c in sorted(counts.items())}}
-    if len(counts) >= 2:
-        est = augment.dimension_estimate(counts)
-        result["dimension"] = {
-            "estimate": None if est.estimate == float("-inf") else est.estimate,  # empty variety
-            "stable": est.stable,
-            "slopes": list(est.slopes),
-        }
     return inputs, [], result, f"counts: {result['counts']}"
 
 
@@ -282,7 +277,7 @@ def parse_poly_text(text: str):
     def error(line, col, message):
         return CliError(f"bad polynomial at column {col}: {message}", EXIT_PARSE)
 
-    zero = CliError(f"polynomial {text!r} is zero; linearized cohomology never is", EXIT_PARSE)
+    zero = CliError(f"polynomial {quote(text)} is zero; linearized cohomology never is", EXIT_PARSE)
     if not text.replace("+", " ").strip():  # no term at all, as in "" or " + "
         raise zero
     dims: dict[int, int] = {}
@@ -292,7 +287,7 @@ def parse_poly_text(text: str):
         deg = 0
         for line, col, name, k in powers:
             if name != "t":
-                raise error(line, col, f"unknown variable {name!r}; the variable is t")
+                raise error(line, col, f"unknown variable {quote(name)}; the variable is t")
             deg += 1 if k is None else k
         dims[deg] = dims.get(deg, 0) + coeff
     poly = Laurent.from_dict(dims)

@@ -4,7 +4,8 @@ Two obstruction engines: the Seidel-isomorphism feasibility test, which
 reads a hypothetical filling homology profile off linearized contact
 cohomology (a homological ``GradedModule`` with H_i = LCH^{n-i}), and the
 augmentation-variety injectivity test, which compares torus point counts
-forced by the filling's H_1 against the Legendrian's own variety counts.
+forced by the filling's H_1 against the Legendrian's own variety counts;
+those exact counts alone decide its verdict.
 ``obstruction_chain`` runs them in one order, seidel, euler_tb (the Euler/tb
 check for surfaces) and aug_injectivity, and stops at the first obstruction;
 ``ldga obstruct``, class A (seidel only) and class B all run it.
@@ -17,7 +18,6 @@ Reason codes are stable strings and part of the contract:
     euler.odd_h1                no orientable surface has odd b_1
     euler.tb_mismatch           chi(L) = -tb violated
     augvar.count_exceeds        torus has more points than the variety
-    augvar.dimension_exceeds    torus dimension above the variety dimension
 """
 
 from __future__ import annotations
@@ -126,13 +126,12 @@ def aug_injectivity_test(
 ) -> ObstructionVerdict:
     """An injection Aug(L) -> Aug(Lambda) needs |Aug(L; F_q)| <= |Aug(Lambda; F_q)|.
 
-    The verdict is carried by the point counts alone, which keeps the test
-    monotone under entrywise enlargement of the Legendrian counts; when the
-    counts already obstruct, a comparison of dimension estimates is appended
-    as corroborating evidence (slope estimates from finite tables are not
-    monotone in the counts, so they never decide feasibility by themselves).
+    The exact point counts alone decide the verdict, which keeps the test
+    monotone under entrywise enlargement of the Legendrian counts: one
+    reason per field order at which the torus forced by the filling's H_1
+    has more points than the Legendrian's variety.
     """
-    from .augment import dimension_estimate, torus_point_count
+    from .augment import torus_point_count
     if not legendrian_counts:
         raise ValueError("empty count table")
     if profile.ring_tag != "Z":
@@ -140,10 +139,8 @@ def aug_injectivity_test(
     k = profile.free_rank(1)
     torsion = profile.torsion(1)
     reasons = []
-    torus_counts = {}
     for q in sorted(legendrian_counts):
         torus = torus_point_count(k, torsion, q)
-        torus_counts[q] = torus
         have = legendrian_counts[q]
         if torus > have:
             reasons.append(
@@ -151,21 +148,6 @@ def aug_injectivity_test(
                     "augvar.count_exceeds",
                     f"at q = {q} the filling torus has {torus} points but the "
                     f"Legendrian variety has only {have}",
-                )
-            )
-    if reasons and len(legendrian_counts) >= 2:
-        est_var = dimension_estimate(legendrian_counts)
-        est_torus = dimension_estimate(torus_counts)
-        if (
-            est_var.stable
-            and est_torus.stable
-            and est_torus.estimate > est_var.estimate + 0.5
-        ):
-            reasons.append(
-                (
-                    "augvar.dimension_exceeds",
-                    f"torus dimension ~{est_torus.estimate:.2f} exceeds variety "
-                    f"dimension ~{est_var.estimate:.2f}",
                 )
             )
     if reasons:

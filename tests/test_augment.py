@@ -25,7 +25,6 @@ from ldga.augment import (
     AugmentationError,
     PolySystem,
     conjugate,
-    dimension_estimate,
     enumerate_augmentations,
     linear_part,
     parse_polysystem,
@@ -892,38 +891,3 @@ def test_torus_count_matches_variety_oracle(k, q):
     system = parse_polysystem(f"var {' '.join(variables)};" + "".join(eqs)) if k else PolySystem((), ())
     assert torus_point_count(k, [], q) == variety_points(system, q)
 
-
-# ---------------------------------------------------------------------------
-# dimension estimates
-# ---------------------------------------------------------------------------
-
-def test_dimension_line():
-    est = dimension_estimate({2: 1, 4: 3, 8: 7, 16: 15})
-    assert est.stable
-    assert abs(est.estimate - 1) < 0.25
-
-
-def test_dimension_plane():
-    # (q-1)^2 growth: the estimate approaches 2; at these small orders the
-    # successive slopes still differ by more than the 0.2 stability window
-    est = dimension_estimate({2: 1, 4: 9, 8: 49})
-    assert abs(est.estimate - 2) < 0.5
-    assert not est.stable
-    est2 = dimension_estimate({4: 9, 8: 49, 16: 225})
-    assert abs(est2.estimate - 2) < 0.25
-
-
-def test_dimension_finite_set():
-    est = dimension_estimate({2: 1, 4: 1, 8: 1})
-    assert est.estimate == 0
-    assert est.stable
-
-
-def test_dimension_empty_variety():
-    est = dimension_estimate({2: 0, 4: 0})
-    assert est.estimate == float("-inf")
-
-
-def test_dimension_needs_two_orders():
-    with pytest.raises(AugmentationError):
-        dimension_estimate({2: 1})

@@ -186,8 +186,7 @@ def test_augvar_counts(capsys):
         capsys, "augvar", "--system", str(FIXTURES / "twist_variety.sys"),
         "--fields", "2,4,8,16",
     )
-    assert report["result"]["counts"] == {"2": 1, "4": 3, "8": 7, "16": 15}
-    assert report["result"]["dimension"]["estimate"] == pytest.approx(1.0995, abs=1e-3)
+    assert report["result"] == {"counts": {"2": 1, "4": 3, "8": 7, "16": 15}}
 
 
 def test_augvar_solves_more_variables_than_the_recursion_limit(capsys, tmp_path):
@@ -469,6 +468,9 @@ def test_huge_family_sizes_exit_2_before_allocating():
         ["dga", "--builtin", f"twist_linearized({'9' * 5000})"],
         ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "2:" + "9" * 5000],
         ["obstruct", "--poly", "1+t", "--dim", "1", "--counts", "9" * 5000 + ":1"],
+        ["augs", "--builtin", "trefoil", "--field", "9" * 5000],
+        ["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "2," + "9" * 5000],
+        ["spin", "--builtin", "trefoil", "--spin", "1," + "9" * 5000],
     ],
 )
 def test_over_long_integers_exit_2(capsys, argv):
@@ -484,6 +486,10 @@ def test_over_long_integers_exit_2(capsys, argv):
     [
         ("coeff F" + "1" * 1200 + "\ngen a 0\n", "(1201 characters)"),
         ("coeff F2\ngen a " + "a" * 2000 + "\n", "(2000 characters)"),
+        # GF's reason, after the cut ring name, cuts the order
+        ("coeff F1" + "0" * 998 + "\ngen a 0\n", "(999 characters) is not a prime power"),
+        ("coeff Z\ngen " + "g" * 2000 + " 1\ngen a 0\nd " + "g" * 2000 + " = zz\n",
+         "unknown factor 'zz' in d 'ggg"),
     ],
 )
 def test_over_long_operands_are_cut_in_messages(tmp_path, capsys, text, echoed):
@@ -494,6 +500,40 @@ def test_over_long_operands_are_cut_in_messages(tmp_path, capsys, text, echoed):
     assert code == 2
     assert err.startswith("parse error: ") and echoed in err, err
     assert all(len(line) < 200 for line in err.splitlines()), err
+
+
+ORDER = "1" + "0" * 998  # a 999-digit field order: read, then refused by GF
+LONG = "g" * 2000
+
+
+@pytest.mark.parametrize(
+    "argv, text, echoed",
+    [
+        (["augs", "--builtin", "trefoil", "--field", ORDER], None,
+         "(999 characters) is not a prime power"),
+        (["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", f"2,{ORDER}"],
+         None, "(999 characters) is not a prime power"),
+        (["augvar", "--fields", "2", "--system"], f"var {LONG} a {LONG};\neq a;\n",
+         "(2000 characters) declared twice"),
+        (["obstruct", "--dim", "1", "--poly", "0*t" + "+0*t" * 2000], None, "is zero"),
+        (["obstruct", "--dim", "1", "--poly", "2+" + LONG], None,
+         "(2000 characters); the variable is t"),
+        (["obstruct", "--poly", "2+t", "--dim", "1", "--counts", "6:" + "0" * 900 + "1"], None,
+         "(903 characters): '6' is not a prime power"),
+        (["obstruct", "--poly", "2+t", "--dim", "1", "--counts", "2:1,2:" + "0" * 900 + "1"],
+         None, "(903 characters): field order 2 is repeated"),
+    ],
+    ids=["field", "fields", "var", "zero-poly", "poly-variable", "counts-field", "counts-repeat"],
+)
+def test_reasons_cut_their_operands(tmp_path, capsys, argv, text, echoed):
+    # a reason that names an over-long operand keeps a prefix and the length
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and echoed in err, err
+    assert err.count("\n") == 1 and len(err) < 200, err
 
 
 @pytest.mark.parametrize(
@@ -594,7 +634,7 @@ def test_every_subcommand_fails_with_its_documented_code(capsys, monkeypatch, ar
 
 
 def test_reports_carry_no_nan_or_infinity(tmp_path, capsys):
-    # an empty variety has no dimension: its estimate is null, not -Infinity
+    # an empty variety reports its zero count and nothing else
     system = tmp_path / "empty.sys"
     system.write_text("var x; eq 2*x + 1;")
     code, out, err = run(capsys, "augvar", "--system", str(system), "--fields", "2,3")
@@ -605,12 +645,11 @@ def test_reports_carry_no_nan_or_infinity(tmp_path, capsys):
 
     result = json.loads(out, parse_constant=reject)["result"]
     assert result["counts"] == {"2": 0, "3": 1}
-    assert result["dimension"] == {"estimate": None, "stable": True, "slopes": []}
+    assert "dimension" not in result
 
 
 def test_report_writer_refuses_nan(monkeypatch, capsys):
-    nan = augment.DimensionEstimate(float("nan"), True, ())
-    monkeypatch.setattr(augment, "dimension_estimate", lambda counts: nan)
+    monkeypatch.setattr(augment, "variety_points", lambda system, q: float("nan"))
     with pytest.raises(ValueError, match="JSON"):
         main(["augvar", "--system", str(FIXTURES / "twist_variety.sys"), "--fields", "2,4"])
 

@@ -250,6 +250,18 @@ def test_commutation_disagreements_match_golden():
     assert commutation_disagreements() == (GOLDEN / INVARIANCE).read_text()
 
 
+def test_no_report_carries_a_float():
+    # outside timing_ms, which the goldens drop, a report holds exact integers only
+    def refuse(text):
+        raise ValueError(f"the non-integer number {text}")
+
+    for path in sorted(GOLDEN.glob("*.json")):
+        try:
+            json.loads(path.read_text(), parse_float=refuse, parse_constant=refuse)
+        except ValueError as exc:
+            pytest.fail(f"{path.name} carries {exc}")
+
+
 if __name__ == "__main__":
     writers = {name: functools.partial(render, argv) for name, argv in CASES.items()}
     writers.update({name: functools.partial(torus2_dsl, n) for name, n in TORUS_CASES.items()})

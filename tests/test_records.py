@@ -20,7 +20,7 @@ import pytest
 
 from ldga._record import Record
 from ldga.algebra import DGA, GF, ZZ, Element, Generator, Laurent, ValidationReport
-from ldga.augment import Augmentation, DimensionEstimate, PolySystem
+from ldga.augment import Augmentation, PolySystem
 from ldga.diagram import (
     LCUSP,
     RCUSP,
@@ -81,9 +81,6 @@ CASES = {
         lambda: PolySystem(("a", "b"), (((1, (("a", 1), ("b", 1))), (1, ())),)),
         "PolySystem(variables=('a', 'b'), equations=(((1, (('a', 1), ('b', 1))), (1, ())),))",
         True, True),
-    "DimensionEstimate": (
-        lambda: DimensionEstimate(1.0, True, (1.0,)),
-        "DimensionEstimate(estimate=1.0, stable=True, slopes=(1.0,))", True, True),
     "ObstructionVerdict": (
         lambda: ObstructionVerdict("feasible"),
         "ObstructionVerdict(status='feasible', reasons=())", True, True),
@@ -125,7 +122,7 @@ def test_every_former_dataclass_is_covered():
     # the classes of ldga's modules, not the classes that _twin makes
     classes = {cls.__name__ for cls in Record.__subclasses__() if cls.__module__.startswith("ldga")}
     own = {name for name in CASES if name not in FORMER}
-    assert classes == own and len(own) == 17
+    assert classes == own and len(own) == 16
     assert all(type(make()).__name__ == name for name, (make, *_) in CASES.items()
                if name in own)
     assert {type(make()).__name__ for make, *_ in FORMER.values()} <= own
