@@ -449,11 +449,6 @@ class DGA(Record, frozen=True):
         return bits, [gf2_masks(eq, bits) for eq in self.augmentation_system]
 
     @cached_property
-    def valid_augmentations(self) -> set:
-        """(field, values) of each augmentation that passed ``augment``'s recheck on this DGA."""
-        return set()
-
-    @cached_property
     def suffix_dag(self) -> tuple[list[tuple[object, tuple[tuple[str, int], ...]]], dict[str, int]]:
         """Every nonzero d(g) as one hash-consed suffix DAG: (nodes, roots).
 

@@ -4,9 +4,9 @@ An augmentation assigns field values to the degree-0 generators (t, when
 present, is pinned to -1) so that eps(d g) = 0 for every generator; a value
 on any other name is an error.  The equations are one list per field DGA,
 ``DGA.augmentation_system``, shared by the solver and the recheck of every
-solution, ``Augmentation.is_valid``.  Each augmentation that passes the
-recheck is recorded on the field DGA, and ``conjugate`` checks only one
-that is not recorded, so a listed augmentation is checked once.  Over
+solution, ``Augmentation.is_valid``.  ``conjugate`` checks only eps's
+names first: g's conjugate has constant term eps(d g), so a nonzero one
+is the check, and ``is_valid`` then says whose fault it is.  Over
 GF(2), where x^2 = x, a monomial is the bit mask of its letters
 (``gf2_masks``), and an equation's value at a point is the parity of its
 masks whose letters are all 1: the solver files each equation in this
@@ -71,32 +71,29 @@ class Augmentation(Record, frozen=True):
         return Augmentation(field, tuple(sorted((k, v) for k, v in values.items() if v)))
 
     def is_valid(self, dga: DGA) -> bool:
-        """eps(d g) = 0 for every generator, read off the DGA's cached system.
+        """eps(d g) = 0 for every generator, read off the cached system of dga over eps's field.
 
-        A nonzero value on a name that is not a degree-0 generator of the
-        DGA raises ``AugmentationError``.  Over GF(2) an equation of the
-        DGA's ``augmentation_masks`` is the parity of its masks that miss
-        every generator at 0.  A pass is recorded in the DGA's
-        ``valid_augmentations``, which ``conjugate`` reads; a failure is
-        not.
+        A value on a name that is not a degree-0 generator raises (``_check_names``).
+        Over GF(2) an equation of ``augmentation_masks`` is the parity of its
+        masks that miss every generator at 0.
         """
-        degs = dga.degrees
-        stray = [name for name, v in self.values if v and degs.get(name) != 0]
-        if stray:
-            raise AugmentationError(
-                f"augmentation gives values to {', '.join(stray)}, "
-                "which are not degree-0 generators"
-            )
-        if self.field.q == 2 and dga.ring is self.field:
-            bits, system = dga.augmentation_masks
+        fdga = _field_dga(dga, self.field.q)
+        _check_names(fdga, self)
+        if self.field.q == 2:
+            bits, system = fdga.augmentation_masks
             zeros = (1 << len(bits)) - 1 - sum(bits[name] for name, v in self.values if v)
-            valid = not any(_parity(zeros, masks) for masks in system)
-        else:
-            values = defaultdict(int, self.values)
-            valid = not any(_eval_terms(self.field, eq, values) for eq in dga.augmentation_system)
-        if valid:
-            dga.valid_augmentations.add((self.field, self.values))
-        return valid
+            return not any(_parity(zeros, masks) for masks in system)
+        values = defaultdict(int, self.values)
+        return not any(_eval_terms(self.field, eq, values) for eq in fdga.augmentation_system)
+
+
+def _check_names(dga: DGA, eps: Augmentation) -> None:
+    """Raise ``AugmentationError`` if eps is nonzero on a name that is not a degree-0 generator."""
+    stray = [name for name, v in eps.values if v and dga.degrees.get(name) != 0]
+    if stray:
+        raise AugmentationError(
+            f"augmentation gives values to {', '.join(stray)}, which are not degree-0 generators"
+        )
 
 
 def _field_dga(dga: DGA, q: int) -> DGA:
@@ -270,12 +267,11 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     with the letter prepended, and, where eps(letter) = 1, the child's set
     added by symmetric difference.  Over GF(q), q > 2, the plan of eps's
     support, compiled on first use into ``conjugation_plans``, does both.
-    An eps recorded in the field DGA's ``valid_augmentations`` is not
-    checked again; any other goes through ``Augmentation.is_valid``.
+    eps's names are checked first; then each conjugate's constant term,
+    eps(d g), is the check of eps itself (``_constant_term_error``).
     """
     fdga = _field_dga(dga, eps.field.q)
-    if (eps.field, eps.values) not in fdga.valid_augmentations and not eps.is_valid(fdga):
-        raise AugmentationError("augmentation does not satisfy eps after d = 0")
+    _check_names(fdga, eps)
     if eps.field.q == 2:
         return _conjugate_by_walk(fdga, eps)
     support = frozenset(name for name, v in eps.values if v)
@@ -283,6 +279,13 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     if plan is None:
         plan = fdga.conjugation_plans[support] = _compile_plan(fdga, support)
     return _apply_plan(plan, fdga, eps)
+
+
+def _constant_term_error(fdga: DGA, eps: Augmentation) -> Exception:
+    """The error for a constant term in eps's conjugate: eps's own when it fails the recheck."""
+    if eps.is_valid(fdga):
+        return DGAValidationError("conjugation left a constant term")
+    return AugmentationError("augmentation does not satisfy eps after d = 0")
 
 
 def _validated(out: DGA) -> DGA:
@@ -293,8 +296,8 @@ def _validated(out: DGA) -> DGA:
 
 
 def _conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
-    """The conjugate by a valid eps over GF(2): node values as word sets, then ``validate``."""
-    support = {name for name, v in eps.values if v}  # is_valid vetted the names
+    """The conjugate by eps over GF(2): node values as word sets, then ``validate``."""
+    support = {name for name, v in eps.values if v}  # _check_names vetted the names
     nodes, roots = fdga.suffix_dag
     values: list[set] = []
     for const, children in nodes:
@@ -307,7 +310,7 @@ def _conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
     diff = {}
     for name, root in roots.items():
         if () in values[root]:
-            raise DGAValidationError("conjugation left a constant term")
+            raise _constant_term_error(fdga, eps)
         diff[name] = Element(eps.field, tuple([(w, 1) for w in sorted(values[root])]))
     return _validated(fdga.with_differential(diff))
 
@@ -375,7 +378,7 @@ def _compile_plan(fdga: DGA, support: frozenset) -> tuple:
 
 
 def _apply_plan(plan, fdga: DGA, eps: Augmentation) -> DGA:
-    """The conjugate by a valid eps whose support the plan was compiled for.
+    """The conjugate by an eps whose support the plan was compiled for.
 
     A nonzero wrong-degree value or a nonzero d(d(g)) accumulator trips the
     check, and then ``validate`` writes the message.
@@ -393,7 +396,7 @@ def _apply_plan(plan, fdga: DGA, eps: Augmentation) -> DGA:
     diff = {}
     for name, const, terms, _ in gens:
         if vals[const]:
-            raise DGAValidationError("conjugation left a constant term")
+            raise _constant_term_error(fdga, eps)
         diff[name] = Element(ring, tuple([(w, c) for w, v in terms if (c := vals[v])]))
     out = fdga.with_differential(diff)
     acc = [0] * n_acc

@@ -74,7 +74,7 @@ def conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
     """The conjugate by a valid eps: node values as dicts, then ``validate``."""
     ring = eps.field
     add, mul = ring.add_table, ring.mul_table
-    shift = {name: mul[v] for name, v in eps.values if v}  # is_valid vetted the names
+    shift = {name: mul[v] for name, v in eps.values if v}  # augment._check_names vetted the names
     nodes, roots = fdga.suffix_dag
     values: list[dict] = []
     for const, children in nodes:

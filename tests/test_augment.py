@@ -44,6 +44,7 @@ from ldga.cedga import (
     unknot_dsl_dga,
 )
 from ldga.diagram import grid_to_front, resolve
+from ldga.errors import CoefficientError
 
 AB_VARIETY = parse_polysystem("var a b; eq a*b + 1;")
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -242,7 +243,7 @@ def test_gf2_is_valid_matches_table_evaluation(knot):
     assert valid == len(enumerate_augmentations(dga, 2)) > 0
 
 
-def test_every_solution_is_rechecked_once_and_conjugate_reads_the_record(monkeypatch):
+def test_every_solution_is_rechecked_once_and_conjugate_rechecks_nothing(monkeypatch):
     dga = knot_dga("torus2:5")
     checked = []
     is_valid = Augmentation.is_valid
@@ -250,13 +251,18 @@ def test_every_solution_is_rechecked_once_and_conjugate_reads_the_record(monkeyp
                         lambda eps, fdga: checked.append(eps) or is_valid(eps, fdga))
     augs = enumerate_augmentations(dga, 2)
     assert checked == augs
-    assert dga.valid_augmentations == {(GF(2), eps.values) for eps in augs}
     for eps in augs:
         conjugate(dga, eps)
-    assert checked == augs  # no second check of a listed augmentation
     hand_built = Augmentation.build(GF(2), dict(augs[1].values))
     conjugate(dga, Augmentation(GF(2), hand_built.values + (("zz", 0),)))
-    assert len(checked) == len(augs) + 1  # one not recorded is checked
+    assert checked == augs  # a valid eps, listed or hand-built, is not checked again
+    values = dict(augs[0].values)
+    flips = (Augmentation.build(GF(2), {**values, name: 1 - values.get(name, 0)})
+             for name in dga.generators_of_degree(0))
+    flipped = next(eps for eps in flips if eps not in augs)
+    with pytest.raises(AugmentationError, match="does not satisfy"):
+        conjugate(dga, flipped)
+    assert checked == augs + [flipped]  # its constant term asks is_valid once
 
 
 @pytest.mark.parametrize("knot", ["trefoil", "m821", "torus2:7"])
@@ -274,7 +280,6 @@ def test_conjugate_rejects_every_flip_after_enumeration(knot):
                 with pytest.raises(AugmentationError, match="does not satisfy"):
                     conjugate(dga, flipped)
     assert flips > 0
-    assert dga.valid_augmentations == {(GF(2), values) for values in listed}
 
 
 def test_stray_names_raise_after_enumeration():
@@ -284,17 +289,27 @@ def test_stray_names_raise_after_enumeration():
         bad = Augmentation(GF(2), tuple(sorted(eps.values + ((stray, 1),))))
         with pytest.raises(AugmentationError, match=f"{stray}, which are not degree-0"):
             conjugate(dga, bad)
-    assert all(stray not in dict(values) for _, values in dga.valid_augmentations)
 
 
-def test_field_copies_keep_separate_records():
-    # the Z lift's F2 and F4 copies share the {0, 1}-valued augmentations
-    lift = load_dsl(TREFOIL_Z)
-    f2, f4 = ({eps.values for eps in enumerate_augmentations(lift, q)} for q in (2, 4))
-    assert f2 < f4
-    assert "valid_augmentations" not in lift.__dict__
-    for q, values in ((2, f2), (4, f4)):
-        assert lift.field_copies[q].valid_augmentations == {(GF(q), v) for v in values}
+@pytest.mark.parametrize("q", [2, 4])
+def test_a_planted_constant_term_is_blamed_on_conjugation(q):
+    # d e1 = 1 + c1 + c3 + c1*c2*c3: with the constant of e1's root cleared in
+    # the cached suffix DAG, every conjugate keeps eps(d e1) - 1 = -1, while
+    # is_valid, which reads the equations, still passes a valid eps
+    dga = knot_dga("trefoil")
+    fdga = _field_dga(dga, q)
+    (eps, *_) = enumerate_augmentations(dga, q)
+    nodes, roots = fdga.suffix_dag
+    nodes = list(nodes)
+    const, children = nodes[roots["e1"]]
+    assert const == 1
+    nodes[roots["e1"]] = (0, children)
+    fdga.__dict__["suffix_dag"] = (nodes, roots)
+    with pytest.raises(DGAValidationError, match="conjugation left a constant term"):
+        conjugate(dga, eps)
+    if q == 4:  # the plan blames an invalid eps on eps
+        with pytest.raises(AugmentationError, match="does not satisfy"):
+            conjugate(dga, Augmentation.build(GF(4), {"c1": 2}))
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +411,36 @@ d e2 = -1 - c1 - c3 - c3*c2*c1
 def test_trefoil_z_lift_reduces_to_the_disk_search_dga():
     lift = change_coefficients(load_dsl(TREFOIL_Z), GF(2))
     assert lift == build_dga(trefoil_projection())
+
+
+ONE_GENERATOR_Z = "coeff Z\ngen a 0\ngen e 1\nd e = {} - a\n"
+
+
+@pytest.mark.parametrize("text, q, count, only", [
+    (ONE_GENERATOR_Z.format(1), 4, 1, (("a", 1),)),
+    (ONE_GENERATOR_Z.format(5), 3, 1, (("a", 2),)),
+    (TREFOIL_Z, 2, 5, None),
+    (TREFOIL_Z, 4, 17, None),
+])
+def test_is_valid_reads_the_dga_over_eps_field(text, q, count, only):
+    # a DGA over another ring is pushed to eps's field first, as the solver's is
+    dga = load_dsl(text)
+    listed = {eps.values for eps in enumerate_augmentations(dga, q)}
+    assert len(listed) == count
+    unknowns = sorted(dga.generators_of_degree(0))
+    for point in itertools.product(GF(q).elements(), repeat=len(unknowns)):
+        eps = Augmentation.build(GF(q), dict(zip(unknowns, point)))
+        assert eps.is_valid(dga) == (eps.values in listed), eps
+    assert only is None or listed == {only}
+
+
+def test_is_valid_refuses_a_field_the_dga_cannot_reach():
+    dga = knot_dga("trefoil")
+    (eps, *_) = enumerate_augmentations(dga, 2)
+    f4 = _field_dga(dga, 4)
+    for check in (eps.is_valid, lambda d: conjugate(d, eps)):
+        with pytest.raises(CoefficientError, match="no coefficient map F4 -> F2"):
+            check(f4)
 
 
 @pytest.mark.parametrize(
