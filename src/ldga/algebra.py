@@ -559,25 +559,10 @@ def apply_differential(dga: DGA, x: Element) -> Element:
     return Element.build(dga.ring, _leibniz(dga, x.terms))
 
 
-class ValidationReport(Record):
-    __slots__ = ("violations",)
+def validate(dga: DGA) -> list[str]:
+    """The violations of degree purity in every d(g), and of d(d(g)) = 0.
 
-    def __init__(self, violations: list[str]):
-        self.violations = violations
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self):
-        if self.ok:
-            return "valid"
-        return "invalid:\n" + "\n".join(f"  - {v}" for v in self.violations)
-
-
-def validate(dga: DGA) -> ValidationReport:
-    """Check degree purity of every term of every d(g), and d(d(g)) = 0.
-
+    One line per violation, empty for a valid DGA; ``check`` raises them.
     One ``_leibniz`` walk per d(g) gives both: the degree of every term,
     and d(d(g)) summed in a plain dict (on a finite field's tables), tested
     for zero there.  ``apply_differential`` builds an ``Element`` only to
@@ -607,7 +592,15 @@ def validate(dga: DGA) -> ValidationReport:
                     )
         if not all(map(is_zero, dd.values())):
             violations.append(f"d(d({g.name})) = {apply_differential(dga, dg)} != 0")
-    return ValidationReport(violations)
+    return violations
+
+
+def check(dga: DGA, error: type[Exception] = DGAValidationError,
+          what: str = "DGA fails validation") -> DGA:
+    """The DGA itself, or error naming what failed and each of ``validate``'s lines."""
+    if violations := validate(dga):
+        raise error(f"{what}: invalid:\n" + "\n".join(f"  - {v}" for v in violations))
+    return dga
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ with one support (where eps != 0) give the same words with other
 coefficients, so the walk and validate's degree and d^2 = 0 checks are
 compiled once per support (at most one plan per subset of the degree-0
 generators, kept on the field DGA); the compiled check is exact on every
-term.  Over GF(2) ``validate`` checks the walk, whose node values are word
+term.  Over GF(2) ``check`` tests the walk, whose node values are word
 sets; the tests check every plan against an any-field walk.  The one
 solver, ``_backtrack``, takes the generators in one fixed order and files
 each equation under the last of its generators there, where the equation
@@ -46,8 +46,8 @@ from .algebra import (
     FiniteField,
     GF,
     change_coefficients,
+    check,
     gf2_masks,
-    validate,
 )
 from .errors import AugmentationError
 from .linhom import LinearizedComplex
@@ -262,7 +262,7 @@ def conjugate(dga: DGA, eps: Augmentation) -> DGA:
     suffix is expanded once.  Each root gives one d(g) ``Element``; the
     result shares the field DGA's generators, degrees and layout.  Over
     GF(2), where eps is its own support and a plan would never be reused,
-    ``_conjugate_by_walk`` does this and ``validate`` checks it: a node's
+    ``_conjugate_by_walk`` does this and ``check`` tests it: a node's
     value is the set of its words, its constant word and each child's words
     with the letter prepended, and, where eps(letter) = 1, the child's set
     added by symmetric difference.  Over GF(q), q > 2, the plan of eps's
@@ -288,15 +288,8 @@ def _constant_term_error(fdga: DGA, eps: Augmentation) -> Exception:
     return AugmentationError("augmentation does not satisfy eps after d = 0")
 
 
-def _validated(out: DGA) -> DGA:
-    report = validate(out)
-    if not report.ok:
-        raise DGAValidationError(f"conjugated DGA failed validation: {report}")
-    return out
-
-
 def _conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
-    """The conjugate by eps over GF(2): node values as word sets, then ``validate``."""
+    """The conjugate by eps over GF(2): node values as word sets, then ``check``."""
     support = {name for name, v in eps.values if v}  # _check_names vetted the names
     nodes, roots = fdga.suffix_dag
     values: list[set] = []
@@ -312,7 +305,7 @@ def _conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
         if () in values[root]:
             raise _constant_term_error(fdga, eps)
         diff[name] = Element(eps.field, tuple([(w, 1) for w in sorted(values[root])]))
-    return _validated(fdga.with_differential(diff))
+    return check(fdga.with_differential(diff), what="conjugated DGA failed validation")
 
 
 def _compile_plan(fdga: DGA, support: frozenset) -> tuple:
@@ -381,7 +374,7 @@ def _apply_plan(plan, fdga: DGA, eps: Augmentation) -> DGA:
     """The conjugate by an eps whose support the plan was compiled for.
 
     A nonzero wrong-degree value or a nonzero d(d(g)) accumulator trips the
-    check, and then ``validate`` writes the message.
+    compiled check, and then ``check`` raises the violations.
     """
     letters, init, ops, gens, leibniz, n_acc = plan
     ring = eps.field
@@ -405,7 +398,7 @@ def _apply_plan(plan, fdga: DGA, eps: Augmentation) -> DGA:
         if c := mul[vals[s]][vals[t]]:
             acc[a] = add[acc[a]][neg[c] if odd else c]
     if any(acc) or any(vals[v] for *_, wrong in gens for v in wrong):
-        return _validated(out)
+        return check(out, what="conjugated DGA failed validation")
     return out
 
 

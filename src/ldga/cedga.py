@@ -32,7 +32,7 @@ from .algebra import (
     Ring,
     ZT,
     ZZ,
-    validate,
+    check,
 )
 from .diagram import (
     CROSS,
@@ -87,10 +87,7 @@ def build_dga(diagram: ProjectionDiagram, budget: int | None = None) -> DGA:
         # disks are counted mod 2: words found twice cancel
         {name: Element.sum(ring, ((w, ring.one) for w in ws)) for name, ws in words.items()},
     )
-    report = validate(dga)
-    if not report.ok:
-        raise DiskSearchError(f"diagram DGA failed validation: {report}")
-    return dga
+    return check(dga, DiskSearchError, "diagram DGA failed validation")
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +147,7 @@ def load_dsl(text: str) -> DGA:
         raise DSLError(1, 1, "missing coeff line")
     differential = {name: _element(ring, seen, name, toks) for name, toks in diffs.items()}
     gens = tuple(Generator(name, degree) for name, degree in seen.items())
-    return _validated(DGA(ring, gens, differential))
-
-
-def _validated(dga: DGA) -> DGA:
-    report = validate(dga)
-    if not report.ok:
-        raise DGAValidationError(f"DGA fails validation: {report}")
-    return dga
+    return check(DGA(ring, gens, differential))
 
 
 def _element(ring: Ring, gens: dict[str, int], where: str, toks) -> Element:
@@ -236,7 +226,7 @@ def twist_linearized(n: int) -> DGA:
             diff[f"e{i}"] = Element.build(ZZ, {(f"c{i-1}",): 1, (f"c{i}",): -1})
         else:
             diff[f"e{i}"] = Element.build(ZZ, {(f"c{i-1}",): -1, (f"c{i}",): 1})
-    return _validated(DGA(ZZ, tuple(gens), diff))
+    return check(DGA(ZZ, tuple(gens), diff))
 
 
 def unknot_projection() -> ProjectionDiagram:

@@ -4,7 +4,8 @@ Two obstruction engines: the Seidel-isomorphism feasibility test, which
 reads a hypothetical filling homology profile off linearized contact
 cohomology (a homological ``GradedModule`` with H_i = LCH^{n-i}), and the
 augmentation-variety injectivity test, which compares torus point counts
-forced by the filling's H_1 against the Legendrian's own variety counts;
+forced by the filling's H_1 (over a field, the lower bound (q - 1)^k with
+k = dim H_1 - dim H_2) against the Legendrian's own variety counts;
 those exact counts alone decide its verdict.
 ``obstruction_chain`` runs them in one order, seidel, euler_tb (the Euler/tb
 check for surfaces) and aug_injectivity, and stops at the first obstruction;
@@ -129,15 +130,16 @@ def aug_injectivity_test(
     The exact point counts alone decide the verdict, which keeps the test
     monotone under entrywise enlargement of the Legendrian counts: one
     reason per field order at which the torus forced by the filling's H_1
-    has more points than the Legendrian's variety.
+    has more points than the Legendrian's variety.  A field profile gives
+    no torsion and k = max(0, dim H_1 - dim H_2) <= b_1, as H_2(L; F_p)
+    holds Tor(H_1(L; Z), F_p): (q - 1)^k never exceeds the true count.
     """
     from .augment import torus_point_count
     if not legendrian_counts:
         raise ValueError("empty count table")
-    if profile.ring_tag != "Z":
-        raise ValueError("the injectivity test needs integral H_1 data")
-    k = profile.free_rank(1)
-    torsion = profile.torsion(1)
+    k, torsion = profile.free_rank(1), profile.torsion(1)
+    if profile.is_field:
+        k = max(0, k - profile.free_rank(2))
     reasons = []
     for q in sorted(legendrian_counts):
         torus = torus_point_count(k, torsion, q)
@@ -161,7 +163,7 @@ def obstruction_chain(h: GradedModule, n: int, evidence: list[dict], tb: int | N
     """seidel, then euler_tb if tb is given, then aug_injectivity if counts is:
     each stage runs while the verdict is feasible and appends its record to
     evidence.  euler_fields extend the euler_tb record; counts is called only
-    when its stage runs, which reads the profile's H_1 as a Z module."""
+    when its stage runs, which reads the profile over its own ring."""
     profile = seidel_profile(h, n)
     if isinstance(profile, ObstructionVerdict):
         verdict, record = profile, {"verdict": profile.to_jsonable()}
@@ -175,8 +177,7 @@ def obstruction_chain(h: GradedModule, n: int, evidence: list[dict], tb: int | N
         evidence.append({"stage": "euler_tb", **(euler_fields or {}),
                          "verdict": verdict.to_jsonable()})
     if counts is not None and not verdict.obstructed:
-        h1 = GradedModule("Z", HOMOLOGICAL, {1: (profile.free_rank(1), profile.torsion(1))})
-        verdict = aug_injectivity_test(h1, counts())
+        verdict = aug_injectivity_test(profile, counts())
         evidence.append({"stage": "aug_injectivity", "verdict": verdict.to_jsonable()})
     return verdict
 

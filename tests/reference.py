@@ -8,8 +8,8 @@ to one element of a field DGA.
 
 from collections import defaultdict
 
-from ldga.algebra import DGA, GF, DGAValidationError, Element, FiniteField, IntegerRing
-from ldga.augment import Augmentation, _eval_terms, _validated
+from ldga.algebra import DGA, GF, DGAValidationError, Element, FiniteField, IntegerRing, check
+from ldga.augment import Augmentation, _eval_terms
 from ldga.linhom import LinearizedComplex, Matrix
 
 
@@ -71,7 +71,7 @@ def evaluate(eps: Augmentation, dga: DGA, el: Element) -> int:
 
 
 def conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
-    """The conjugate by a valid eps: node values as dicts, then ``validate``."""
+    """The conjugate by a valid eps: node values as dicts, then ``check``."""
     ring = eps.field
     add, mul = ring.add_table, ring.mul_table
     shift = {name: mul[v] for name, v in eps.values if v}  # augment._check_names vetted the names
@@ -92,4 +92,4 @@ def conjugate_by_walk(fdga: DGA, eps: Augmentation) -> DGA:
         if () in values[root]:
             raise DGAValidationError("conjugation left a constant term")
         diff[name] = Element(ring, tuple(sorted(values[root].items())))
-    return _validated(fdga.with_differential(diff))
+    return check(fdga.with_differential(diff), what="conjugated DGA failed validation")

@@ -164,7 +164,7 @@ def test_criterion_8_property_suites():
         unknot_dsl_dga(),
     ]
     for dga in dgas:
-        assert validate(dga).ok
+        assert validate(dga) == []
 
     # SNF unimodularity certificates
     for mat in ([[2, 4, 4]], [[6, 4], [4, 6]], [[1, 2], [3, 4], [5, 6]]):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ldga.algebra import (
     DGA,
     CoefficientError,
+    DGAValidationError,
     Element,
     GF,
     Generator,
@@ -19,9 +20,11 @@ from ldga.algebra import (
     ZZ,
     apply_differential,
     change_coefficients,
+    check,
     multiply,
     validate,
 )
+from ldga.errors import DiskSearchError
 
 SUPPORTED_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -308,8 +311,7 @@ def test_graded_leibniz_over_f2(v, w):
 def test_twist_builtin_is_valid():
     from ldga.cedga import twist_linearized
 
-    report = validate(twist_linearized(5))
-    assert report.ok
+    assert validate(twist_linearized(5)) == []
 
 
 def test_validate_catches_d_squared():
@@ -319,9 +321,7 @@ def test_validate_catches_d_squared():
         (Generator("e", 1), Generator("c", 0)),
         {"e": Element.generator(ring, "c"), "c": Element.unit(ring)},
     )
-    report = validate(dga)
-    assert not report.ok
-    assert any("d(d(" in v for v in report.violations)
+    assert any("d(d(" in v for v in validate(dga))
 
 
 def test_validate_catches_degree_violation():
@@ -331,9 +331,26 @@ def test_validate_catches_degree_violation():
         (Generator("e", 1), Generator("c", 1)),
         {"e": Element.generator(ring, "c")},
     )
-    report = validate(dga)
-    assert not report.ok
-    assert any("degree" in v for v in report.violations)
+    assert any("degree" in v for v in validate(dga))
+
+
+def test_check_returns_the_dga_or_raises_every_violation():
+    valid = toy_dga()
+    assert check(valid) is valid
+    ring = GF(2)
+    dga = DGA(
+        ring,
+        (Generator("e", 1), Generator("c", 1)),
+        {"e": Element.generator(ring, "c"), "c": Element.unit(ring)},
+    )
+    lines = ["d(e) term c has degree 1, expected 0", "d(d(e)) = 1 != 0"]
+    assert validate(dga) == lines
+    with pytest.raises(DGAValidationError) as caught:
+        check(dga)
+    assert str(caught.value) == "DGA fails validation: invalid:\n  - " + "\n  - ".join(lines)
+    with pytest.raises(DiskSearchError) as caught:
+        check(dga, DiskSearchError, "diagram DGA failed validation")
+    assert str(caught.value).startswith("diagram DGA failed validation: invalid:\n  - d(e) ")
 
 
 def sign_pin_dga(ring, extra=()):
@@ -348,7 +365,7 @@ def test_validate_sees_the_leibniz_sign(ring):
     # d(d(w)) = (dx)x - x(dx) = x - x
     dga = sign_pin_dga(ring)
     x, dx = Element.generator(ring, "x"), Element.unit(ring)
-    assert validate(dga).ok
+    assert validate(dga) == []
     assert apply_differential(dga, dga.diff_of("w")).is_zero
     # without the sign it would be 2x, which is not zero in these rings
     assert not multiply(dx, x).add(multiply(x, dx)).is_zero
@@ -393,7 +410,7 @@ def small_dgas(draw):
 @example(sign_pin_dga(GF(4), extra=[("x",), ("x", "x", "x")]))
 @settings(max_examples=300)
 def test_validate_matches_element_reference(dga):
-    assert validate(dga).violations == reference_violations(dga)
+    assert validate(dga) == reference_violations(dga)
 
 
 def dd_by_products(dga, name):
@@ -414,10 +431,10 @@ def dd_by_products(dga, name):
     return total
 
 
-def flagged(report):
+def flagged(violations):
     """(generators with a d^2 violation, generators with a degree violation)."""
-    dd = {m[1] for v in report.violations if (m := re.match(r"d\(d\((\w+)\)\) = ", v))}
-    deg = {m[1] for v in report.violations if (m := re.match(r"d\((\w+)\) term ", v))}
+    dd = {m[1] for v in violations if (m := re.match(r"d\(d\((\w+)\)\) = ", v))}
+    deg = {m[1] for v in violations if (m := re.match(r"d\((\w+)\) term ", v))}
     return dd, deg
 
 
@@ -527,7 +544,7 @@ def test_validate_builds_no_element_on_a_valid_dga(monkeypatch):
     monkeypatch.setattr(algebra, "apply_differential", forbidden)
     monkeypatch.setattr(Element, "__init__", forbidden)
     for checked in [dga, *conjugated]:
-        assert validate(checked).ok
+        assert validate(checked) == []
 
 
 def test_every_diff_term_has_degree_minus_one():

@@ -19,7 +19,7 @@ from ldga.algebra import (
     multiply,
     validate,
 )
-from ldga import augment
+from ldga import algebra
 from ldga.augment import (
     Augmentation,
     AugmentationError,
@@ -649,8 +649,8 @@ d a = u*v + w
 @pytest.mark.parametrize("q", [3, 4, 9])
 def test_plan_check_trips_only_where_validate_reports(q, monkeypatch):
     calls = []
-    monkeypatch.setattr(augment, "validate", lambda dga: calls.append(dga) or validate(dga))
-    dga = load_dsl(SIGNED.format(q=q))
+    dga = load_dsl(SIGNED.format(q=q))  # before the patch: its own check is not counted
+    monkeypatch.setattr(algebra, "validate", lambda dga: calls.append(dga) or validate(dga))
     augs = enumerate_augmentations(dga, q)
     for eps in augs * 2:
         plan, walk = conjugated_both_ways(dga, eps)

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from ldga import augment, cedga, obstruct
+from ldga import algebra, augment, cedga, obstruct
 from ldga._polytext import MAX_DIGITS
-from ldga.algebra import GF, ValidationReport
+from ldga.algebra import GF, validate
 from ldga.cli import main, parse_poly_text
 from ldga.linhom import LinearizedComplex
 
@@ -60,6 +60,8 @@ def test_dga_bad_grid_exit_2(capsys):
 def test_dga_invalid_dsl_exit_3(capsys):
     code, _, err = run(capsys, "dga", "--dsl", str(FIXTURES / "invalid.dga"))
     assert code == 3
+    assert err == ("validation error: DGA fails validation: invalid: "
+                   "- d(c) term 1 has degree 0, expected -1\n")
 
 
 def test_dga_requires_one_source(capsys):
@@ -208,6 +210,15 @@ def test_obstruct_command(capsys):
     verdict = report["result"]["verdict"]
     assert verdict["status"] == "obstructed"
     assert verdict["reasons"][0]["code"] == "seidel.negative_degree"
+
+
+def test_obstruct_reads_dim_h2_of_a_field_profile(capsys):
+    # H_1(L) = Z + Z/2 fits H_1 = F2^2, H_2 = F2, and its torus has 3 points
+    # at q = 4, so these counts cannot obstruct
+    report, err = run_json(capsys, "obstruct", "--poly", "t^2 + 2t^3 + t^4", "--dim", "4",
+                           "--counts", "2:1,4:3")
+    assert report["result"]["verdict"] == {"status": "feasible", "reasons": []}
+    assert err == "feasible: []\n"
 
 
 def test_obstruct_feasible_then_counts(capsys):
@@ -670,7 +681,11 @@ def test_bad_polysystem_exits_2(tmp_path, capsys):
 
 
 def _fail_validation(dga):
-    return ValidationReport(["planted"])
+    # planted in the conjugates only, which have no constant term: the
+    # trefoil's diagram DGA has one in each d(e) and must pass build_dga
+    if any(w == () for e in dga.differential.values() for w, _ in e.terms):
+        return validate(dga)
+    return ["planted"]
 
 
 def _zero_solutions(ring, unknowns, equations):
@@ -690,8 +705,9 @@ def _broken_complex(*args):
     ],
 )
 def test_internal_tripwires_exit_3(capsys, monkeypatch, name, fake, message):
-    # a violated internal check is a validation failure, not bad input
-    monkeypatch.setattr(augment, name, fake)
+    # a violated internal check is a validation failure, not bad input;
+    # check calls validate through algebra, the module that defines it
+    monkeypatch.setattr(algebra if name == "validate" else augment, name, fake)
     code, _, err = run(capsys, "linpoly", "--builtin", "trefoil")
     assert code == 3
     assert err.startswith("validation error: ") and message in err

@@ -144,7 +144,7 @@ def signed_dga():
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_conjugate_matches_substitution_in_odd_characteristic(q):
     dga = signed_dga()
-    assert validate(dga).ok
+    assert validate(dga) == []
     augs = enumerate_augmentations(dga, q)
     assert [eps.values for eps in augs] == [(("b", 1),)]
     conj = conjugate(dga, augs[0])

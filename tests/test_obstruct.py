@@ -1,10 +1,10 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ldga.linhom import COHOMOLOGICAL, GradedModule, HOMOLOGICAL
+from ldga.linhom import COHOMOLOGICAL, GradedModule, HOMOLOGICAL, homology_mod_p
 from ldga.obstruct import (
     FEASIBLE,
     OBSTRUCTED,
@@ -14,9 +14,12 @@ from ldga.obstruct import (
     aug_injectivity_test,
     certify_nongeometric,
     euler_tb_check,
+    obstruction_chain,
     seidel_profile,
 )
-from ldga.augment import parse_polysystem, variety_points
+from ldga.augment import parse_polysystem, torus_point_count, variety_points
+
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def coh(entries):
@@ -158,9 +161,30 @@ def test_empty_count_table_rejected():
 
 
 def test_injectivity_needs_integral_h1():
-    # a field profile carries no torsion of H_1, so it cannot size the torus
-    with pytest.raises(ValueError, match="integral H_1"):
-        aug_injectivity_test(filling({0: (1, ()), 1: (2, ())}, "F2"), {2: 1, 4: 3})
+    # only an integral H_1 gives b_1 and its torsion; a field profile gives
+    # k = dim H_1 - dim H_2 <= b_1, since H_2(L; F_p) holds Tor(H_1(L; Z), F_p)
+    h = {0: (1, ()), 1: (2, ())}
+    verdict = aug_injectivity_test(filling(h, "F2"), {2: 1, 4: 3})
+    assert verdict.codes() == ["augvar.count_exceeds"] and "has 9 points" in verdict.reasons[0][1]
+    # H_1(L) = Z + Z/2 fits H_1 = F2^2, H_2 = F2, and its torus has 3 points at q = 4
+    assert aug_injectivity_test(filling({**h, 2: (1, ())}, "F2"), {2: 1, 4: 3}).status == FEASIBLE
+    assert aug_injectivity_test(k_profile(1, (2,)), {2: 1, 4: 3}).status == FEASIBLE
+
+
+TORSION = st.lists(st.integers(2, 12), max_size=3).map(tuple)
+
+
+@given(st.integers(0, 3), TORSION, st.integers(0, 2), TORSION)
+@example(1, (2,), 0, ())
+@settings(max_examples=100)
+def test_injectivity_is_sound_on_a_filling_and_its_f2_reduction(b, t1, c, t2):
+    # the counts are the filling torus's own, so neither reading may obstruct
+    h = filling({0: (1, ()), 1: (b, t1), 2: (c, t2)})
+    counts = {q: torus_point_count(b, t1, q) for q in FIELD_ORDERS}
+    for profile in (h, homology_mod_p(h, 2)):
+        lch = GradedModule(profile.ring_tag, COHOMOLOGICAL,
+                           {3 - i: e for i, e in profile.entries.items()})
+        assert obstruction_chain(lch, 3, [], counts=lambda: counts).status == FEASIBLE
 
 
 @given(
