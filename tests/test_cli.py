@@ -594,6 +594,7 @@ def test_help_shows_the_library_defaults(capsys):
 MISSING = str(FIXTURES / "missing.json")
 INVALID = str(FIXTURES / "invalid.dga")
 STABILIZED = str(FIXTURES / "stabilized_unknot.json")
+UNKNOT_TB3 = str(FIXTURES / "unknot_tb-3.json")
 M821 = str(FIXTURES / "m821.json")
 PREFIXES = ("error: ", "parse error: ", "validation error: ", "stage error: ")
 BAD_DISKS = "bad-disks"  # leading tag: the disk search breaks the index identity
@@ -625,6 +626,7 @@ def _words_breaking_the_index_identity(diagram, budget=None):
         (["certify", "classA", "--grid", MISSING], 2),
         (["certify", "classB", "--n", "5", "--spin", "1"], 4),
         (["certify", "classA", "--grid", STABILIZED], 4),
+        (["certify", "classA", "--grid", UNKNOT_TB3], 4),
         ([BAD_DISKS, "dga", "--grid", M821], 3),
         ([BAD_DISKS, "augs", "--grid", M821], 3),
         ([BAD_DISKS, "linpoly", "--grid", M821], 3),
@@ -642,6 +644,24 @@ def test_every_subcommand_fails_with_its_documented_code(capsys, monkeypatch, ar
     assert got == code, err
     assert err.startswith(PREFIXES) and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (None, "no graded augmentations over F2"),
+        ('{"size": 4, "X": [3, 2, 1, 0], "O": [2, 0, 3, 1]}',  # the tb -1 unknot
+         "no augmentation with polynomial t^-1 + 4 + 2t; got ['t']"),
+    ],
+)
+def test_class_a_augment_stage_messages(tmp_path, capsys, grid, message):
+    path = UNKNOT_TB3
+    if grid is not None:
+        path = tmp_path / "grid.json"
+        path.write_text(grid)
+    code, _, err = run(capsys, "certify", "classA", "--grid", str(path))
+    assert code == 4
+    assert err == f"stage error: [augment] {message}\n"
 
 
 def test_reports_carry_no_nan_or_infinity(tmp_path, capsys):

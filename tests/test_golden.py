@@ -13,6 +13,7 @@ repository root; it rewrites the named goldens, or all of them.
 """
 
 import contextlib
+import collections
 import functools
 import io
 import itertools
@@ -29,8 +30,11 @@ from test_tools import TOOL, load_by_path
 from ldga.augment import enumerate_augmentations, linearized_complex
 from ldga.cedga import DiskSearchError, build_dga, builtin, dump_dsl
 from ldga.cli import main
+from ldga.cedga import m821_grid
 from ldga.diagram import DiagramError, GridDiagram, grid_to_front, resolve
+from ldga.errors import LdgaError
 from ldga.linhom import homology_field, poincare
+from ldga.obstruct import certify_nongeometric
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -209,6 +213,49 @@ def commutation_disagreements() -> str:
     return f"# {len(out)} of {pairs} moved grids change their profile\n" + "".join(out)
 
 
+TRANSLATIONS = "classA_translations.txt"
+
+
+def class_a_translations() -> str:
+    """Class A certified on each of the 64 cyclic translations of the m(8_21) grid.
+
+    Translation (i, j) shifts the rows i times and the columns j times.
+    Each line gives the grid, then ``certify_nongeometric``'s verdict with
+    its codes and the multiset of F2 polynomials, or the exit code and the
+    first line of the message.  A grid whose DGA builds also shows chi* and
+    its F2 and F4 augmentation counts, which Henry-Rutherford tie to one
+    ruling polynomial: #Aug(F_q) = q^((chi* + 1)/2) R(q^(1/2) - q^(-1/2)).
+    """
+    tool = load_by_path(TOOL)
+    rows = m821_grid()
+    out = []
+    for i in range(rows.size):
+        grid = rows
+        for j in range(rows.size):
+            line = f"({i},{j}) X {''.join(map(str, grid.X))} O {''.join(map(str, grid.O))}: "
+            try:
+                cert = certify_nongeometric("classA_m821", grid=grid)
+            except LdgaError as exc:
+                line += f"exit {exc.exit_code}, {str(exc).splitlines()[0]}"
+            else:
+                augment = next(e for e in cert.evidence if e["stage"] == "augment")
+                polys = dict(sorted(collections.Counter(augment["polynomials"]).items()))
+                line += f"{cert.verdict.status} {cert.verdict.codes()}, polys {polys}"
+            try:
+                dga = build_dga(resolve(grid_to_front(grid)))
+            except LdgaError:
+                pass
+            else:
+                chi = sum((-1) ** g.degree if g.degree >= 0 else (-1) ** (g.degree + 1)
+                          for g in dga.generators)
+                line += (f"; chi* {chi}, augs F2 {len(enumerate_augmentations(dga, 2))}, "
+                         f"F4 {len(enumerate_augmentations(dga, 4))}")
+            out.append(line + "\n")
+            grid = tool.translate_cols(grid)
+        rows = tool.translate_rows(rows)
+    return "".join(out)
+
+
 def render(argv: list[str]) -> str:
     """Run the CLI from the repository root; JSON reports lose ``timing_ms``."""
     out = io.StringIO()
@@ -250,6 +297,10 @@ def test_commutation_disagreements_match_golden():
     assert commutation_disagreements() == (GOLDEN / INVARIANCE).read_text()
 
 
+def test_class_a_translations_match_golden():
+    assert class_a_translations() == (GOLDEN / TRANSLATIONS).read_text()
+
+
 def test_no_report_carries_a_float():
     # outside timing_ms, which the goldens drop, a report holds exact integers only
     def refuse(text):
@@ -268,6 +319,7 @@ if __name__ == "__main__":
     writers[RANDOM_FRONTS] = random_fronts_dsl
     writers[GRID_FRONTS] = grid_fronts
     writers[INVARIANCE] = commutation_disagreements
+    writers[TRANSLATIONS] = class_a_translations
     names = sys.argv[1:] or list(writers)
     unknown = sorted(set(names) - set(writers))
     if unknown:
