@@ -330,8 +330,9 @@ def cmd_certify(args):
     if args.grid:
         inputs["grid"] = _digest(args.grid)
         grid = diagram.parse_grid(Path(args.grid).read_text(encoding="utf-8"))
+    case = case_map[args.case]
     cert = obstruct.certify_nongeometric(
-        case_map[args.case],
+        case,
         n=args.n,
         schedule=_parse_schedule(args.spin),
         fields=() if fields is None else tuple(_parse_fields(fields)),
@@ -339,8 +340,8 @@ def cmd_certify(args):
         budget=args.budget,
     )
     verdict = cert.verdict
-    result = {"verdict": verdict.to_jsonable(), "case": cert.case}
-    return inputs, cert.evidence, result, f"{cert.case}: {verdict.status} {verdict.codes()}"
+    result = {"verdict": verdict.to_jsonable(), "case": case}
+    return inputs, cert.evidence, result, f"{case}: {verdict.status} {verdict.codes()}"
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ those exact counts alone decide its verdict.
 ``obstruction_chain`` runs them in one order, seidel, euler_tb (the Euler/tb
 check for surfaces) and aug_injectivity, and stops at the first obstruction;
 ``ldga obstruct``, class A (seidel only) and class B all run it.
+A verdict is its reasons: it is obstructed exactly when it has one.
 Reason codes are stable strings and part of the contract:
 
     seidel.negative_degree      LCH class in negative degree (no H_i slot
@@ -23,11 +24,11 @@ Reason codes are stable strings and part of the contract:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 
 from . import linhom
-from ._record import Record, set_fields
+from ._record import Record, set_field
 from .algebra import Laurent
 from .errors import ObstructionStageError
 from .linhom import COHOMOLOGICAL, HOMOLOGICAL, GradedModule, module_to_jsonable
@@ -46,16 +47,21 @@ OBSTRUCTED = "obstructed"
 
 
 class ObstructionVerdict(Record, frozen=True):
-    __slots__ = ("status", "reasons")
+    """A verdict is its reasons, (code, detail) pairs: obstructed exactly when
+    there is one, feasible when there is none."""
 
-    def __init__(self, status: str, reasons: tuple[tuple[str, str], ...] = ()):
-        if status == OBSTRUCTED and not reasons:
-            raise ValueError("obstructed verdicts must carry at least one reason")
-        set_fields(self, status, reasons)
+    __slots__ = ("reasons",)
+
+    def __init__(self, reasons: Iterable[tuple[str, str]] = ()):
+        set_field(self, "reasons", tuple(reasons))
+
+    @property
+    def status(self) -> str:
+        return OBSTRUCTED if self.reasons else FEASIBLE
 
     @property
     def obstructed(self) -> bool:
-        return self.status == OBSTRUCTED
+        return bool(self.reasons)
 
     def codes(self) -> list[str]:
         return [code for code, _ in self.reasons]
@@ -96,7 +102,7 @@ def seidel_profile(h: GradedModule, n: int):
                         f"with torsion {list(h.torsion(n))}; a connected filling needs "
                         f"exactly rank one"))
     if reasons:
-        return ObstructionVerdict(OBSTRUCTED, tuple(reasons))
+        return ObstructionVerdict(reasons)
     # every degree left lies in [0, n]
     return GradedModule(h.ring_tag, HOMOLOGICAL, {n - d: e for d, e in h.entries.items()})
 
@@ -112,9 +118,7 @@ def euler_tb_check(profile: GradedModule, n: int, tb: int) -> ObstructionVerdict
     if 1 - b1 != -tb:
         reasons.append(("euler.tb_mismatch",
                         f"chi = {1 - b1} but -tb = {-tb}; no exact filling surface"))
-    if reasons:
-        return ObstructionVerdict(OBSTRUCTED, tuple(reasons))
-    return ObstructionVerdict(FEASIBLE)
+    return ObstructionVerdict(reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +156,7 @@ def aug_injectivity_test(
                     f"Legendrian variety has only {have}",
                 )
             )
-    if reasons:
-        return ObstructionVerdict(OBSTRUCTED, tuple(reasons))
-    return ObstructionVerdict(FEASIBLE)
+    return ObstructionVerdict(reasons)
 
 
 def obstruction_chain(h: GradedModule, n: int, evidence: list[dict], tb: int | None = None,
@@ -168,7 +170,7 @@ def obstruction_chain(h: GradedModule, n: int, evidence: list[dict], tb: int | N
     if isinstance(profile, ObstructionVerdict):
         verdict, record = profile, {"verdict": profile.to_jsonable()}
     else:
-        verdict, record = ObstructionVerdict(FEASIBLE), {"profile": {
+        verdict, record = ObstructionVerdict(), {"profile": {
             "ring": profile.ring_tag, "legendrian_dimension": n,
             "homology": module_to_jsonable(profile)["entries"]}}
     evidence.append({"stage": "seidel", **record})
@@ -187,81 +189,14 @@ def obstruction_chain(h: GradedModule, n: int, evidence: list[dict], tb: int | N
 # ---------------------------------------------------------------------------
 
 class Certification(Record):
-    __slots__ = ("case", "verdict", "evidence")
+    __slots__ = ("verdict", "evidence")
 
-    def __init__(self, case: str, verdict: ObstructionVerdict, evidence: list[dict]):
-        self.case = case
+    def __init__(self, verdict: ObstructionVerdict, evidence: list[dict]):
         self.verdict = verdict
         self.evidence = evidence
 
 
 TARGET_M821_POLY = Laurent.from_dict({-1: 1, 0: 4, 1: 2})
-
-
-def class_a_homology(grid: diagram.GridDiagram, budget=None):
-    """Grid -> front -> projection -> DGA -> distinguished linearized complex.
-
-    Returns (evidence, F2 complex, its homology) for the augmentation whose
-    Poincare polynomial has a negative-degree class; fails loudly if the
-    fixture does not produce it.
-    """
-    from . import augment, cedga, diagram
-    evidence = []
-    front = diagram.grid_to_front(grid)
-    rot = front.rotation_number
-    evidence.append(
-        {
-            "stage": "front",
-            "tb": front.tb,
-            "rotation_number": rot,
-            "left_cusps": front.n_left_cusps,
-            "right_cusps": front.n_right_cusps,
-        }
-    )
-    if rot != 0:
-        raise ObstructionStageError("front", f"rotation number {rot} != 0")
-    proj = diagram.resolve(front)
-    evidence.append(
-        {
-            "stage": "resolve",
-            "crossings": len(proj.crossings),
-            "degrees": sorted(c.degree for c in proj.crossings),
-        }
-    )
-    dga = cedga.build_dga(proj, budget=budget)
-    evidence.append(
-        {
-            "stage": "dga",
-            "generators": len(dga.generators),
-            "differential_terms": sum(len(e.terms) for e in dga.differential.values()),
-        }
-    )
-    polys, chosen = [], None
-    for eps in augment.enumerate_augmentations(dga, 2):
-        cx = augment.linearized_complex(dga, eps)
-        h = linhom.homology_field(cx)
-        p = linhom.poincare(h)
-        polys.append(str(p))
-        if chosen is None and p == TARGET_M821_POLY:
-            chosen = eps, cx, h
-    if not polys:
-        raise ObstructionStageError("augment", "no graded augmentations over F2")
-    polys.sort()
-    evidence.append({"stage": "augment", "count": len(polys), "polynomials": polys})
-    if chosen is None:
-        raise ObstructionStageError(
-            "augment",
-            f"no augmentation with polynomial {TARGET_M821_POLY}; got {polys}",
-        )
-    eps, cx, h = chosen
-    evidence.append(
-        {
-            "stage": "distinguished_augmentation",
-            "values": dict(eps.values),
-            "polynomial": str(TARGET_M821_POLY),
-        }
-    )
-    return evidence, cx, h
 
 
 def certify_nongeometric(
@@ -277,23 +212,54 @@ def certify_nongeometric(
         if case == "classA_spun" and not schedule:
             schedule = (1,)
         if any(m != 1 for m in schedule):
-            raise ObstructionStageError(
-                "schedule", "class A spins circles only"
-            )
-        return _certify_class_a(schedule, grid, budget, case)
-    if case == "classB_twist":
+            raise ObstructionStageError("schedule", "class A spins circles only")
+        verdict, evidence = _certify_class_a(schedule, grid, budget)
+    elif case == "classB_twist":
         if n is None:
             raise ObstructionStageError("input", "classB_twist needs n")
-        return _certify_class_b(n, schedule, fields, case)
-    raise ObstructionStageError("input", f"unknown case {case!r}")
+        verdict, evidence = _certify_class_b(n, schedule, fields)
+    else:
+        raise ObstructionStageError("input", f"unknown case {case!r}")
+    return Certification(verdict, evidence)
 
 
-def _certify_class_a(schedule, grid, budget, case) -> Certification:
-    from . import cedga, spin
+def _certify_class_a(schedule, grid, budget):
+    """Grid -> front -> projection -> DGA -> the F2 linearized complex of the
+    first augmentation with polynomial TARGET_M821_POLY (failing loudly if
+    there is none) -> spun cohomology -> the chain, which is seidel only."""
+    from . import augment, cedga, diagram, spin
     grid = grid or cedga.m821_grid()
-    evidence = [{"stage": "grid", "size": grid.size}]
-    ev2, cx, h = class_a_homology(grid, budget=budget)
-    evidence.extend(ev2)
+    front = diagram.grid_to_front(grid)
+    rot = front.rotation_number
+    evidence = [{"stage": "grid", "size": grid.size},
+                {"stage": "front", "tb": front.tb, "rotation_number": rot,
+                 "left_cusps": front.n_left_cusps, "right_cusps": front.n_right_cusps}]
+    if rot != 0:
+        raise ObstructionStageError("front", f"rotation number {rot} != 0")
+    proj = diagram.resolve(front)
+    evidence.append({"stage": "resolve", "crossings": len(proj.crossings),
+                     "degrees": sorted(c.degree for c in proj.crossings)})
+    dga = cedga.build_dga(proj, budget=budget)
+    evidence.append({"stage": "dga", "generators": len(dga.generators),
+                     "differential_terms": sum(len(e.terms) for e in dga.differential.values())})
+    polys, chosen = [], None
+    for eps in augment.enumerate_augmentations(dga, 2):
+        cx = augment.linearized_complex(dga, eps)
+        h = linhom.homology_field(cx)
+        p = linhom.poincare(h)
+        polys.append(str(p))
+        if chosen is None and p == TARGET_M821_POLY:
+            chosen = eps, cx, h
+    if not polys:
+        raise ObstructionStageError("augment", "no graded augmentations over F2")
+    polys.sort()
+    evidence.append({"stage": "augment", "count": len(polys), "polynomials": polys})
+    if chosen is None:
+        raise ObstructionStageError(
+            "augment", f"no augmentation with polynomial {TARGET_M821_POLY}; got {polys}")
+    eps, cx, h = chosen
+    evidence.append({"stage": "distinguished_augmentation", "values": dict(eps.values),
+                     "polynomial": str(TARGET_M821_POLY)})
     stages = spin.iterate_schedule(cx, schedule)
     h = linhom.as_cohomological(h)
     for st in stages:
@@ -301,10 +267,10 @@ def _certify_class_a(schedule, grid, budget, case) -> Certification:
         evidence.append(st.record(legendrian_dimension=st.legendrian_dimension,
                                   module=module_to_jsonable(h)))
     leg_dim = stages[-1].legendrian_dimension if stages else 1
-    return Certification(case, obstruction_chain(h, leg_dim, evidence), evidence)
+    return obstruction_chain(h, leg_dim, evidence), evidence
 
 
-def _certify_class_b(n, schedule, fields, case) -> Certification:
+def _certify_class_b(n, schedule, fields):
     from . import augment, cedga, spin
     evidence = []
     dga = cedga.twist_linearized(n)
@@ -340,4 +306,4 @@ def _certify_class_b(n, schedule, fields, case) -> Certification:
           if leg_dim == 1 else None)  # the Euler/tb check is for surface fillings
     verdict = obstruction_chain(h_coh, leg_dim, evidence, tb=tb, counts=variety_counts,
                                 euler_fields={"tb": tb})
-    return Certification(case, verdict, evidence)
+    return verdict, evidence

@@ -626,7 +626,6 @@ def _words_breaking_the_index_identity(diagram, budget=None):
         (["certify", "classA", "--grid", MISSING], 2),
         (["certify", "classB", "--n", "5", "--spin", "1"], 4),
         (["certify", "classA", "--grid", STABILIZED], 4),
-        (["certify", "classA", "--grid", UNKNOT_TB3], 4),
         ([BAD_DISKS, "dga", "--grid", M821], 3),
         ([BAD_DISKS, "augs", "--grid", M821], 3),
         ([BAD_DISKS, "linpoly", "--grid", M821], 3),
@@ -634,6 +633,7 @@ def _words_breaking_the_index_identity(diagram, budget=None):
         ([BAD_DISKS, "certify", "classA", "--grid", M821], 3),
         (["dga", "--grid", str(FIXTURES / "bool_grid.json")], 2),
         (["augs", "--builtin", "m821_grid", "--budget", "5"], 4),
+        (["certify", "classA", "--grid", UNKNOT_TB3], 4),
     ],
 )
 def test_every_subcommand_fails_with_its_documented_code(capsys, monkeypatch, argv, code):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from ldga.linhom import COHOMOLOGICAL, GradedModule, HOMOLOGICAL, homology_mod_p
 from ldga.obstruct import (
     FEASIBLE,
-    OBSTRUCTED,
     ObstructionStageError,
     ObstructionVerdict,
     _twist_variety,
@@ -253,7 +252,7 @@ def test_class_b_euler_obstruction_decides(monkeypatch):
     # as in ``obstruct --tb``: the verdict is the Euler stage's, and no counts run
     import ldga.obstruct
 
-    planted = ObstructionVerdict(OBSTRUCTED, (("euler.tb_mismatch", "planted"),))
+    planted = ObstructionVerdict((("euler.tb_mismatch", "planted"),))
     calls = []
 
     def obstructed(profile, n, tb):
@@ -294,12 +293,14 @@ def test_certify_rejects_bad_case():
 
 @pytest.mark.parametrize("case", ["classA_m821", "classA_spun"])
 def test_class_a_schedule_is_checked_before_any_stage(monkeypatch, case):
-    import ldga.obstruct
+    import ldga.cedga
+    import ldga.diagram
 
     def no_stage(*args, **kwargs):
         pytest.fail("a pipeline stage ran before the schedule check")
 
-    monkeypatch.setattr(ldga.obstruct, "class_a_homology", no_stage)
+    monkeypatch.setattr(ldga.cedga, "m821_grid", no_stage)
+    monkeypatch.setattr(ldga.diagram, "grid_to_front", no_stage)
     with pytest.raises(ObstructionStageError) as exc:
         certify_nongeometric(case, schedule=[1, 3])
     assert exc.value.stage == "schedule"

@@ -80,12 +80,10 @@ CASES = {
         "PolySystem(variables=('a', 'b'), equations=(((1, (('a', 1), ('b', 1))), (1, ())),))",
         True, True),
     "ObstructionVerdict": (
-        lambda: ObstructionVerdict("feasible"),
-        "ObstructionVerdict(status='feasible', reasons=())", True, True),
+        lambda: ObstructionVerdict(), "ObstructionVerdict(reasons=())", True, True),
     "Certification": (
-        lambda: Certification("classB_twist", ObstructionVerdict("feasible"), []),
-        "Certification(case='classB_twist', verdict=ObstructionVerdict(status='feasible', "
-        "reasons=()), evidence=[])", False, False),
+        lambda: Certification(ObstructionVerdict(), []),
+        "Certification(verdict=ObstructionVerdict(reasons=()), evidence=[])", False, False),
     "SpinStage": (
         lambda: SpinStage(3, 2, 4), "SpinStage(sphere_dim=3, bound=2, legendrian_dimension=4)",
         True, True),
@@ -193,7 +191,7 @@ def test_defaults_are_not_shared():
     assert DGA(ZZ, g).differential == {} and DGA(ZZ, g).differential is not DGA(ZZ, g).differential
     m1, m2 = GradedModule("Z", "homological"), GradedModule("Z", "homological")
     assert m1.entries == {} and m1.entries is not m2.entries
-    assert ObstructionVerdict("feasible").reasons == ()
+    assert ObstructionVerdict().reasons == ()
     assert (FrontEvent("lcusp", 0).upper_arc, FrontEvent("lcusp", 0).lower_arc) == (-1, -1)
 
 
@@ -202,8 +200,6 @@ def test_post_init_checks_still_run():
         DGA(ZZ, (Generator("x", 0), Generator("x", 1)))
     with pytest.raises(ValueError, match="unknown generators"):
         DGA(ZZ, (Generator("x", 0),), {"y": Element(ZZ, ((("x",), 1),))})
-    with pytest.raises(ValueError, match="obstructed verdicts must carry"):
-        ObstructionVerdict("obstructed")
     with pytest.raises(ValueError, match="shape"):
         LinearizedComplex(F2, {0: ("a",)}, {1: [[1]]})
     with pytest.raises(ValueError, match="collide"):
