@@ -5,15 +5,17 @@ random grid fronts is pinned too, so any change to the disk search that
 alters a differential shows here.  So are the random grids whose Legendrian
 invariants change under commutation moves, which cannot happen when every
 DGA is right: a fix shows as that list shrinking.  So is the front of every
-small knot grid and of the random grids, those with r != 0 included.
+small knot grid and of the random grids, those with r != 0 included.  So
+is class A's certificate on every cyclic translation of the m(8_21) grid,
+most of which get a DGA that fails d^2 = 0 or miscounts augmentations.
 
 Regenerate (only when an answer is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` from the
 repository root; it rewrites the named goldens, or all of them.
 """
 
-import contextlib
 import collections
+import contextlib
 import functools
 import io
 import itertools
@@ -28,9 +30,8 @@ from test_diagram import _random_knot_grid
 from test_tools import TOOL, load_by_path
 
 from ldga.augment import enumerate_augmentations, linearized_complex
-from ldga.cedga import DiskSearchError, build_dga, builtin, dump_dsl
+from ldga.cedga import DiskSearchError, build_dga, builtin, dump_dsl, m821_grid
 from ldga.cli import main
-from ldga.cedga import m821_grid
 from ldga.diagram import DiagramError, GridDiagram, grid_to_front, resolve
 from ldga.errors import LdgaError
 from ldga.linhom import homology_field, poincare
@@ -243,7 +244,7 @@ def class_a_translations() -> str:
                 line += f"{cert.verdict.status} {cert.verdict.codes()}, polys {polys}"
             try:
                 dga = build_dga(resolve(grid_to_front(grid)))
-            except LdgaError:
+            except DiskSearchError:
                 pass
             else:
                 chi = sum((-1) ** g.degree if g.degree >= 0 else (-1) ** (g.degree + 1)
